@@ -1,7 +1,7 @@
 """facegcn: dynamic 3D face identification with spatio-temporal graph convolutions.
 
 Pipeline: textured-mesh ingestion -> geodesic landmark augmentation ->
-KD-tree patch features -> spatio-temporal landmark graph -> small ST-GCN
+kNN patch features -> spatio-temporal landmark graph -> small ST-GCN
 trained with SGD under a cross-emotion identification protocol.
 """
 

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 config/input error, 3 runtime numerical error.
 Commands lock their output directory while running and refuse to overwrite
-existing outputs unless --force is given. FACEGCN_THREADS caps worker
-parallelism during preprocessing (0 or unset = single-threaded).
+existing outputs unless --force is given.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,13 +46,6 @@ def _output_lock(out_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
-
-
-def _thread_count() -> int:
-    try:
-        return max(0, int(os.environ.get("FACEGCN_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 def _refuse_existing(path: Path, force: bool) -> None:
@@ -193,12 +184,7 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
         _refuse_existing(cfg.manifest_path, force)
         written: list[Path] = []
         try:
-            threads = _thread_count()
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(lambda d: _preprocess_sequence(d, cfg, out), seq_dirs))
-            else:
-                results = [_preprocess_sequence(d, cfg, out) for d in seq_dirs]
+            results = [_preprocess_sequence(d, cfg, out) for d in seq_dirs]
             entries = []
             first_landmarks = None
             for seq_dir, (name, tensor, landmarks) in zip(seq_dirs, results):

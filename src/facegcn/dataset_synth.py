@@ -214,7 +214,7 @@ class DatasetBuildResult:
 
 
 def build_dataset(cfg: SynthConfig, augment_pairs: Sequence[tuple[int, int]] | None = None,
-                  scale_normalize: bool = False, progress=None) -> DatasetBuildResult:
+                  scale_normalize: bool = False) -> DatasetBuildResult:
     """One SequenceSample per (identity, emotion) with augmented landmarks.
 
     Runs the separability oracle: the mean inter-identity neutral-frame
@@ -264,8 +264,6 @@ def build_dataset(cfg: SynthConfig, augment_pairs: Sequence[tuple[int, int]] | N
                     },
                 )
             )
-            if progress is not None:
-                progress(i, e)
 
     inter, intra = _separability(neutral_frames, peak_frames, cfg)
     if intra > 0 and inter <= intra:

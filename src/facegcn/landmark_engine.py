@@ -121,7 +121,7 @@ def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
 
 
 def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
-    """Anchor arbitrary 3D points to their nearest mesh vertices (KD-tree)."""
+    """Anchor arbitrary 3D points to their nearest mesh vertices (exact kNN)."""
     from .patch_features import build_kd_index
 
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -172,14 +172,6 @@ class GeodesicPath:
         return float(self.cumulative[-1])
 
 
-def _edge_weight(graph: EdgeGraph, u: int, v: int) -> float:
-    targets, weights = graph.neighbors(u)
-    hit = np.nonzero(targets == v)[0]
-    if hit.size == 0:
-        raise Unreachable(f"no edge between {u} and {v}")
-    return float(weights[hit[0]])
-
-
 def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
     """Shortest path between two vertices in the face-edge graph (Dijkstra).
 
@@ -197,10 +189,15 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
             cumulative=np.zeros(1, dtype=np.float64),
         )
 
-    a, b = (src, dst) if src < dst else (dst, src)
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    # memoryviews index to Python scalars far faster than the arrays do,
+    # without copying the graph
+    indptr, targets, weights = (
+        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
+    )
+    a, b = (int(src), int(dst)) if src < dst else (int(dst), int(src))
+    dist = [math.inf] * n
+    pred = [-1] * n
+    done = [False] * n
     dist[a] = 0.0
     heap = [(0.0, a)]
     while heap:
@@ -210,15 +207,15 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
         done[u] = True
         if u == b:
             break
-        targets, weights = graph.neighbors(u)
-        for v, w in zip(targets, weights):
+        for i in range(indptr[u], indptr[u + 1]):
+            v = targets[i]
             if done[v]:
                 continue
-            nd = d + w
+            nd = d + weights[i]
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, int(v)))
+                heapq.heappush(heap, (nd, v))
             elif nd == dist[v] and u < pred[v]:
                 pred[v] = u
 
@@ -227,11 +224,16 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
 
     chain = [b]
     while chain[-1] != a:
-        chain.append(int(pred[chain[-1]]))
+        chain.append(pred[chain[-1]])
     chain.reverse()
     if src != a:
         chain.reverse()
-    edge_weights = [_edge_weight(graph, u, v) for u, v in zip(chain, chain[1:])]
+    edge_weights = []
+    for u, v in zip(chain, chain[1:]):
+        i = indptr[u]
+        while targets[i] != v:
+            i += 1
+        edge_weights.append(weights[i])
     cumulative = np.array(
         [0.0] + [math.fsum(edge_weights[:i]) for i in range(1, len(chain))]
     )

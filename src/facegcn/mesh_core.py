@@ -106,6 +106,18 @@ class EdgeGraph:
         return self.targets[lo:hi], self.weights_csr[lo:hi]
 
 
+def _unique_edges(faces: np.ndarray, n: int) -> np.ndarray:
+    """Sorted unique (u <= v) vertex pairs of all face edges, in lexicographic order.
+
+    Indices must lie in [0, n); each pair is keyed as u * n + v, whose 1-D
+    order is the lexicographic (u, v) order.
+    """
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]], axis=0)
+    pairs = np.sort(pairs, axis=1)
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
     """List every invariant violation; an empty report means the mesh is valid."""
     report = ValidationReport()
@@ -138,19 +150,18 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
             for i in np.nonzero(out)[0]:
                 report.add("range", f"uv[{i}]", "component outside [0, 1]")
 
-    all_indices_ok = True
-    for fi, face in enumerate(mesh.faces):
-        if (face < 0).any() or (face >= n).any():
-            report.add("face_index", f"faces[{fi}]", f"index out of range in {tuple(face)}")
-            all_indices_ok = False
-        elif len(set(int(x) for x in face)) != 3:
-            report.add("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(face)}")
+    f = mesh.faces
+    out = ((f < 0) | (f >= n)).any(axis=1)
+    repeated = ~out & ((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2]))
+    for fi in np.nonzero(out | repeated)[0]:
+        if out[fi]:
+            report.add("face_index", f"faces[{fi}]", f"index out of range in {tuple(f[fi])}")
+        else:
+            report.add("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(f[fi])}")
 
     # coincident edge endpoints would give zero-weight edges downstream
-    if all_indices_ok and mesh.n_faces and np.isfinite(mesh.vertices).all():
-        f = mesh.faces
-        pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]], axis=0)
-        pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    if not out.any() and mesh.n_faces and np.isfinite(mesh.vertices).all():
+        pairs = _unique_edges(f, n)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # self-pairs are degenerate faces
         zero = (mesh.vertices[pairs[:, 0]] == mesh.vertices[pairs[:, 1]]).all(axis=1)
         for u, v in pairs[zero]:
@@ -169,11 +180,7 @@ def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
     if not report.ok:
         raise InvariantError(f"mesh invalid: {report}")
 
-    f = mesh.faces
-    pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]], axis=0)
-    pairs = np.sort(pairs, axis=1)
-    if pairs.shape[0]:
-        pairs = np.unique(pairs, axis=0)
+    pairs = _unique_edges(mesh.faces, mesh.n_vertices)
     deltas = mesh.vertices[pairs[:, 0]] - mesh.vertices[pairs[:, 1]]
     weights = np.sqrt((deltas * deltas).sum(axis=1))
     if (weights <= 0.0).any():
@@ -359,12 +366,18 @@ def _load_ply(path: Path) -> TexturedMesh:
             if len(tok) != 3:
                 raise ParseError("malformed element", path=path, line=lineno)
             element = tok[1]
-            if element == "vertex":
-                n_vertices = int(tok[2])
-            elif element == "face":
-                n_faces = int(tok[2])
-            else:
+            if element not in ("vertex", "face"):
                 raise ParseError(f"unsupported element {element!r}", path=path, line=lineno)
+            try:
+                count = int(tok[2])
+            except ValueError:
+                raise ParseError(f"bad {element} count {tok[2]!r}", path=path, line=lineno)
+            if count < 0:
+                raise ParseError(f"negative {element} count {count}", path=path, line=lineno)
+            if element == "vertex":
+                n_vertices = count
+            else:
+                n_faces = count
         elif tok[0] == "property":
             if element == "vertex":
                 if len(tok) != 3:
@@ -379,7 +392,8 @@ def _load_ply(path: Path) -> TexturedMesh:
                     raise ParseError(f"property {name} must be uchar", path=path, line=lineno)
                 vprops.append(name)
             elif element == "face":
-                if tok[1] != "list" or tok[2] not in ("uchar", "uint8") or tok[3] not in ("int", "int32"):
+                if (len(tok) < 4 or tok[1] != "list" or tok[2] not in ("uchar", "uint8")
+                        or tok[3] not in ("int", "int32")):
                     raise ParseError("face property must be `list uchar int32`", path=path, line=lineno)
             else:
                 raise ParseError("property before any element", path=path, line=lineno)

@@ -1,9 +1,9 @@
-"""KD-tree neighborhoods around landmarks and per-sequence feature tensors.
+"""kNN neighborhoods around landmarks and per-sequence feature tensors.
 
-Each landmark gets a patch of its k nearest mesh vertices; a patch flattens
-to 6k channels (relative xyz + rgb per neighbor, ordered by ascending
-distance). A sequence of frames becomes one float32 tensor of shape
-(6k, J, T).
+Each landmark gets a patch of its k nearest mesh vertices, found by an exact
+brute-force kNN with (d², index) tie order; a patch flattens to 6k channels
+(relative xyz + rgb per neighbor, ordered by ascending distance). A sequence
+of frames becomes one float32 tensor of shape (6k, J, T).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-import heapq
-
 import numpy as np
 
 from .errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
@@ -23,26 +21,15 @@ from .mesh_core import TexturedMesh
 if TYPE_CHECKING:
     from .landmark_engine import LandmarkSet
 
-_LEAF_SIZE = 32
-
-
-class _Node:
-    __slots__ = ("axis", "threshold", "left", "right", "indices")
-
-    def __init__(self, axis=-1, threshold=0.0, left=None, right=None, indices=None):
-        self.axis = axis
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.indices = indices  # leaf only
-
 
 class KdIndex:
     """Exact k-nearest-neighbor index over a fixed 3D point set.
 
     Queries return exactly min(k, N) distinct point indices sorted by
     ascending (squared distance, index); equidistant points therefore come
-    back in ascending index order.
+    back in ascending index order. Each query is an exact brute-force scan:
+    squared distances to every point, a partition to find the k-th, then a
+    (d², index) sort of the points at or below it.
     """
 
     def __init__(self, points: np.ndarray):
@@ -53,56 +40,19 @@ class KdIndex:
             raise InvariantError("non-finite coordinates in point set")
         self.points = points
         self.n = points.shape[0]
-        self._root = self._build(np.arange(self.n, dtype=np.int64))
-
-    def _build(self, idx: np.ndarray) -> _Node:
-        if idx.shape[0] <= _LEAF_SIZE:
-            return _Node(indices=idx)
-        pts = self.points[idx]
-        spans = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spans))  # ties -> lowest axis
-        order = np.argsort(pts[:, axis], kind="stable")
-        idx = idx[order]
-        mid = idx.shape[0] // 2
-        threshold = float(self.points[idx[mid], axis])
-        return _Node(
-            axis=axis,
-            threshold=threshold,
-            left=self._build(idx[:mid]),
-            right=self._build(idx[mid:]),
-        )
 
     def k_nearest(self, query, k: int) -> np.ndarray:
         """Indices of the k nearest points to ``query`` (fewer if N < k)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(query, dtype=np.float64).reshape(3)
+        if not np.isfinite(q).all():
+            raise InvariantError("non-finite query coordinates")
         k = min(k, self.n)
-        # max-heap of the current k best, keyed by (d2, index); the root is
-        # the worst kept candidate, stored negated for heapq
-        heap: list[tuple[float, int]] = []
-        self._search(self._root, q, k, heap)
-        ordered = sorted((-nd2, -ni) for nd2, ni in heap)
-        return np.array([i for _, i in ordered], dtype=np.int64)
-
-    def _search(self, node: _Node, q: np.ndarray, k: int, heap) -> None:
-        if node.indices is not None:
-            pts = self.points[node.indices]
-            d2s = ((pts - q) ** 2).sum(axis=1)
-            for d2, i in zip(d2s, node.indices):
-                cand = (-float(d2), -int(i))
-                if len(heap) < k:
-                    heapq.heappush(heap, cand)
-                elif cand > heap[0]:
-                    heapq.heapreplace(heap, cand)
-            return
-        delta = q[node.axis] - node.threshold
-        near, far = (node.left, node.right) if delta <= 0.0 else (node.right, node.left)
-        self._search(near, q, k, heap)
-        # the far side may still hold an equal-distance lower-index point,
-        # so prune only on strictly larger plane distance
-        if len(heap) < k or delta * delta <= -heap[0][0]:
-            self._search(far, q, k, heap)
+        d2 = ((self.points - q) ** 2).sum(axis=1)
+        kth = np.partition(d2, k - 1)[k - 1]
+        cand = np.nonzero(d2 <= kth)[0]
+        return cand[np.lexsort((cand, d2[cand]))[:k]]
 
 
 def build_kd_index(mesh: TexturedMesh) -> KdIndex:

@@ -146,7 +146,7 @@ def test_criterion_3_kdtree_oracle():
                 total += 1
                 if not np.array_equal(got, expect):
                     mismatches += 1
-    report(3, "KD-tree vs brute force", mismatches == 0,
+    report(3, "kNN index vs brute force", mismatches == 0,
            f"{total} queries (incl. lattice ties), {mismatches} mismatches")
 
 

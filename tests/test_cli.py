@@ -203,39 +203,6 @@ def test_preprocess_lm3_source(tmp_path):
     assert t.values.shape == (30, 12, 2)  # 10 base + 2 augmented
 
 
-def test_preprocess_threads_env_matches_sequential(tmp_path, monkeypatch):
-    raw = tmp_path / "raw"
-    for name, seed in (("seq_a", 31), ("seq_b", 32)):
-        seq = raw / name
-        seq.mkdir(parents=True)
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(size=(8, 2))
-        for t in range(2):
-            mesh = make_frame_mesh(IdentityParams(seed=seed, grid=8), ExpressionParams(emotion=0), t, 2)
-            write_mesh(mesh, seq / f"frame_{t:04d}.ply")
-            (seq / f"frame_{t:04d}.lm2").write_text(
-                "\n".join(f"{u} {v}" for u, v in points) + "\n")
-    (raw / "labels.json").write_text(json.dumps({
-        "seq_a": {"identity": 0, "emotion": 0}, "seq_b": {"identity": 1, "emotion": 0}}))
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({
-        "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out_seq")},
-        "features": {"k": 4, "augmentation_pairs": [[0, 7]]},
-    }))
-    assert main(["preprocess", "--config", str(cfg_path)]) == 0
-    cfg_path2 = tmp_path / "c2.json"
-    cfg_path2.write_text(json.dumps({
-        "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out_par")},
-        "features": {"k": 4, "augmentation_pairs": [[0, 7]]},
-    }))
-    monkeypatch.setenv("FACEGCN_THREADS", "2")
-    assert main(["preprocess", "--config", str(cfg_path2)]) == 0
-    for name in ("seq_a.fgt", "seq_b.fgt"):
-        a = (tmp_path / "out_seq" / name).read_bytes()
-        b = (tmp_path / "out_par" / name).read_bytes()
-        assert a == b
-
-
 # ---------------------------------------------------------------------------
 # train / eval
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from facegcn.dataset_synth import (
 )
 from facegcn.errors import ConfigError, EmptySide, MissingIdentity
 from facegcn.mesh_core import validate_mesh
+from facegcn.patch_features import save_tensor
 
 FAST = SynthConfig(n_identities=3, emotions=(0, 1), T=3, k=4, grid=8, lm_grid=2, seed=11)
 
@@ -216,3 +219,18 @@ def test_emotion_subset_protocol_averaging(fast_dataset):
         accs.append(c / t)
     assert len(accs) == 2
     assert 0.0 <= float(np.mean(accs)) <= 1.0
+
+
+# SHA-256 of the FGT1 files of SynthConfig(n_identities=2, emotions=(0,), T=4),
+# concatenated in sample order. Any change to mesh validation, geodesic
+# augmentation or kNN patch extraction that moves one output bit changes it.
+GOLDEN_FGT1_SHA256 = "39df4c632784e8c0a3a652e759979cef94bf34d6caf0b745531ba77afdfe0121"
+
+
+def test_golden_fgt1_digest(tmp_path):
+    result = build_dataset(SynthConfig(n_identities=2, emotions=(0,), T=4))
+    h = hashlib.sha256()
+    for i, sample in enumerate(result.samples):
+        save_tensor(sample.tensor, tmp_path / f"{i}.fgt")
+        h.update((tmp_path / f"{i}.fgt").read_bytes())
+    assert h.hexdigest() == GOLDEN_FGT1_SHA256

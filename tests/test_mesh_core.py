@@ -122,6 +122,32 @@ def test_ply_rejects_quad_face(tmp_path):
         load_mesh(p)
 
 
+PLY_HEADER_TAIL = (
+    "property float x\nproperty float y\nproperty float z\n"
+    "element face 0\nproperty list uchar int32 vertex_indices\nend_header\n"
+)
+
+
+@pytest.mark.parametrize("count", ["x", "-1"])
+def test_ply_bad_vertex_count_is_parse_error(tmp_path, count):
+    p = tmp_path / "bad.ply"
+    p.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n" + PLY_HEADER_TAIL)
+    with pytest.raises(ParseError) as exc:
+        load_mesh(p)
+    assert exc.value.line == 3
+
+
+def test_ply_short_face_list_property_is_parse_error(tmp_path):
+    p = tmp_path / "bad.ply"
+    p.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 0\nproperty list uchar\nend_header\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        load_mesh(p)
+    assert exc.value.line == 8
+
+
 # ---------------------------------------------------------------------------
 # validate_mesh
 
@@ -168,6 +194,50 @@ def test_validate_coincident_edge_endpoints():
     assert not validate_mesh(synth_mesh()).violations
 
 
+def test_validate_violation_order_is_stable():
+    # face violations come in face order whatever their kind; the coincident
+    # edge check runs only when all indices are in range and all vertices finite
+    nan = np.nan
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [nan, 0, 0], [1, 1, 0], [1, 1, 0], [2, 0, 0], [2, 1, 0]]
+    faces = [[0, 1, 2], [0, 1, 9], [1, 1, 2], [4, 5, 6], [-1, 2, 3], [6, 7, 7], [1, 4, 6],
+             [2, 2, 2], [8, 0, 1]]
+    got = [(v.kind, v.where) for v in validate_mesh(TexturedMesh.from_arrays(verts, faces)).violations]
+    assert got == [
+        ("nan", "vertices[3]"),
+        ("face_index", "faces[1]"),
+        ("degenerate_face", "faces[2]"),
+        ("face_index", "faces[4]"),
+        ("degenerate_face", "faces[5]"),
+        ("degenerate_face", "faces[7]"),
+        ("face_index", "faces[8]"),
+    ]
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 0], [2, 0, 0], [0, 0, 0]]
+    faces = [[0, 1, 2], [3, 4, 5], [1, 1, 2], [2, 6, 0], [1, 3, 5], [4, 4, 5], [5, 1, 0]]
+    got = [(v.kind, v.where) for v in validate_mesh(TexturedMesh.from_arrays(verts, faces)).violations]
+    assert got == [
+        ("degenerate_face", "faces[2]"),
+        ("degenerate_face", "faces[5]"),
+        ("degenerate_edge", "edge(0,6)"),
+        ("degenerate_edge", "edge(3,4)"),
+    ]
+
+
+def test_validate_face_checks_match_loop_reference():
+    # the per-face loop the vectorized checks replaced, kept as the reference
+    rng = np.random.default_rng(21)
+    faces = rng.integers(-2, 14, size=(300, 3))
+    faces[::7] = faces[::7][:, [0, 0, 1]]
+    mesh = TexturedMesh.from_arrays(rng.normal(size=(12, 3)), faces)
+    expect = []
+    for fi, face in enumerate(mesh.faces):
+        if (face < 0).any() or (face >= 12).any():
+            expect.append(("face_index", f"faces[{fi}]", f"index out of range in {tuple(face)}"))
+        elif len(set(int(x) for x in face)) != 3:
+            expect.append(("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(face)}"))
+    assert len(expect) > 50
+    assert [(v.kind, v.where, v.detail) for v in validate_mesh(mesh).violations] == expect
+
+
 # ---------------------------------------------------------------------------
 # build_edge_graph
 
@@ -201,6 +271,14 @@ def test_unit_grid_axis_edge_weights():
         if np.count_nonzero(du) == 1:  # axis-aligned edge
             assert w == 1.0
         assert w == np.sqrt((du * du).sum())
+
+
+def test_edges_match_unique_rows_reference():
+    mesh = synth_mesh(grid=12)
+    faces = np.random.default_rng(3).permutation(mesh.faces)
+    g = build_edge_graph(TexturedMesh.from_arrays(mesh.vertices, faces))
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
+    assert np.array_equal(g.edges, np.unique(np.sort(pairs, axis=1), axis=0))
 
 
 def test_edge_count_bounds():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
-from facegcn.errors import EmptyMesh, InconsistentLandmarks, ParseError
+from facegcn.errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
 from facegcn.landmark_engine import lift_landmarks, snap_to_mesh
 from facegcn.mesh_core import TexturedMesh
 from facegcn.patch_features import (
@@ -79,6 +79,8 @@ def test_kd_rejects_empty_and_bad_k():
     index = KdIndex(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         index.k_nearest([0, 0, 0], 0)
+    with pytest.raises(InvariantError):
+        index.k_nearest([np.nan, 0, 0], 1)
 
 
 def test_build_kd_index_from_mesh():
