@@ -26,6 +26,7 @@ from .errors import (
     FaceGcnError,
     NumericalError,
 )
+from .fileio import write_atomic
 
 log = logging.getLogger("facegcn")
 
@@ -51,6 +52,10 @@ def _output_lock(out_dir: Path):
 def _refuse_existing(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise ConfigError(f"{path} exists; rerun with --force to overwrite")
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
 def _build_spatial(cfg: RunConfig, landmarks):
@@ -116,7 +121,7 @@ def cmd_synth(cfg: RunConfig, force: bool) -> int:
             },
             "samples": entries,
         }
-        cfg.manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_manifest(cfg.manifest_path, manifest)
         log.info("wrote %d tensors and %s", len(entries), cfg.manifest_path)
     return 0
 
@@ -213,7 +218,7 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
                 "graph": "graph.fgg",
                 "samples": entries,
             }
-            cfg.manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            _write_manifest(cfg.manifest_path, manifest)
         except BaseException:
             for p in written:  # no partial outputs on failure
                 p.unlink(missing_ok=True)

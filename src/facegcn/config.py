@@ -174,27 +174,59 @@ def config_to_dict(cfg: RunConfig) -> dict:
             for k, v in out.items()}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field_value(where: str, name: str, default, v):
+    """``v`` converted to the field's type; ConfigError if it has another type.
+
+    The type is that of the field's default; a None default means an
+    optional string.
+    """
+    if name in _PAIR_FIELDS:
+        if isinstance(v, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) for x in p) for p in v
+        ):
+            return tuple((a, b) for a, b in v)
+        raise ConfigError(f"{where} must be a list of [int, int] pairs, got {v!r}")
+    if name in _TUPLE_FIELDS:
+        if isinstance(v, (list, tuple)) and all(_is_int(x) for x in v):
+            return tuple(v)
+        raise ConfigError(f"{where} must be a list of integers, got {v!r}")
+    if isinstance(default, bool):
+        ok, kind = isinstance(v, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, kind = _is_int(v), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_int(v) or isinstance(v, float), "a number"
+    else:  # str, or None for an optional path
+        ok = isinstance(v, str) or (default is None and v is None)
+        kind = "a string" if default is not None else "a string or null"
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {v!r}")
+    return v
+
+
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            kwargs["seed"] = int(value)
+            kwargs["seed"] = _field_value("seed", key, RunConfig.seed, value)
             continue
         if key not in _SECTIONS:
             raise ConfigError(f"unknown config section {key!r}")
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
         cls = _SECTIONS[key]
-        names = {f.name for f in dataclasses.fields(cls)}
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         section_kwargs = {}
         for k, v in value.items():
-            if k not in names:
+            if k not in defaults:
                 raise ConfigError(f"unknown key {key}.{k}")
-            if k in _PAIR_FIELDS:
-                v = tuple((int(a), int(b)) for a, b in v)
-            elif k in _TUPLE_FIELDS:
-                v = tuple(int(x) for x in v)
-            section_kwargs[k] = v
+            section_kwargs[k] = _field_value(f"{key}.{k}", k, defaults[k], v)
         kwargs[key] = cls(**section_kwargs)
     return RunConfig(**kwargs)
 

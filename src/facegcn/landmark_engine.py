@@ -115,8 +115,11 @@ def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
     pts = np.asarray(uv_points, dtype=np.float64).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise EmptyInput("no uv points given")
-    d2 = ((mesh.uv[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2)
-    anchors = np.argmin(d2, axis=1)  # argmin returns the first (lowest) index on ties
+    # one (N,) distance array per point over uv column copies: the same
+    # doubles as the (N, 2) row sum, without a (J, N, 2) transient; argmin
+    # returns the first (lowest) index on ties
+    u, v = np.ascontiguousarray(mesh.uv[:, 0]), np.ascontiguousarray(mesh.uv[:, 1])
+    anchors = [int(np.argmin((u - a) ** 2 + (v - b) ** 2)) for a, b in pts]
     return _anchored(range(pts.shape[0]), anchors, mesh, BASE)
 
 
@@ -172,6 +175,75 @@ class GeodesicPath:
         return float(self.cumulative[-1])
 
 
+def _dijkstra(graph: EdgeGraph, a: int, targets) -> tuple[list[int], list[bool]]:
+    """Predecessors and popped flags of a Dijkstra search from ``a``.
+
+    The search stops once every target has been popped (or the component of
+    ``a`` is exhausted). Ties between equal-length paths go to the smaller
+    predecessor index. A popped vertex's predecessor never changes again, so
+    its path is the one a search stopping at that vertex alone would give.
+    """
+    n = graph.n_nodes
+    # memoryviews index to Python scalars far faster than the arrays do,
+    # without copying the graph
+    indptr, nbrs, weights = (
+        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
+    )
+    heappop, heappush = heapq.heappop, heapq.heappush
+    remaining = set(targets)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    done = [False] * n
+    dist[a] = 0.0
+    heap = [(0.0, a)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u in remaining:
+            remaining.discard(u)
+            if not remaining:
+                break
+        for i in range(indptr[u], indptr[u + 1]):
+            v = nbrs[i]
+            if done[v]:
+                continue
+            nd = d + weights[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred[v]:
+                pred[v] = u
+    return pred, done
+
+
+def _path_from_preds(
+    graph: EdgeGraph, pred: list[int], a: int, b: int, src: int
+) -> GeodesicPath:
+    """The a -> b predecessor chain of a search from a, oriented to start at src."""
+    indptr, nbrs, weights = (
+        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
+    )
+    chain = [b]
+    while chain[-1] != a:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    if src != a:
+        chain.reverse()
+    edge_weights = []
+    for u, v in zip(chain, chain[1:]):
+        i = indptr[u]
+        while nbrs[i] != v:
+            i += 1
+        edge_weights.append(weights[i])
+    cumulative = np.array(
+        [0.0] + [math.fsum(edge_weights[:i]) for i in range(1, len(chain))]
+    )
+    return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=cumulative)
+
+
 def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
     """Shortest path between two vertices in the face-edge graph (Dijkstra).
 
@@ -188,56 +260,11 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
             vertices=np.array([src], dtype=np.int64),
             cumulative=np.zeros(1, dtype=np.float64),
         )
-
-    # memoryviews index to Python scalars far faster than the arrays do,
-    # without copying the graph
-    indptr, targets, weights = (
-        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
-    )
     a, b = (int(src), int(dst)) if src < dst else (int(dst), int(src))
-    dist = [math.inf] * n
-    pred = [-1] * n
-    done = [False] * n
-    dist[a] = 0.0
-    heap = [(0.0, a)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == b:
-            break
-        for i in range(indptr[u], indptr[u + 1]):
-            v = targets[i]
-            if done[v]:
-                continue
-            nd = d + weights[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred[v]:
-                pred[v] = u
-
+    pred, done = _dijkstra(graph, a, (b,))
     if not done[b]:
         raise Unreachable(f"no path from {src} to {dst}")
-
-    chain = [b]
-    while chain[-1] != a:
-        chain.append(pred[chain[-1]])
-    chain.reverse()
-    if src != a:
-        chain.reverse()
-    edge_weights = []
-    for u, v in zip(chain, chain[1:]):
-        i = indptr[u]
-        while targets[i] != v:
-            i += 1
-        edge_weights.append(weights[i])
-    cumulative = np.array(
-        [0.0] + [math.fsum(edge_weights[:i]) for i in range(1, len(chain))]
-    )
-    return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=cumulative)
+    return _path_from_preds(graph, pred, a, b, int(src))
 
 
 def geodesic_midpoint(
@@ -280,23 +307,33 @@ def augment_landmarks(
     base_ids = {e.id for e in base if e.kind == BASE}
     by_id = {e.id: e for e in base}
 
-    entries = list(base.entries)
-    skipped: list[tuple[int, int]] = []
-    next_id = len(base)
+    pair_anchors = []
     for a, b in pairs:
         a, b = int(a), int(b)
         if a == b or a not in base_ids or b not in base_ids:
             raise InvalidPair(f"pair ({a}, {b}) must name two distinct base ids")
-        va, vb = by_id[a].anchor, by_id[b].anchor
+        pair_anchors.append((a, b, by_id[a].anchor, by_id[b].anchor))
+
+    # one search per smaller anchor, stopping once all its partners are popped
+    partners: dict[int, set[int]] = {}
+    for _, _, va, vb in pair_anchors:
+        if va != vb:
+            partners.setdefault(min(va, vb), set()).add(max(va, vb))
+    searches = {lo: _dijkstra(graph, lo, his) for lo, his in partners.items()}
+
+    entries = list(base.entries)
+    skipped: list[tuple[int, int]] = []
+    next_id = len(base)
+    for a, b, va, vb in pair_anchors:
         if va == vb:
             mid = va  # both snapped to one vertex: midpoint is that vertex
         else:
-            try:
-                path = geodesic_path(graph, va, vb)
-            except Unreachable:
+            lo, hi = min(va, vb), max(va, vb)
+            pred, done = searches[lo]
+            if not done[hi]:
                 skipped.append((a, b))
                 continue
-            mid, _ = geodesic_midpoint(path)
+            mid, _ = geodesic_midpoint(_path_from_preds(graph, pred, lo, hi, va))
         pos = np.array(mesh.vertices[mid], dtype=np.float64)
         pos.flags.writeable = False
         entries.append(

@@ -106,15 +106,25 @@ class EdgeGraph:
         return self.targets[lo:hi], self.weights_csr[lo:hi]
 
 
-def _unique_edges(faces: np.ndarray, n: int) -> np.ndarray:
-    """Sorted unique (u <= v) vertex pairs of all face edges, in lexicographic order.
+def _face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 3F face edges as (lo, hi) endpoint arrays, lo <= hi, in face-edge order."""
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    u, v = np.concatenate([a, b, a]), np.concatenate([b, c, c])
+    return np.minimum(u, v), np.maximum(u, v)
 
-    Indices must lie in [0, n); each pair is keyed as u * n + v, whose 1-D
-    order is the lexicographic (u, v) order.
+
+def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Sorted unique (lo, hi) pairs as (E, 2) rows, in lexicographic order.
+
+    Indices must lie in [0, n); each pair is keyed as lo * n + hi, whose 1-D
+    order is the lexicographic order. Sorting and dropping repeats of the
+    previous key gives what ``np.unique`` would, without its extra passes.
     """
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]], axis=0)
-    pairs = np.sort(pairs, axis=1)
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    keys = np.sort(lo * n + hi)
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -159,12 +169,15 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
         else:
             report.add("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(f[fi])}")
 
-    # coincident edge endpoints would give zero-weight edges downstream
+    # coincident edge endpoints would give zero-weight edges downstream;
+    # found on the raw face edges, so only the hits need deduplicating
     if not out.any() and mesh.n_faces and np.isfinite(mesh.vertices).all():
-        pairs = _unique_edges(f, n)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # self-pairs are degenerate faces
-        zero = (mesh.vertices[pairs[:, 0]] == mesh.vertices[pairs[:, 1]]).all(axis=1)
-        for u, v in pairs[zero]:
+        lo, hi = _face_edges(f)
+        hit = np.nonzero(lo != hi)[0]  # self-pairs are degenerate faces
+        for c in range(3):  # narrow the candidates one coordinate at a time
+            col = mesh.vertices[:, c]
+            hit = hit[col[lo[hit]] == col[hi[hit]]]
+        for u, v in _unique_pairs(lo[hit], hi[hit], n):
             report.add("degenerate_edge", f"edge({u},{v})", "coincident endpoint positions")
     return report
 
@@ -172,15 +185,21 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
 def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
     """Edge graph of the mesh: one undirected edge per unique face edge.
 
-    Weights are the Euclidean distances between endpoint vertices. Raises
-    InvariantError on invalid meshes or zero-length edges (weights must be
-    positive for geodesic arc lengths to be strictly increasing).
+    Weights are the Euclidean distances between endpoint vertices. The mesh
+    is not validated again (``load_mesh`` does that at the file boundary);
+    only this function's own preconditions are checked, each raising
+    InvariantError: face indices in range, finite vertices, and positive
+    edge lengths (zero-length edges, from coincident positions or repeated
+    face vertices, would stop geodesic arc lengths from strictly increasing).
     """
-    report = validate_mesh(mesh)
-    if not report.ok:
-        raise InvariantError(f"mesh invalid: {report}")
+    n = mesh.n_vertices
+    faces = mesh.faces
+    if faces.size and (faces.min() < 0 or faces.max() >= n):
+        raise InvariantError(f"face index out of range for {n} vertices")
+    if not np.isfinite(mesh.vertices).all():
+        raise InvariantError("non-finite vertex coordinates")
 
-    pairs = _unique_edges(mesh.faces, mesh.n_vertices)
+    pairs = _unique_pairs(*_face_edges(faces), n)
     deltas = mesh.vertices[pairs[:, 0]] - mesh.vertices[pairs[:, 1]]
     weights = np.sqrt((deltas * deltas).sum(axis=1))
     if (weights <= 0.0).any():
@@ -190,15 +209,13 @@ def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
             "coincident positions are not usable for geodesics"
         )
 
-    n = mesh.n_vertices
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     w2 = np.concatenate([weights, weights])
     order = np.argsort(src, kind="stable")
     src, dst, w2 = src[order], dst[order], w2[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
     for arr in (pairs, weights, indptr, dst, w2):
         arr.flags.writeable = False
@@ -404,8 +421,6 @@ def _load_ply(path: Path) -> TexturedMesh:
         raise ParseError("header missing format/vertex/face declarations", path=path)
     if not {"x", "y", "z"} <= set(vprops):
         raise ParseError("vertex element must declare x, y, z", path=path)
-    has_color = {"red", "green", "blue"} <= set(vprops)
-    has_uv = {"u", "v"} <= set(vprops)
 
     if binary:
         verts, cols, uv, faces = _read_ply_binary(path, body, n_vertices, n_faces, vprops)
@@ -415,12 +430,66 @@ def _load_ply(path: Path) -> TexturedMesh:
             path, body, n_vertices, n_faces, vprops, body_line0
         )
 
-    return TexturedMesh.from_arrays(
-        verts,
-        faces,
-        cols if has_color else None,
-        uv if has_uv else None,
-    )
+    return TexturedMesh.from_arrays(verts, faces, cols, uv)
+
+
+def _vertex_dtype(vprops, binary: bool) -> np.dtype:
+    # fields are positional: a header may declare one property twice;
+    # ascii colors are read as integers, which validation range-checks
+    utype = "u1" if binary else "<i8"
+    return np.dtype([(f"p{j}", "<f4" if _PLY_VERTEX_PROPS[p] == "f" else utype)
+                     for j, p in enumerate(vprops)])
+
+
+def _vertex_arrays(table: np.ndarray, vprops):
+    """(verts, cols, uv) float64 arrays from one record per vertex.
+
+    Floats are float32 already, which is the load-time quantization. cols
+    and uv are None unless all their properties are declared; when a
+    property is declared twice the later column wins.
+    """
+    col = {name: table[f"p{j}"] for j, name in enumerate(vprops)}
+
+    def stack(names):
+        if not all(name in col for name in names):
+            return None
+        return np.stack([col[name] for name in names], axis=1).astype(np.float64)
+
+    cols = stack(("red", "green", "blue"))
+    return stack(("x", "y", "z")), None if cols is None else cols / 255.0, stack(("u", "v"))
+
+
+def _ascii_records(lines, dtype: np.dtype) -> np.ndarray | None:
+    """One record per line, or None if any line is not exactly one record.
+
+    loadtxt skips blank lines, so a short result also means a bad line (and
+    a leading blank one is rejected before loadtxt can find no data at all).
+    """
+    if not lines:
+        return np.zeros(0, dtype=dtype)
+    if not lines[0].split():
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return rows if rows.shape[0] == len(lines) else None
+
+
+def _first_bad_line(lines, good) -> int:
+    """Index of the first line for which ``good([line])`` fails.
+
+    ``good`` must fail on ``lines`` and hold for a block exactly when it
+    holds for each of its lines; the search bisects on blocks.
+    """
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if good(lines[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _read_ply_ascii(path, body: bytes, n_vertices, n_faces, vprops, line0=1):
@@ -429,65 +498,54 @@ def _read_ply_ascii(path, body: bytes, n_vertices, n_faces, vprops, line0=1):
         raise ParseError(
             f"expected {n_vertices + n_faces} body lines, found {len(lines)}", path=path
         )
-    verts = np.zeros((n_vertices, 3))
-    cols = np.zeros((n_vertices, 3))
-    uv = np.zeros((n_vertices, 2))
-    for i in range(n_vertices):
-        tok = lines[i].split()
-        if len(tok) != len(vprops):
-            raise ParseError(f"vertex record has {len(tok)} fields, expected {len(vprops)}",
+
+    vlines = lines[:n_vertices]
+    vdtype = _vertex_dtype(vprops, binary=False)
+    table = _ascii_records(vlines, vdtype)
+    if table is None:
+        i = _first_bad_line(vlines, lambda block: _ascii_records(block, vdtype) is not None)
+        nfields = len(vlines[i].split())
+        if nfields != len(vprops):
+            raise ParseError(f"vertex record has {nfields} fields, expected {len(vprops)}",
                              path=path, line=line0 + i)
-        try:
-            vals = {name: tok[j] for j, name in enumerate(vprops)}
-            verts[i] = (_f32(vals["x"]), _f32(vals["y"]), _f32(vals["z"]))
-            if "red" in vals:
-                cols[i] = (int(vals["red"]) / 255.0, int(vals["green"]) / 255.0,
-                           int(vals["blue"]) / 255.0)
-            if "u" in vals:
-                uv[i] = (_f32(vals["u"]), _f32(vals["v"]))
-        except ValueError:
-            raise ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
-    faces = np.zeros((n_faces, 3), dtype=np.int64)
-    for i in range(n_faces):
-        tok = lines[n_vertices + i].split()
+        raise ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
+
+    flines = lines[n_vertices:n_vertices + n_faces]
+    fdtype = np.dtype([("n", "<i8"), ("i", "<i8", (3,))])
+
+    def faces_of(block):
+        rows = _ascii_records(block, fdtype)
+        return rows if rows is not None and (rows["n"] == 3).all() else None
+
+    frows = faces_of(flines)
+    if frows is None:
+        i = _first_bad_line(flines, lambda block: faces_of(block) is not None)
+        tok = flines[i].split()
+        message = "bad face index"
         if not tok or tok[0] != "3" or len(tok) != 4:
-            raise ParseError("face record must be `3 i j k`", path=path,
-                             line=line0 + n_vertices + i)
-        try:
-            faces[i] = [int(t) for t in tok[1:]]
-        except ValueError:
-            raise ParseError("bad face index", path=path, line=line0 + n_vertices + i)
-    return verts, cols, uv, faces
+            message = "face record must be `3 i j k`"
+        raise ParseError(message, path=path, line=line0 + n_vertices + i)
+    return (*_vertex_arrays(table, vprops), frows["i"])
 
 
 def _read_ply_binary(path, body: bytes, n_vertices, n_faces, vprops):
-    fmt = "<" + "".join("f" if _PLY_VERTEX_PROPS[p] == "f" else "B" for p in vprops)
-    rec = struct.Struct(fmt)
-    need = rec.size * n_vertices
+    vdtype = _vertex_dtype(vprops, binary=True)
+    need = vdtype.itemsize * n_vertices
     if len(body) < need:
         raise ParseError("truncated vertex data", path=path)
-    verts = np.zeros((n_vertices, 3))
-    cols = np.zeros((n_vertices, 3))
-    uv = np.zeros((n_vertices, 2))
-    for i in range(n_vertices):
-        vals = dict(zip(vprops, rec.unpack_from(body, i * rec.size)))
-        verts[i] = (vals["x"], vals["y"], vals["z"])
-        if "red" in vals:
-            cols[i] = (vals["red"] / 255.0, vals["green"] / 255.0, vals["blue"] / 255.0)
-        if "u" in vals:
-            uv[i] = (vals["u"], vals["v"])
-    faces = np.zeros((n_faces, 3), dtype=np.int64)
-    off = need
-    frec = struct.Struct("<Biii")
-    for i in range(n_faces):
-        if off + frec.size > len(body):
-            raise ParseError("truncated face data", path=path)
-        cnt, a, b, c = frec.unpack_from(body, off)
-        if cnt != 3:
-            raise ParseError(f"face {i} has {cnt} vertices, only triangles supported", path=path)
-        faces[i] = (a, b, c)
-        off += frec.size
-    return verts, cols, uv, faces
+    table = np.frombuffer(body, dtype=vdtype, count=n_vertices)
+    fdtype = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
+    complete = min(n_faces, (len(body) - need) // fdtype.itemsize)
+    frows = np.frombuffer(body, dtype=fdtype, count=complete, offset=need)
+    bad = np.nonzero(frows["n"] != 3)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(
+            f"face {i} has {frows['n'][i]} vertices, only triangles supported", path=path
+        )
+    if complete < n_faces:
+        raise ParseError("truncated face data", path=path)
+    return (*_vertex_arrays(table, vprops), frows["i"].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
+from .fileio import write_atomic
 from .mesh_core import TexturedMesh
 
 if TYPE_CHECKING:
@@ -29,7 +30,9 @@ class KdIndex:
     ascending (squared distance, index); equidistant points therefore come
     back in ascending index order. Each query is an exact brute-force scan:
     squared distances to every point, a partition to find the k-th, then a
-    (d², index) sort of the points at or below it.
+    (d², index) sort of the points at or below it. The distances are summed
+    column-wise, (dx² + dy²) + dz², over a (3, N) copy of the points: the
+    same doubles as the (N, 3) row sum, in a fraction of its time.
     """
 
     def __init__(self, points: np.ndarray):
@@ -38,8 +41,8 @@ class KdIndex:
             raise EmptyMesh("cannot index zero points")
         if not np.isfinite(points).all():
             raise InvariantError("non-finite coordinates in point set")
-        self.points = points
         self.n = points.shape[0]
+        self._columns = np.ascontiguousarray(points.T)
 
     def k_nearest(self, query, k: int) -> np.ndarray:
         """Indices of the k nearest points to ``query`` (fewer if N < k)."""
@@ -49,7 +52,15 @@ class KdIndex:
         if not np.isfinite(q).all():
             raise InvariantError("non-finite query coordinates")
         k = min(k, self.n)
-        d2 = ((self.points - q) ** 2).sum(axis=1)
+        x, y, z = self._columns
+        d2 = x - q[0]
+        d2 *= d2
+        t = y - q[1]
+        t *= t
+        d2 += t
+        np.subtract(z, q[2], out=t)
+        t *= t
+        d2 += t
         kth = np.partition(d2, k - 1)[k - 1]
         cand = np.nonzero(d2 <= kth)[0]
         return cand[np.lexsort((cand, d2[cand]))[:k]]
@@ -183,8 +194,7 @@ def save_tensor(tensor: FeatureTensor, path) -> None:
         _FGT1_MAGIC, tensor.C, tensor.J, tensor.T, tensor.k, tensor.landmark_hash
     )
     payload = np.ascontiguousarray(tensor.values, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    write_atomic(path, header + payload)
 
 
 def load_tensor(path) -> FeatureTensor:

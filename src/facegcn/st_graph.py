@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidPair, ParseError, UnknownId
+from .fileio import write_atomic
 
 UNIFORM = "uniform"
 DISTANCE = "distance"
@@ -173,7 +174,7 @@ def save_graph(graph: SpatialGraph, labels: PartitionLabels, path) -> None:
             l = labels.labels[i, j]
             if l >= 0:
                 lines.append(f"{i} {j} {l}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:

@@ -28,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     TapeIncomplete,
 )
+from .fileio import write_atomic
 from .st_graph import NormalizedAdjacency, PartitionLabels, SpatialGraph
 
 # Tensor3 = float array of shape (C, J, T); plain np.ndarray throughout.
@@ -518,9 +519,7 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
         lines.append(f"tensor {name} {len(raw)}")
         payload.append(raw)
     lines.append(_FGC1_TENSORS_SENTINEL)
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(b"".join(payload))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii") + b"".join(payload))
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -540,7 +539,16 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if not tok:
             continue
         if tok[0] == "tensor":
-            tensor_specs.append((tok[1], int(tok[2])))
+            try:
+                name, nbytes = tok[1], int(tok[2])
+            except (IndexError, ValueError):
+                raise ParseError(f"malformed tensor line {line!r}", path=path)
+            if nbytes < 0 or nbytes % 4:
+                raise ParseError(f"tensor {name} byte length {nbytes} is not a multiple of 4",
+                                 path=path)
+            if any(name == seen for seen, _ in tensor_specs):
+                raise ParseError(f"duplicate tensor {name}", path=path)
+            tensor_specs.append((name, nbytes))
         else:
             keys[tok[0]] = " ".join(tok[1:])
 
@@ -568,6 +576,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             np.float32
         )
         off += nbytes
+    if off != len(body):
+        raise ParseError(f"{len(body) - off} trailing payload bytes", path=path)
 
     def take(name, shape):
         if name not in arrays:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,19 @@ def test_invalid_k_exit_code_2(tmp_path, capsys):
     assert main(["synth", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"features": 5},
+    {"features": {"k": "25"}},
+    {"seed": "x"},
+], ids=["section-not-object", "string-k", "string-seed"])
+def test_config_type_error_exit_code_2(tmp_path, capsys, data):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(data))
+    assert main(["synth", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("facegcn: error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -155,6 +169,24 @@ def test_preprocess_shapes(tmp_path):
     assert t.values.shape == (150, 83, 5)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["samples"][0]["sequence"] == "seq_a"
+
+
+GOLDEN_PREPROCESS_FGT1_SHA256 = "6f180e5e19c8b8a6bb9f6aa0462d13c47fccf8993dfb3f27d2c647eda050694a"
+
+
+def test_preprocess_golden_fgt1_digest(tmp_path):
+    # ASCII-PLY frames through load_mesh, lift, edge graph, augmentation and
+    # kNN patches: a change in any of them that moves one output byte fails
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=3, grid=14, seed=27)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out")},
+        "features": {"k": 9},
+    }))
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "seq_a.fgt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_PREPROCESS_FGT1_SHA256
 
 
 def test_preprocess_missing_landmark_file_names_frame(tmp_path, capsys):

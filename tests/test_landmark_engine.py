@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -364,3 +367,127 @@ def test_ordering_hash_tracks_structure_not_geometry():
     assert h1 == h2
     h3 = lift_landmarks(m1, pts[:11]).ordering_hash()
     assert h1 != h3
+
+
+# ---------------------------------------------------------------------------
+# references: one Dijkstra per pair, and the broadcast uv lift
+
+
+def reference_geodesic_path(graph, src, dst):
+    """One search per pair, stopping at dst: the path geodesic_path must reproduce."""
+    if src == dst:
+        return GeodesicPath(vertices=np.array([src], dtype=np.int64), cumulative=np.zeros(1))
+    n = graph.n_nodes
+    indptr, targets, weights = graph.indptr, graph.targets, graph.weights_csr
+    a, b = (src, dst) if src < dst else (dst, src)
+    dist, pred, done = [math.inf] * n, [-1] * n, [False] * n
+    dist[a] = 0.0
+    heap = [(0.0, a)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == b:
+            break
+        for i in range(int(indptr[u]), int(indptr[u + 1])):
+            v = int(targets[i])
+            if done[v]:
+                continue
+            nd = d + float(weights[i])
+            if nd < dist[v]:
+                dist[v], pred[v] = nd, u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred[v]:
+                pred[v] = u
+    if not done[b]:
+        raise Unreachable(f"no path from {src} to {dst}")
+    chain = [b]
+    while chain[-1] != a:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    if src != a:
+        chain.reverse()
+    edge_weights = []
+    for u, v in zip(chain, chain[1:]):
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        edge_weights.append(float(weights[lo + list(targets[lo:hi]).index(v)]))
+    cumulative = np.array([0.0] + [math.fsum(edge_weights[:i]) for i in range(1, len(chain))])
+    return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=cumulative)
+
+
+def unit_grids(n, rng, copies=2):
+    """`copies` disconnected n x n unit grids, random cell diagonals: many equal-length paths."""
+    verts, faces = [], []
+    for c in range(copies):
+        off = len(verts)
+        verts += [(i + 10.0 * n * c, j, 0.0) for i in range(n) for j in range(n)]
+        for i in range(n - 1):
+            for j in range(n - 1):
+                p, q, r, s = (off + i * n + j, off + (i + 1) * n + j,
+                              off + i * n + j + 1, off + (i + 1) * n + j + 1)
+                faces += [(p, q, r), (q, s, r)] if rng.random() < 0.5 else [(p, q, s), (p, s, r)]
+    return TexturedMesh.from_arrays(verts, faces)
+
+
+def test_geodesic_path_matches_per_pair_reference_on_unit_grids():
+    rng = np.random.default_rng(31)
+    mesh = unit_grids(9, rng)
+    g = build_edge_graph(mesh)
+    for _ in range(150):
+        s, d = (int(x) for x in rng.integers(0, g.n_nodes, size=2))
+        try:
+            want = reference_geodesic_path(g, s, d)
+        except Unreachable:
+            with pytest.raises(Unreachable):
+                geodesic_path(g, s, d)
+            continue
+        got = geodesic_path(g, s, d)
+        assert got.vertices.tolist() == want.vertices.tolist()
+        assert got.cumulative.tobytes() == want.cumulative.tobytes()
+
+
+def test_augment_matches_per_pair_reference_on_unit_grids():
+    rng = np.random.default_rng(32)
+    n_skipped = 0
+    for trial in range(6):
+        mesh = unit_grids(8, rng)
+        g = build_edge_graph(mesh)
+        # few distinct anchors, so many pairs share their smaller anchor
+        picks = rng.integers(0, mesh.n_vertices, size=6)
+        base = snap_to_mesh(mesh, mesh.vertices[rng.choice(picks, size=12)])
+        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 12, size=(30, 2)) if a != b]
+        got = augment_landmarks(mesh, g, base, pairs)
+
+        entries, skipped = list(base.entries), []
+        for a, b in pairs:
+            va, vb = base[a].anchor, base[b].anchor
+            if va == vb:
+                mid = va
+            else:
+                try:
+                    mid, _ = geodesic_midpoint(reference_geodesic_path(g, va, vb))
+                except Unreachable:
+                    skipped.append((a, b))
+                    continue
+            entries.append((len(entries), mid, (a, b)))
+        assert got.skipped == skipped
+        n_skipped += len(skipped)
+        assert [(e.id, e.anchor, e.source) for e in got.landmarks.entries[len(base):]] == \
+            entries[len(base):]
+        assert all(np.array_equal(e.position, mesh.vertices[e.anchor]) for e in got.landmarks)
+    assert n_skipped > 0
+
+
+def test_lift_matches_broadcast_reference():
+    rng = np.random.default_rng(33)
+    n = 400
+    uv = rng.uniform(size=(n, 2))
+    uv[: n // 2] = np.round(uv[: n // 2] * 8) / 8  # lattice vertices, some repeated
+    mesh = TexturedMesh.from_arrays(rng.normal(size=(n, 3)), [[0, 1, 2]], uv=uv)
+    lattice = uv[: n // 2]
+    # free points, and lattice points and midpoints: exact distance ties
+    pts = np.concatenate([rng.uniform(size=(300, 2)), lattice[:40],
+                          (lattice[:40] + lattice[40:80]) / 2])
+    want = np.argmin(((mesh.uv[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2), axis=1)
+    assert lift_landmarks(mesh, pts).anchors().tolist() == want.tolist()

@@ -12,6 +12,8 @@ from facegcn.mesh_core import (
     write_mesh,
 )
 
+from ply_reference import read_ply_ascii, read_ply_binary
+
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 
 
@@ -379,3 +381,207 @@ def test_format_inference_and_override(tmp_path):
 def test_colors_default_kind():
     mesh = triangle_mesh()
     assert np.all(mesh.colors == mesh_core.DEFAULT_COLOR)
+
+
+# ---------------------------------------------------------------------------
+# PLY body readers against the per-record reference
+
+
+def random_ply(rng, binary):
+    """(file bytes, vprops, n_vertices, n_faces, body line0) of a valid random PLY."""
+    n = int(rng.integers(3, 40))
+    nf = int(rng.integers(0, 25))
+    props = ["x", "y", "z"]
+    if rng.random() < 0.7:
+        props += ["red", "green", "blue"]
+    if rng.random() < 0.7:
+        props += ["u", "v"]
+    props = [str(p) for p in rng.permutation(props)]
+    values = {
+        "x": rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n),
+        "y": rng.normal(size=n),
+        "z": rng.normal(size=n) * 1e3,
+        "red": rng.integers(0, 256, n), "green": rng.integers(0, 256, n),
+        "blue": rng.integers(0, 256, n),
+        "u": rng.uniform(size=n), "v": rng.uniform(size=n),
+    }
+    faces = np.array([rng.choice(n, 3, replace=False) for _ in range(nf)], dtype=np.int64)
+    faces = faces.reshape(nf, 3)
+    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+              f"element vertex {n}"]
+    header += [f"property {'uchar' if p in ('red', 'green', 'blue') else 'float'} {p}"
+               for p in props]
+    header += [f"element face {nf}", "property list uchar int32 vertex_indices"]
+    head = ("\n".join(header + ["end_header"]) + "\n").encode("ascii")
+    if binary:
+        dt = np.dtype([(p, "u1" if p in ("red", "green", "blue") else "<f4") for p in props])
+        rows = np.zeros(n, dtype=dt)
+        for p in props:
+            rows[p] = values[p]
+        frows = np.zeros(nf, dtype=[("n", "u1"), ("i", "<i4", (3,))])
+        frows["n"], frows["i"] = 3, faces
+        return head + rows.tobytes() + frows.tobytes(), props, n, nf, len(header) + 2
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    lines = []
+    for i in range(n):
+        fields = []
+        for p in props:
+            if p in ("red", "green", "blue"):
+                fields.append("%d" % values[p][i])
+            else:
+                fields.append("%.*g" % (int(rng.integers(1, 18)), values[p][i]))
+        sep = " \t"[int(rng.integers(0, 2))] * int(rng.integers(1, 3))
+        lines.append(" " * int(rng.integers(0, 2)) + sep.join(fields))
+    lines += ["3 %d %d %d" % tuple(f) for f in faces]
+    return head + (eol.join(lines) + eol).encode("ascii"), props, n, nf, len(header) + 2
+
+
+def reference_mesh(read, data, props, n, nf, *extra):
+    body = data[data.find(b"end_header\n") + len(b"end_header\n"):]
+    verts, cols, uv, faces = read("m.ply", body, n, nf, props, *extra)
+    return TexturedMesh.from_arrays(
+        verts, faces,
+        cols if {"red", "green", "blue"} <= set(props) else None,
+        uv if {"u", "v"} <= set(props) else None,
+    )
+
+
+def assert_same_mesh(got, want):
+    for a, b in ((got.vertices, want.vertices), (got.faces, want.faces),
+                 (got.colors, want.colors)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.uv is None) == (want.uv is None)
+    if want.uv is not None:
+        assert got.uv.tobytes() == want.uv.tobytes()
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_ply_body_matches_per_record_reference(tmp_path, binary):
+    rng = np.random.default_rng(401 + binary)
+    p = tmp_path / "m.ply"
+    for _ in range(40):
+        data, props, n, nf, line0 = random_ply(rng, binary)
+        p.write_bytes(data)
+        if binary:
+            want = reference_mesh(read_ply_binary, data, props, n, nf)
+        else:
+            want = reference_mesh(read_ply_ascii, data, props, n, nf, line0)
+        assert_same_mesh(load_mesh(p), want)
+
+
+def corrupt_ascii(rng, data, props, n, nf):
+    head, _, body = data.partition(b"end_header\n")
+    eol = "\r\n" if b"\r\n" in body else "\n"
+    lines = body.decode("ascii").split(eol)[:-1]
+    for _ in range(int(rng.integers(1, 3))):
+        if nf and rng.random() < 0.4:
+            i = n + int(rng.integers(0, nf))
+            tok = lines[i].split()
+            lines[i] = str(rng.choice([
+                "4 " + " ".join(tok[1:]) + " 0", " ".join(tok[:3]), " ".join(tok[:3] + ["x"]),
+                "", " ".join(tok + ["1"]), "x " + " ".join(tok[1:]), "3 1.0 " + " ".join(tok[2:]),
+            ]))
+        else:
+            i = int(rng.integers(0, n))
+            tok = lines[i].split()
+            if not tok:  # blanked by an earlier edit
+                continue
+            j = int(rng.integers(0, len(tok)))
+            kind = int(rng.integers(0, 6))
+            if kind == 0:
+                tok = tok[:-1]
+            elif kind == 1:
+                tok = tok + ["1"]
+            elif kind == 2:
+                tok[j] = "abc"
+            elif kind == 3:
+                tok[j] = "#"
+            elif kind == 4:
+                tok = []
+            elif "red" in props:
+                tok[props.index("red")] = "1.5"  # non-integer color
+            lines[i] = " ".join(tok)
+    if rng.random() < 0.1:
+        lines = lines[: int(rng.integers(0, n + nf))]
+    return head + b"end_header\n" + (eol.join(lines) + eol).encode("ascii")
+
+
+def test_ply_ascii_body_errors_match_reference(tmp_path):
+    rng = np.random.default_rng(409)
+    p = tmp_path / "m.ply"
+    errors = 0
+    for _ in range(150):
+        data, props, n, nf, line0 = random_ply(rng, binary=False)
+        bad = corrupt_ascii(rng, data, props, n, nf)
+        p.write_bytes(bad)
+        try:
+            want = reference_mesh(read_ply_ascii, bad, props, n, nf, line0)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_mesh(p)
+            assert str(got.value) == str(exc).replace("m.ply", str(p))
+            assert got.value.line == exc.line
+            errors += 1
+        else:  # an edit that left the file valid
+            assert_same_mesh(load_mesh(p), want)
+    assert errors > 120
+
+
+def test_ply_binary_body_errors_match_reference(tmp_path):
+    rng = np.random.default_rng(410)
+    p = tmp_path / "m.ply"
+    for _ in range(60):
+        data, props, n, nf, _ = random_ply(rng, binary=True)
+        start = data.find(b"end_header\n") + len(b"end_header\n")
+        bad = bytearray(data)
+        vsize = (len(data) - start - 13 * nf) // n
+        if nf and rng.random() < 0.5:
+            bad[start + n * vsize + 13 * int(rng.integers(0, nf))] = int(rng.choice([0, 4, 255]))
+        bad = bytes(bad[: int(rng.integers(start, len(bad)))])
+        p.write_bytes(bad)
+        with pytest.raises(ParseError) as want:
+            reference_mesh(read_ply_binary, bad, props, n, nf)
+        with pytest.raises(ParseError) as got:
+            load_mesh(p)
+        assert str(got.value) == str(want.value).replace("m.ply", str(p))
+
+
+PINNED_PLY = [
+    "ply", "format ascii 1.0", "element vertex 4", "property float x", "property float y",
+    "property float z", "property uchar red", "property uchar green", "property uchar blue",
+    "element face 2", "property list uchar int32 vertex_indices", "end_header",
+    "0 0 0 10 20 30", "1 0 0 10 20 30", "0 1 0 10 20 30", "1 1 0 10 20 30",  # lines 13-16
+    "3 0 1 2", "3 1 3 2",  # lines 17-18
+]
+
+
+@pytest.mark.parametrize("edits, eol, line, message", [
+    ({14: "0 1 0 128 128"}, "\n", 15, "vertex record has 5 fields, expected 6"),
+    ({13: ""}, "\n", 14, "vertex record has 0 fields, expected 6"),
+    ({15: "# comment 1 2 3 4"}, "\n", 16, "bad numeric field in vertex record"),
+    ({12: "0 0 zero 1 2 3"}, "\n", 13, "bad numeric field in vertex record"),
+    ({14: "0 1 0 128 1.5 128"}, "\n", 15, "bad numeric field in vertex record"),
+    ({16: "4 0 1 2 3"}, "\n", 17, "face record must be `3 i j k`"),
+    ({17: "3 1 3"}, "\n", 18, "face record must be `3 i j k`"),
+    ({17: "3 1 3 two"}, "\n", 18, "bad face index"),
+    ({17: "3 1 3 two"}, "\r\n", 18, "bad face index"),
+    ({15: "1 1", 16: "4 0 1 2 3"}, "\r\n", 16, "vertex record has 2 fields, expected 6"),
+])
+def test_ply_ascii_body_error_line_numbers(tmp_path, edits, eol, line, message):
+    lines = [edits.get(i, text) for i, text in enumerate(PINNED_PLY)]
+    p = tmp_path / "bad.ply"
+    p.write_bytes(("\n".join(lines[:12]) + "\n" + eol.join(lines[12:]) + eol).encode("ascii"))
+    with pytest.raises(ParseError) as exc:
+        load_mesh(p)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{p}:{line}: {message}"
+
+
+def test_ply_ascii_crlf_body_loads(tmp_path):
+    p = tmp_path / "crlf.ply"
+    p.write_bytes(("\n".join(PINNED_PLY[:12]) + "\n" + "\r\n".join(PINNED_PLY[12:]) + "\r\n")
+                  .encode("ascii"))
+    mesh = load_mesh(p)
+    assert mesh.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert mesh.vertices[3].tolist() == [1.0, 1.0, 0.0]
+    assert mesh.colors[0].tolist() == [10 / 255.0, 20 / 255.0, 30 / 255.0]

@@ -73,6 +73,33 @@ def test_kd_duplicate_points():
     assert list(index.k_nearest([1, 1, 1], 3)) == [0, 1, 2]
 
 
+def test_columnwise_d2_bit_equal_to_row_sum():
+    # KdIndex sums (dx² + dy²) + dz² over a (3, N) copy; the doubles must be
+    # those of the (N, 3) row sum the brute-force oracle uses
+    rng = np.random.default_rng(35)
+    for scale in (1e-3, 1.0, 1e4):
+        pts = rng.normal(size=(5003, 3)) * scale
+        pts[::2] = pts[::2].astype(np.float32)  # mesh coordinates are float32-quantized
+        cols = np.ascontiguousarray(pts.T)
+        for q in np.concatenate([rng.normal(size=(10, 3)) * scale, pts[:10]]):
+            row = ((pts - q) ** 2).sum(axis=1)
+            dx, dy, dz = cols[0] - q[0], cols[1] - q[1], cols[2] - q[2]
+            assert ((dx * dx + dy * dy) + dz * dz).tobytes() == row.tobytes()
+            k = 30
+            want = np.lexsort((np.arange(len(pts)), row))[:k]
+            assert KdIndex(pts).k_nearest(q, k).tolist() == want.tolist()
+
+
+def test_kd_tie_order_follows_row_sum_d2():
+    # (a, b, c) and (b, a, c) have equal row-sum d² from the origin, so they
+    # tie and come back in index order; another summation order would often
+    # round them apart
+    rng = np.random.default_rng(36)
+    for a, b, c in rng.normal(size=(300, 3)):
+        index = KdIndex(np.array([[b, a, c], [a, b, c]]))
+        assert index.k_nearest([0.0, 0.0, 0.0], 2).tolist() == [0, 1]
+
+
 def test_kd_rejects_empty_and_bad_k():
     with pytest.raises(EmptyMesh):
         KdIndex(np.zeros((0, 3)))

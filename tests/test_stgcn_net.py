@@ -6,6 +6,7 @@ import pytest
 from facegcn import st_graph, stgcn_net
 from facegcn.errors import (
     LabelOutOfRange,
+    ParseError,
     PartitionMismatch,
     ShapeMismatch,
     TapeIncomplete,
@@ -468,3 +469,48 @@ def test_epoch_stats_log_line():
     line = stats.log_line()
     assert line.startswith("epoch=2 lr=0.01 loss=1.500000 train_acc=0.7500")
     assert "eval_acc" not in line
+
+
+def tamper_checkpoint(path, edit_header=None, extra=b""):
+    data = path.read_bytes()
+    end = data.index(b"end_header\n")
+    header = data[:end].decode("ascii").splitlines()
+    if edit_header is not None:
+        header = edit_header(header)
+    path.write_bytes(("\n".join(header) + "\n").encode("ascii") + data[end:] + extra)
+
+
+def test_checkpoint_byte_length_not_multiple_of_4_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model)
+    # move two bytes from the adjacency to the next tensor: the total still matches
+    def edit(header):
+        i = next(i for i, line in enumerate(header) if line.startswith("tensor adjacency "))
+        name, n = header[i].rsplit(" ", 1)
+        nxt_name, m = header[i + 1].rsplit(" ", 1)
+        header[i], header[i + 1] = f"{name} {int(n) - 2}", f"{nxt_name} {int(m) + 2}"
+        return header
+
+    tamper_checkpoint(p, edit)
+    with pytest.raises(ParseError, match="multiple of 4"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_duplicate_tensor_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model)
+    bias = np.asarray(model.classifier_b, dtype="<f4").tobytes()
+    tamper_checkpoint(p, lambda h: h + [f"tensor classifier.bias {len(bias)}"], extra=bias)
+    with pytest.raises(ParseError, match="duplicate"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_trailing_payload_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model)
+    tamper_checkpoint(p, extra=b"\x00" * 8)
+    with pytest.raises(ParseError, match="trailing"):
+        load_checkpoint(p)
