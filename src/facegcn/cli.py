@@ -54,6 +54,13 @@ def _refuse_existing(path: Path, force: bool) -> None:
         raise ConfigError(f"{path} exists; rerun with --force to overwrite")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}")
+
+
 def _write_manifest(path: Path, manifest: dict) -> None:
     write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
@@ -182,7 +189,9 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
     labels_path = Path(cfg.paths.labels_file) if cfg.paths.labels_file else input_dir / "labels.json"
     if not labels_path.exists():
         raise ConfigError(f"label mapping file not found: {labels_path}")
-    labels = json.loads(labels_path.read_text())
+    labels = _read_json(labels_path)
+    if not isinstance(labels, dict):
+        raise ConfigError(f"{labels_path}: expected an object keyed by sequence name")
 
     out = cfg.output_dir
     with _output_lock(out):
@@ -199,11 +208,16 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
                 seq_labels = labels.get(seq_dir.name)
                 if seq_labels is None:
                     raise ConfigError(f"{labels_path} has no entry for sequence {seq_dir.name!r}")
+                try:
+                    identity, emotion = int(seq_labels["identity"]), int(seq_labels["emotion"])
+                except (KeyError, TypeError, ValueError):
+                    raise ConfigError(f"{labels_path}: entry {seq_dir.name!r} needs integer "
+                                      "identity and emotion")
                 entries.append(
                     {
                         "sequence": seq_dir.name,
-                        "identity": int(seq_labels["identity"]),
-                        "emotion": int(seq_labels["emotion"]),
+                        "identity": identity,
+                        "emotion": emotion,
                         "tensor": name,
                         "provenance": {"k": cfg.features.k, "J": tensor.J, "T": tensor.T},
                     }
@@ -235,23 +249,25 @@ def _load_manifest(cfg: RunConfig):
     path = cfg.manifest_path
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
-    manifest = json.loads(path.read_text())
-    if manifest.get("kind") != "facegcn-manifest" or not manifest.get("samples"):
+    manifest = _read_json(path)
+    if (not isinstance(manifest, dict) or manifest.get("kind") != "facegcn-manifest"
+            or not manifest.get("samples")):
         raise ConfigError(f"{path}: not a usable manifest")
     root = path.parent
-    samples = []
-    for entry in manifest["samples"]:
-        tensor = patch_features.load_tensor(root / entry["tensor"])
-        samples.append(
-            dataset_synth.SequenceSample(
-                tensor=tensor,
-                identity=int(entry["identity"]),
-                emotion=int(entry["emotion"]),
-                provenance=entry.get("provenance", {}),
-            )
-        )
-    graph, labels = st_graph.load_graph(root / manifest["graph"])
-    return manifest, samples, graph, labels
+    try:
+        k, graph_path = int(manifest["k"]), root / str(manifest["graph"])
+        entries = [
+            (root / str(e["tensor"]), int(e["identity"]), int(e["emotion"]), e.get("provenance", {}))
+            for e in manifest["samples"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})")
+    samples = [
+        dataset_synth.SequenceSample(patch_features.load_tensor(tensor), identity, emotion, provenance)
+        for tensor, identity, emotion, provenance in entries
+    ]
+    graph, labels = st_graph.load_graph(graph_path)
+    return k, samples, graph, labels
 
 
 def _class_mapping(samples) -> dict[int, int]:
@@ -271,14 +287,14 @@ def _model_arch(cfg: RunConfig, in_channels: int, num_classes: int) -> stgcn_net
 
 
 def cmd_train(cfg: RunConfig, force: bool) -> int:
-    manifest, samples, graph, labels = _load_manifest(cfg)
+    k, samples, graph, labels = _load_manifest(cfg)
     train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
     classes = _class_mapping(samples)
-    norm = st_graph.normalize_adjacency(graph, labels)
+    adjacency = st_graph.normalize_adjacency(graph, labels)
 
     in_channels = samples[0].tensor.C
     model = stgcn_net.init_model(
-        _model_arch(cfg, in_channels, len(classes)), norm, seed=cfg.seed
+        _model_arch(cfg, in_channels, len(classes)), adjacency, seed=cfg.seed
     )
     train_data = [(s.tensor.values, classes[s.identity]) for s in train_side]
 
@@ -288,7 +304,7 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
-        meta = {"k": manifest["k"], "seed": cfg.seed, "epoch": 0}
+        meta = {"k": k, "seed": cfg.seed, "epoch": 0}
 
         best_loss = np.inf
         lines: list[str] = []
@@ -314,7 +330,7 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
             seed=cfg.seed,
             on_epoch=on_epoch,
         )
-        log_path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(log_path, "".join(line + "\n" for line in lines).encode("ascii"))
         stgcn_net.save_checkpoint(
             cfg.checkpoint_path, model, {**meta, "epoch": max(cfg.train.epochs - 1, 0)}
         )
@@ -323,7 +339,7 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
 
 
 def cmd_eval(cfg: RunConfig, force: bool) -> int:
-    manifest, samples, graph, labels = _load_manifest(cfg)
+    _, samples, graph, labels = _load_manifest(cfg)
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)
 
@@ -369,12 +385,13 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
         ],
         "checkpoint_epoch": meta.get("epoch"),
     }
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     out = cfg.output_dir
     with _output_lock(out):
         report_path = out / "eval_report.json"
         _refuse_existing(report_path, force)
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+        write_atomic(report_path, text.encode("ascii"))
+    print(text, end="")
     return 0
 
 

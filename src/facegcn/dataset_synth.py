@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptySide, MissingIdentity
-from .landmark_engine import BASE, Landmark, LandmarkSet, augment_landmarks
+from .landmark_engine import BASE, LandmarkSet, _anchored, augment_landmarks
 from .mesh_core import TexturedMesh, build_edge_graph
 from .patch_features import FeatureTensor, build_sequence_tensor
 
@@ -159,15 +159,6 @@ def default_augment_pairs(lm_grid: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _base_landmarks(mesh: TexturedMesh, anchors: np.ndarray) -> LandmarkSet:
-    entries = []
-    for i, a in enumerate(anchors):
-        pos = np.array(mesh.vertices[a], dtype=np.float64)
-        pos.flags.writeable = False
-        entries.append(Landmark(id=i, anchor=int(a), position=pos, kind=BASE))
-    return LandmarkSet(entries=tuple(entries))
-
-
 def generate_sequence(
     identity: IdentityParams,
     expr: ExpressionParams,
@@ -181,7 +172,7 @@ def generate_sequence(
     frames = []
     for t in range(T):
         mesh = make_frame_mesh(identity, expr, t, T)
-        frames.append((mesh, _base_landmarks(mesh, anchors)))
+        frames.append((mesh, _anchored(range(len(anchors)), anchors, mesh, BASE)))
     return frames
 
 
@@ -213,8 +204,7 @@ class DatasetBuildResult:
     intra_identity_distance: float
 
 
-def build_dataset(cfg: SynthConfig, augment_pairs: Sequence[tuple[int, int]] | None = None,
-                  scale_normalize: bool = False) -> DatasetBuildResult:
+def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBuildResult:
     """One SequenceSample per (identity, emotion) with augmented landmarks.
 
     Runs the separability oracle: the mean inter-identity neutral-frame
@@ -229,8 +219,7 @@ def build_dataset(cfg: SynthConfig, augment_pairs: Sequence[tuple[int, int]] | N
     for e in cfg.emotions:
         if not (0 <= e < N_EMOTIONS):
             raise ConfigError(f"emotion {e} outside 0..{N_EMOTIONS - 1}")
-    if augment_pairs is None:
-        augment_pairs = default_augment_pairs(cfg.lm_grid)
+    augment_pairs = default_augment_pairs(cfg.lm_grid)
 
     samples: list[SequenceSample] = []
     first_landmarks: LandmarkSet | None = None

@@ -1,4 +1,4 @@
-"""kNN neighborhoods around landmarks and per-sequence feature tensors.
+"""kNN patches around landmarks and per-sequence feature tensors.
 
 Each landmark gets a patch of its k nearest mesh vertices, found by an exact
 brute-force kNN with (d², index) tie order; a patch flattens to 6k channels

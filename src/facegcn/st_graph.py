@@ -30,11 +30,6 @@ class SpatialGraph:
     def J(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighborhood(self, i: int) -> np.ndarray:
-        """B_i: neighbors of i plus i itself, ascending."""
-        b = np.nonzero(self.adjacency[i])[0]
-        return np.unique(np.append(b, i))
-
 
 @dataclass(frozen=True)
 class PartitionLabels:
@@ -43,25 +38,6 @@ class PartitionLabels:
     P: int
     strategy: str
     labels: np.ndarray  # (J, J) int8
-
-    def label(self, i: int, j: int) -> int:
-        l = int(self.labels[i, j])
-        if l < 0:
-            raise KeyError(f"({i}, {j}) is not a labeled pair")
-        return l
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    matrices: np.ndarray  # (P, J, J) float64
-
-    @property
-    def P(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.matrices.shape[1]
 
 
 def _graph_from_adjacency(a: np.ndarray) -> SpatialGraph:
@@ -136,8 +112,8 @@ def partition(graph: SpatialGraph, strategy: str = DISTANCE) -> PartitionLabels:
     return PartitionLabels(P=p, strategy=strategy, labels=labels)
 
 
-def normalize_adjacency(graph: SpatialGraph, labels: PartitionLabels) -> NormalizedAdjacency:
-    """Stack of P matrices D^{-1/2} (A_p + I_p) D^{-1/2}.
+def normalize_adjacency(graph: SpatialGraph, labels: PartitionLabels) -> np.ndarray:
+    """Read-only (P, J, J) float64 stack of D^{-1/2} (A_p + I_p) D^{-1/2}.
 
     The degree D_ii = sum_j (A + I)_ij uses the full unpartitioned matrix,
     so the masked matrices sum back to the normalization of A + I exactly.
@@ -151,15 +127,7 @@ def normalize_adjacency(graph: SpatialGraph, labels: PartitionLabels) -> Normali
     for p in range(labels.P):
         stack[p] = np.where(labels.labels == p, a_plus_i, 0.0) * scale
     stack.flags.writeable = False
-    return NormalizedAdjacency(matrices=stack)
-
-
-def cardinalities(graph: SpatialGraph, labels: PartitionLabels) -> np.ndarray:
-    """Z[i, p] = size of the label-p subset of B_i (Eq. 1 normalizer)."""
-    z = np.zeros((graph.J, labels.P), dtype=np.int64)
-    for p in range(labels.P):
-        z[:, p] = (labels.labels == p).sum(axis=1)
-    return z
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +147,11 @@ def save_graph(graph: SpatialGraph, labels: PartitionLabels, path) -> None:
 
 def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    data = path.read_bytes()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError("non-ASCII byte", path=path, line=data.count(b"\n", 0, exc.start) + 1)
     if not lines:
         raise ParseError("empty graph cache", path=path)
     head = lines[0].split()
@@ -188,6 +160,8 @@ def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
     try:
         j_count, p_count = int(head[1]), int(head[2])
     except ValueError:
+        raise ParseError("bad FGG1 header numbers", path=path, line=1)
+    if j_count < 0 or not 1 <= p_count <= 127:  # labels are int8
         raise ParseError("bad FGG1 header numbers", path=path, line=1)
     strategy = head[3]
     labels = np.full((j_count, j_count), -1, dtype=np.int8)
@@ -207,6 +181,13 @@ def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
         labels[i, j] = l
         if i != j:
             a[i, j] = 1
+    rootless = np.flatnonzero(np.diagonal(labels) < 0)
+    if rootless.size:
+        raise ParseError(f"node {rootless[0]} has no `i i label` line", path=path)
+    odd = np.argwhere(labels != labels.T)
+    if odd.size:
+        i, j = odd[0]
+        raise ParseError(f"pairs ({i}, {j}) and ({j}, {i}) are not labeled alike", path=path)
     graph = _graph_from_adjacency(a)
     labels.flags.writeable = False
     return graph, PartitionLabels(P=p_count, strategy=strategy, labels=labels)

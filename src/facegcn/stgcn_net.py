@@ -1,11 +1,10 @@
 """Spatio-temporal graph convolutional network on dense (C, J, T) tensors.
 
 Everything is plain numpy with hand-written reverse-mode gradients: the
-spatial graph convolution in both its per-vertex reference form and the
-normalized-adjacency matrix form, temporal convolution of odd kernel K with
-stride and symmetric zero padding, ReLU, global average pooling, an affine
-classifier, stabilized cross-entropy, and SGD with momentum, weight decay
-and a step-decay learning rate.
+spatial graph convolution in normalized-adjacency matrix form, temporal
+convolution of odd kernel K with stride and symmetric zero padding, ReLU,
+global average pooling, an affine classifier, stabilized cross-entropy, and
+SGD with momentum, weight decay and a step-decay learning rate.
 
 Training runs in float32; gradient-check suites build float64 models. A
 GradientTape records the forward activations of one sequence; backward()
@@ -29,7 +28,6 @@ from .errors import (
     TapeIncomplete,
 )
 from .fileio import write_atomic
-from .st_graph import NormalizedAdjacency, PartitionLabels, SpatialGraph
 
 # Tensor3 = float array of shape (C, J, T); plain np.ndarray throughout.
 
@@ -118,49 +116,59 @@ class Model:
         yield "classifier.bias", self.classifier_b
 
 
+def _layout(arch: ModelArch, p_count: int):
+    """Yield (name, shape, fan_in, fan_out) in Model.parameters() order.
+
+    fan_in is None for the biases, which start at zero.
+    """
+    if len(arch.block_channels) != len(arch.strides):
+        raise ShapeMismatch("block_channels and strides must have equal length")
+    c_in, k = arch.in_channels, arch.kernel_size
+    for bi, c_out in enumerate(arch.block_channels):
+        yield f"block{bi}.gconv.weight", (p_count, c_out, c_in), c_in, c_out
+        if arch.graph_conv_bias:
+            yield f"block{bi}.gconv.bias", (c_out,), None, None
+        yield f"block{bi}.tconv.kernel", (c_out, c_out, k), c_out * k, c_out
+        c_in = c_out
+    yield "classifier.weight", (arch.num_classes, c_in), c_in, arch.num_classes
+    yield "classifier.bias", (arch.num_classes,), None, None
+
+
+def _build_model(arch: ModelArch, adjacency, params: dict, dtype) -> Model:
+    blocks = [
+        Block(
+            gconv=GraphConvParams(weights=params[f"block{bi}.gconv.weight"],
+                                  bias=params.get(f"block{bi}.gconv.bias")),
+            tconv=TemporalConvParams(kernel=params[f"block{bi}.tconv.kernel"], stride=stride),
+            residual=arch.residual,
+        )
+        for bi, stride in enumerate(arch.strides)
+    ]
+    return Model(arch=arch, adjacency=adjacency, blocks=blocks,
+                 classifier_w=params["classifier.weight"],
+                 classifier_b=params["classifier.bias"], dtype=dtype)
+
+
 def init_model(
     arch: ModelArch,
-    norm: NormalizedAdjacency,
+    adjacency: np.ndarray,
     seed: int = 0,
     dtype=np.float32,
 ) -> Model:
     """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)) per weight matrix."""
-    if len(arch.block_channels) != len(arch.strides):
-        raise ShapeMismatch("block_channels and strides must have equal length")
     dtype = np.dtype(dtype)
     rng = np.random.default_rng(seed)
-    adjacency = np.ascontiguousarray(norm.matrices, dtype=dtype)
+    adjacency = np.ascontiguousarray(adjacency, dtype=dtype)
     adjacency.flags.writeable = False
-    p_count = norm.P
 
-    def uniform(shape, fan_in, fan_out):
+    def init(shape, fan_in, fan_out):
+        if fan_in is None:
+            return np.zeros(shape, dtype=dtype)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
-    blocks = []
-    c_in = arch.in_channels
-    for c_out, stride in zip(arch.block_channels, arch.strides):
-        gw = uniform((p_count, c_out, c_in), c_in, c_out)
-        gb = np.zeros(c_out, dtype=dtype) if arch.graph_conv_bias else None
-        kern = uniform((c_out, c_out, arch.kernel_size), c_out * arch.kernel_size, c_out)
-        blocks.append(
-            Block(
-                gconv=GraphConvParams(weights=gw, bias=gb),
-                tconv=TemporalConvParams(kernel=kern, stride=stride),
-                residual=arch.residual,
-            )
-        )
-        c_in = c_out
-    cw = uniform((arch.num_classes, c_in), c_in, arch.num_classes)
-    cb = np.zeros(arch.num_classes, dtype=dtype)
-    return Model(
-        arch=arch,
-        adjacency=adjacency,
-        blocks=blocks,
-        classifier_w=cw,
-        classifier_b=cb,
-        dtype=dtype,
-    )
+    params = {name: init(*spec) for name, *spec in _layout(arch, adjacency.shape[0])}
+    return _build_model(arch, adjacency, params, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +180,8 @@ def _mix_nodes(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, x, axes=([1], [1])), 0, 1)
 
 
-def graph_conv(f_in: np.ndarray, params: GraphConvParams, norm) -> np.ndarray:
+def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) -> np.ndarray:
     """Matrix-form spatial graph convolution: sum_p M_p (W_p f_in)."""
-    matrices = norm.matrices if isinstance(norm, NormalizedAdjacency) else norm
     if matrices.shape[0] != params.P:
         raise PartitionMismatch(
             f"{matrices.shape[0]} adjacency matrices for {params.P} weight matrices"
@@ -207,44 +214,6 @@ def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices):
         d_in_flat += params.weights[p].T @ dtmp_flat
     db = g.sum(axis=(1, 2)) if params.bias is not None else None
     return d_in_flat.reshape(f_in.shape), dw, db
-
-
-def graph_conv_reference(
-    f_in: np.ndarray,
-    params: GraphConvParams,
-    graph: SpatialGraph,
-    labels: PartitionLabels,
-    Z: np.ndarray,
-    normalization: str = "cardinality",
-) -> np.ndarray:
-    """Per-vertex summation form of the spatial graph convolution (the oracle).
-
-    normalization "cardinality" uses 1/Z_ij (the subset-size normalizer);
-    "symmetric_degree" uses 1/sqrt(D_ii D_jj), which expands the matrix form
-    entrywise and coincides with "cardinality" exactly on regular graphs
-    under the uniform partition.
-    """
-    if labels.P != params.P:
-        raise ShapeMismatch(f"{labels.P} partitions for {params.P} weight matrices")
-    c_in, j_count, t_count = f_in.shape
-    if c_in != params.c_in or j_count != graph.J:
-        raise ShapeMismatch(f"input {f_in.shape} does not match weights/graph")
-    degree = graph.adjacency.astype(np.float64).sum(axis=1) + 1.0
-    out = np.zeros((params.c_out, j_count, t_count), dtype=f_in.dtype)
-    for i in range(j_count):
-        for j in graph.neighborhood(i):
-            label = labels.label(i, int(j))
-            if normalization == "cardinality":
-                norm = 1.0 / Z[i, label]
-            elif normalization == "symmetric_degree":
-                norm = 1.0 / np.sqrt(degree[i] * degree[j])
-            else:
-                raise ValueError(f"unknown normalization {normalization!r}")
-            for t in range(t_count):
-                out[:, i, t] += norm * (params.weights[label] @ f_in[:, j, t])
-    if params.bias is not None:
-        out += params.bias[:, None, None]
-    return out
 
 
 def _unfold_time(f: np.ndarray, kernel_size: int, stride: int):
@@ -293,14 +262,8 @@ def _temporal_conv_backward(g, f, params: TemporalConvParams):
     return dxp[:, :, pad : pad + t_count], dk
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def cross_entropy(logits: np.ndarray, label: int, tape: "GradientTape | None" = None) -> float:
-    """-log softmax(logits)[label], stabilized by max subtraction."""
+    """-log p[label] for p = exp(z) / sum(exp(z)), z = logits - max(logits)."""
     n = logits.shape[0]
     if not (0 <= label < n):
         raise LabelOutOfRange(f"label {label} outside [0, {n})")
@@ -308,7 +271,7 @@ def cross_entropy(logits: np.ndarray, label: int, tape: "GradientTape | None" = 
     logsumexp = np.log(np.exp(z).sum())
     loss = float(logsumexp - z[label])
     if tape is not None:
-        tape.softmax = np.exp(z - logsumexp)
+        tape.probs = np.exp(z - logsumexp)
         tape.label = int(label)
     return loss
 
@@ -334,8 +297,7 @@ class GradientTape:
     block_caches: list[_BlockCache] = field(default_factory=list)
     pooled: np.ndarray | None = None
     pool_shape: tuple[int, int] | None = None
-    logits: np.ndarray | None = None
-    softmax: np.ndarray | None = None
+    probs: np.ndarray | None = None
     label: int | None = None
 
 
@@ -381,52 +343,27 @@ def forward(model: Model, features: np.ndarray, tape: GradientTape | None = None
     if tape is not None:
         tape.pooled = pooled
         tape.pool_shape = (x.shape[1], x.shape[2])
-        tape.logits = logits
     return logits
 
 
-@dataclass
-class Gradients:
-    """Gradient arrays mirroring Model.parameters() order."""
+def backward(tape: GradientTape, loss_scale: float = 1.0):
+    """Exact reverse-mode gradients of (loss_scale * loss).
 
-    arrays: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros(cls, model: Model) -> "Gradients":
-        return cls({name: np.zeros_like(arr) for name, arr in model.parameters()})
-
-    def add_(self, other: "Gradients") -> None:
-        for name in self.arrays:
-            self.arrays[name] += other.arrays[name]
-
-    def scale_(self, c: float) -> None:
-        for arr in self.arrays.values():
-            arr *= c
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-
-def backward(
-    tape: GradientTape, loss_scale: float = 1.0, with_input_grad: bool = False
-):
-    """Exact reverse-mode gradients of (loss_scale * loss) for every parameter.
-
-    With with_input_grad the gradient w.r.t. the input features is returned
-    as a second value.
+    Returns (grads, dx): grads maps each parameter name to its gradient in
+    Model.parameters() order, dx is the gradient w.r.t. the input features.
     """
-    if tape.model is None or tape.softmax is None or tape.label is None:
+    if tape.model is None or tape.probs is None or tape.label is None:
         raise TapeIncomplete("forward pass and cross_entropy must be recorded first")
     model = tape.model
-    grads = Gradients.zeros(model)
+    grads = {}
 
-    dlogits = tape.softmax.astype(model.dtype).copy()
+    dlogits = tape.probs.astype(model.dtype).copy()
     dlogits[tape.label] -= 1.0
     if loss_scale != 1.0:
         dlogits *= model.dtype.type(loss_scale)
 
-    grads.arrays["classifier.weight"][...] = np.outer(dlogits, tape.pooled)
-    grads.arrays["classifier.bias"][...] = dlogits
+    grads["classifier.weight"] = np.outer(dlogits, tape.pooled)
+    grads["classifier.bias"] = dlogits
     dpooled = model.classifier_w.T @ dlogits
 
     j_count, t_count = tape.pool_shape
@@ -441,16 +378,14 @@ def backward(
         dz = dx * cache.out_mask
         dres = dz if cache.used_residual else None
         da, dk = _temporal_conv_backward(dz, cache.tconv_in, block.tconv)
-        grads.arrays[f"block{bi}.tconv.kernel"][...] = dk
+        grads[f"block{bi}.tconv.kernel"] = dk
         dg = da * cache.gconv_mask
         d_in, dw, db = _graph_conv_backward(dg, cache.f_in, block.gconv, model.adjacency)
-        grads.arrays[f"block{bi}.gconv.weight"][...] = dw
+        grads[f"block{bi}.gconv.weight"] = dw
         if db is not None:
-            grads.arrays[f"block{bi}.gconv.bias"][...] = db
+            grads[f"block{bi}.gconv.bias"] = db
         dx = d_in + dres if dres is not None else d_in
-    if with_input_grad:
-        return grads, dx
-    return grads
+    return {name: grads[name] for name, _ in model.parameters()}, dx
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +409,7 @@ class SGD:
         self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}
 
-    def step(self, model: Model, grads: Gradients, lr: float) -> None:
+    def step(self, model: Model, grads: dict[str, np.ndarray], lr: float) -> None:
         if lr <= 0:
             raise ValueError("lr must be > 0")
         for name, param in model.parameters():
@@ -529,7 +464,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     end = data.find(_FGC1_TENSORS_SENTINEL.encode("ascii") + b"\n")
     if end < 0 or not data.startswith(b"FGC1\n"):
         raise ParseError("not an FGC1 checkpoint", path=path)
-    header = data[:end].decode("ascii").splitlines()[1:]
+    try:
+        header = data[:end].decode("ascii").splitlines()[1:]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte in header at offset {exc.start}", path=path)
     body = data[end + len(_FGC1_TENSORS_SENTINEL) + 1 :]
 
     keys: dict[str, str] = {}
@@ -563,9 +501,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             residual=bool(int(keys["residual"])),
         )
         j_count, p_count = int(keys["J"]), int(keys["P"])
+        meta = {key: int(keys.get(key, 0)) for key in ("k", "seed", "epoch")}
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad checkpoint metadata: {exc}", path=path)
-    meta = {key: int(keys.get(key, 0)) for key in ("k", "seed", "epoch")}
 
     arrays: dict[str, np.ndarray] = {}
     off = 0
@@ -589,29 +527,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
 
     adjacency = take("adjacency", (p_count, j_count, j_count))
     adjacency.flags.writeable = False
-    blocks = []
-    c_in = arch.in_channels
-    for bi, (c_out, stride) in enumerate(zip(arch.block_channels, arch.strides)):
-        gw = take(f"block{bi}.gconv.weight", (p_count, c_out, c_in))
-        gb = take(f"block{bi}.gconv.bias", (c_out,)) if arch.graph_conv_bias else None
-        kern = take(f"block{bi}.tconv.kernel", (c_out, c_out, arch.kernel_size))
-        blocks.append(
-            Block(
-                gconv=GraphConvParams(weights=gw, bias=gb),
-                tconv=TemporalConvParams(kernel=kern, stride=stride),
-                residual=arch.residual,
-            )
-        )
-        c_in = c_out
-    model = Model(
-        arch=arch,
-        adjacency=adjacency,
-        blocks=blocks,
-        classifier_w=take("classifier.weight", (arch.num_classes, c_in)),
-        classifier_b=take("classifier.bias", (arch.num_classes,)),
-        dtype=np.dtype(np.float32),
-    )
-    return model, meta
+    params = {name: take(name, shape) for name, shape, _, _ in _layout(arch, p_count)}
+    return _build_model(arch, adjacency, params, np.dtype(np.float32)), meta
 
 
 # ---------------------------------------------------------------------------
@@ -624,20 +541,11 @@ class EpochStats:
     lr: float
     loss: float
     train_acc: float
-    eval_acc: float | None
     seconds: float
 
     def log_line(self) -> str:
-        parts = [
-            f"epoch={self.epoch}",
-            f"lr={self.lr:.6g}",
-            f"loss={self.loss:.6f}",
-            f"train_acc={self.train_acc:.4f}",
-        ]
-        if self.eval_acc is not None:
-            parts.append(f"eval_acc={self.eval_acc:.4f}")
-        parts.append(f"time={self.seconds:.2f}s")
-        return " ".join(parts)
+        return (f"epoch={self.epoch} lr={self.lr:.6g} loss={self.loss:.6f} "
+                f"train_acc={self.train_acc:.4f} time={self.seconds:.2f}s")
 
 
 def predict(model: Model, features: np.ndarray) -> int:
@@ -667,7 +575,6 @@ def train_model(
     gamma: float = 0.1,
     batch_size: int = 8,
     seed: int = 0,
-    eval_samples=None,
     on_epoch=None,
 ) -> list[EpochStats]:
     """SGD training over (features, label) pairs; deterministic given the seed.
@@ -688,7 +595,7 @@ def train_model(
         correct = 0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            acc = Gradients.zeros(model)
+            acc = {name: np.zeros_like(arr) for name, arr in model.parameters()}
             for idx in batch:
                 features, label = train_samples[int(idx)]
                 tape = GradientTape()
@@ -698,18 +605,16 @@ def train_model(
                     raise NumericalError(f"non-finite loss at epoch {epoch}")
                 total_loss += loss
                 correct += int(np.argmax(logits) == label)
-                acc.add_(backward(tape, loss_scale=1.0 / len(batch)))
+                # bound to a name, these gradients would stay alive through the
+                # next sample's forward and backward (+2 MB peak RSS at the defaults)
+                for name, g in backward(tape, loss_scale=1.0 / len(batch))[0].items():
+                    acc[name] += g
             opt.step(model, acc, lr)
-        eval_acc = None
-        if eval_samples:
-            c, t, _ = evaluate(model, eval_samples)
-            eval_acc = c / t
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
             loss=total_loss / max(n, 1),
             train_acc=correct / max(n, 1),
-            eval_acc=eval_acc,
             seconds=time.perf_counter() - t0,
         )
         history.append(stats)

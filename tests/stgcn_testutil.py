@@ -1,8 +1,67 @@
-"""Shared rigs for the network tests and the acceptance suite."""
+"""Shared rigs for the network tests and the acceptance suite.
+
+Also holds the per-vertex oracles of the spatial graph convolution (Eq. 1),
+which only tests use: neighborhood B_i, partition label lookup, subset
+cardinalities Z and the summation form the matrix form is checked against.
+"""
 
 import numpy as np
 
 from facegcn import st_graph, stgcn_net
+from facegcn.errors import ShapeMismatch
+
+
+def neighborhood(graph, i):
+    """B_i: neighbors of i plus i itself, ascending."""
+    b = np.nonzero(graph.adjacency[i])[0]
+    return np.unique(np.append(b, i))
+
+
+def label(labels, i, j):
+    """Partition label of the ordered pair (i, j in B_i)."""
+    l = int(labels.labels[i, j])
+    if l < 0:
+        raise KeyError(f"({i}, {j}) is not a labeled pair")
+    return l
+
+
+def cardinalities(graph, labels):
+    """Z[i, p] = size of the label-p subset of B_i (Eq. 1 normalizer)."""
+    z = np.zeros((graph.J, labels.P), dtype=np.int64)
+    for p in range(labels.P):
+        z[:, p] = (labels.labels == p).sum(axis=1)
+    return z
+
+
+def graph_conv_reference(f_in, params, graph, labels, Z, normalization="cardinality"):
+    """Per-vertex summation form of the spatial graph convolution (the oracle).
+
+    normalization "cardinality" uses 1/Z_ij (the subset-size normalizer);
+    "symmetric_degree" uses 1/sqrt(D_ii D_jj), which expands the matrix form
+    entrywise and coincides with "cardinality" exactly on regular graphs
+    under the uniform partition.
+    """
+    if labels.P != params.P:
+        raise ShapeMismatch(f"{labels.P} partitions for {params.P} weight matrices")
+    c_in, j_count, t_count = f_in.shape
+    if c_in != params.c_in or j_count != graph.J:
+        raise ShapeMismatch(f"input {f_in.shape} does not match weights/graph")
+    degree = graph.adjacency.astype(np.float64).sum(axis=1) + 1.0
+    out = np.zeros((params.c_out, j_count, t_count), dtype=f_in.dtype)
+    for i in range(j_count):
+        for j in neighborhood(graph, i):
+            lab = label(labels, i, int(j))
+            if normalization == "cardinality":
+                norm = 1.0 / Z[i, lab]
+            elif normalization == "symmetric_degree":
+                norm = 1.0 / np.sqrt(degree[i] * degree[j])
+            else:
+                raise ValueError(f"unknown normalization {normalization!r}")
+            for t in range(t_count):
+                out[:, i, t] += norm * (params.weights[lab] @ f_in[:, j, t])
+    if params.bias is not None:
+        out += params.bias[:, None, None]
+    return out
 
 
 def random_regular_graph(j, d, rng, max_tries=200):
@@ -34,11 +93,11 @@ def toy_model_and_input(dtype=np.float64, seed=4, input_seed=1004):
         a[i, k] = a[k, i] = 1
     graph = st_graph.SpatialGraph(adjacency=a)
     labels = st_graph.partition(graph, "distance")
-    norm = st_graph.normalize_adjacency(graph, labels)
+    adjacency = st_graph.normalize_adjacency(graph, labels)
     arch = stgcn_net.ModelArch(
         in_channels=3, block_channels=(5, 5), strides=(1, 1), kernel_size=3, num_classes=3
     )
-    model = stgcn_net.init_model(arch, norm, seed=seed, dtype=dtype)
+    model = stgcn_net.init_model(arch, adjacency, seed=seed, dtype=dtype)
     for block in model.blocks:
         block.gconv.bias[:] = 0.05 + 0.02 * np.arange(block.gconv.bias.size)
     x = np.abs(np.random.default_rng(input_seed).normal(size=(3, j, 6))) * 0.5 + 0.1
@@ -57,7 +116,7 @@ def finite_difference_check(model, x, label=1, h=1e-3, rel_tol=1e-4, abs_tol=1e-
         return stgcn_net.cross_entropy(logits, label, tape=tape), tape
 
     _, tape = loss_of()
-    grads = stgcn_net.backward(tape)
+    grads, _ = stgcn_net.backward(tape)
     checked = failed = 0
     worst = 0.0
     for name, param in model.parameters():

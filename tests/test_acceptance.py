@@ -18,7 +18,6 @@ from facegcn.mesh_core import TexturedMesh, build_edge_graph, load_mesh, write_m
 from facegcn.patch_features import KdIndex, build_sequence_tensor, load_tensor, save_tensor
 from facegcn.st_graph import (
     SpatialGraph,
-    cardinalities,
     load_graph,
     normalize_adjacency,
     partition,
@@ -26,7 +25,6 @@ from facegcn.st_graph import (
 )
 from facegcn.stgcn_net import (
     GradientTape,
-    Gradients,
     GraphConvParams,
     ModelArch,
     backward,
@@ -34,13 +32,18 @@ from facegcn.stgcn_net import (
     evaluate,
     forward,
     graph_conv,
-    graph_conv_reference,
     init_model,
     load_checkpoint,
     save_checkpoint,
     train_model,
 )
-from stgcn_testutil import finite_difference_check, random_regular_graph, toy_model_and_input
+from stgcn_testutil import (
+    cardinalities,
+    finite_difference_check,
+    graph_conv_reference,
+    random_regular_graph,
+    toy_model_and_input,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -213,10 +216,10 @@ def test_criterion_5_normalized_adjacency():
 
         degree = a.astype(np.float64).sum(axis=1) + 1.0
         scale = np.outer(1 / np.sqrt(degree), 1 / np.sqrt(degree))
-        if not np.array_equal(norm.matrices.sum(axis=0), (a + np.eye(j)) * scale):
+        if not np.array_equal(norm.sum(axis=0), (a + np.eye(j)) * scale):
             bad_sum += 1
 
-        uni = normalize_adjacency(graph, partition(graph, "uniform")).matrices[0]
+        uni = normalize_adjacency(graph, partition(graph, "uniform"))[0]
         if not np.array_equal(uni, uni.T):
             bad_sym += 1
         x = rng.normal(size=j)
@@ -234,7 +237,7 @@ def test_criterion_5_normalized_adjacency():
         pgraph = SpatialGraph(adjacency=a[np.ix_(perm, perm)])
         pnorm = normalize_adjacency(pgraph, partition(pgraph, strategy))
         for p in range(labels.P):
-            if not np.array_equal(pnorm.matrices[p], norm.matrices[p][np.ix_(perm, perm)]):
+            if not np.array_equal(pnorm[p], norm[p][np.ix_(perm, perm)]):
                 bad_perm += 1
     ok = bad_sum == bad_sym == bad_radius == bad_perm == 0
     report(5, "normalized adjacency", ok,

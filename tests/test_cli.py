@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from facegcn import stgcn_net
+from facegcn import fileio, stgcn_net
 from facegcn.cli import main
 from facegcn.config import (
     RunConfig,
@@ -17,6 +17,8 @@ from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_m
 from facegcn.errors import ConfigError
 from facegcn.mesh_core import write_mesh
 from facegcn.patch_features import load_tensor
+
+from test_fileio import HalfWriteFile
 
 
 def small_config(tmp_path, **over):
@@ -310,6 +312,86 @@ def test_eval_empty_test_side(synth_out, tmp_path_factory):
     p2 = tmp_path / "config_all.json"
     p2.write_text(json.dumps(cfg))
     assert main(["eval", "--config", str(p2), "--force"]) == 2
+
+
+def config_on_synth(synth_out, tmp_path, epochs):
+    """Config that reads the shared synthetic set and writes to its own directory."""
+    synth_tmp, _ = synth_out
+    cfg = json.loads((synth_tmp / "config.json").read_text())
+    cfg["paths"] = {"output_dir": str(tmp_path / "out"),
+                    "manifest": str(synth_tmp / "out" / "manifest.json")}
+    cfg["train"]["epochs"] = epochs
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+GOLDEN_TRAIN_CHECKPOINT_SHA256 = "4aa1741d32098ce1383ff52cbea56b59458deffcfdbde7a260dd17956b9d2415"
+
+
+def test_train_golden_checkpoint_digest(synth_out, tmp_path):
+    # three epochs of the shipped network and optimizer: a change that moves the
+    # float order of forward, backward, gradient accumulation or SGD fails here
+    p = config_on_synth(synth_out, tmp_path, epochs=3)
+    assert main(["train", "--config", str(p)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "checkpoint_final.fgc").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRAIN_CHECKPOINT_SHA256
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("train", "train_log.txt"),
+    ("eval", "eval_report.json"),
+])
+def test_failed_report_write_keeps_previous_file(synth_out, tmp_path, monkeypatch,
+                                                 command, artifact):
+    p = config_on_synth(synth_out, tmp_path, epochs=1)
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["eval", "--config", str(p)]) == 0
+    out = tmp_path / "out"
+    before = (out / artifact).read_bytes()
+    assert before
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfWriteFile(fh) if artifact in str(path) else fh
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    assert main([command, "--config", str(p), "--force"]) == 2
+    monkeypatch.undo()
+    assert (out / artifact).read_bytes() == before
+    assert not [q.name for q in out.iterdir() if q.name.endswith(".tmp")]
+
+
+BAD_JSON_INPUTS = {
+    "labels-invalid-json": ("preprocess", "labels.json", "{not json"),
+    "labels-entry-without-emotion": ("preprocess", "labels.json", '{"seq_a": {"identity": 0}}'),
+    "manifest-invalid-json": ("train", "manifest.json", '{"kind": "facegcn-manifest",'),
+    "manifest-sample-without-tensor": ("train", "manifest.json", json.dumps({
+        "kind": "facegcn-manifest", "k": 4, "graph": "graph.fgg",
+        "samples": [{"identity": 0, "emotion": 0}],
+    })),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_JSON_INPUTS))
+def test_bad_json_input_exit_code_2(tmp_path, capsys, case):
+    command, name, text = BAD_JSON_INPUTS[case]
+    if name == "labels.json":
+        raw = tmp_path / "raw"
+        write_sequence_dir(raw, n_frames=1)
+        (raw / name).write_text(text)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out")},
+        }))
+    else:
+        p = small_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / name).write_text(text)
+    assert main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("facegcn: error:") and name in err and "Traceback" not in err
 
 
 def test_missing_manifest_is_config_error(tmp_path, capsys):

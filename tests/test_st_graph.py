@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
-from facegcn.errors import InvalidPair, UnknownId
+from facegcn.errors import InvalidPair, ParseError, UnknownId
 from facegcn.landmark_engine import lift_landmarks
 from facegcn.mesh_core import build_edge_graph
 from facegcn.st_graph import (
     PartitionLabels,
     SpatialGraph,
     build_spatial_edges,
-    cardinalities,
     load_graph,
     normalize_adjacency,
     partition,
     save_graph,
 )
 from facegcn import landmark_engine
+
+from stgcn_testutil import cardinalities, label, neighborhood
 
 
 def collinear_landmarks(n=3, spacing=1.0):
@@ -45,7 +46,7 @@ def test_single_node_graph():
     g = build_spatial_edges(collinear_landmarks(1), "knn", knn_m=2)
     assert g.J == 1
     assert g.adjacency.sum() == 0
-    assert list(g.neighborhood(0)) == [0]
+    assert list(neighborhood(g, 0)) == [0]
 
 
 def test_knn1_collinear_chain():
@@ -114,18 +115,18 @@ def test_uniform_partition_all_zero():
     labels = partition(g, "uniform")
     assert labels.P == 1
     for i in range(5):
-        for j in g.neighborhood(i):
-            assert labels.label(i, int(j)) == 0
+        for j in neighborhood(g, i):
+            assert label(labels, i, int(j)) == 0
 
 
 def test_distance_partition_two_node():
     a = np.array([[0, 1], [1, 0]], dtype=np.int8)
     labels = partition(SpatialGraph(adjacency=a), "distance")
     assert labels.P == 2
-    assert labels.label(0, 0) == 0
-    assert labels.label(0, 1) == 1
-    assert labels.label(1, 0) == 1
-    assert labels.label(1, 1) == 0
+    assert label(labels, 0, 0) == 0
+    assert label(labels, 0, 1) == 1
+    assert label(labels, 1, 0) == 1
+    assert label(labels, 1, 1) == 0
 
 
 def test_partition_subsets_disjoint_cover():
@@ -135,7 +136,7 @@ def test_partition_subsets_disjoint_cover():
         for strategy in ("uniform", "distance"):
             labels = partition(g, strategy)
             for i in range(g.J):
-                b = set(int(x) for x in g.neighborhood(i))
+                b = set(int(x) for x in neighborhood(g, i))
                 labeled = {j for j in range(g.J) if labels.labels[i, j] >= 0}
                 assert labeled == b  # cover exactly B_i, each pair once
 
@@ -147,21 +148,30 @@ def test_partition_subsets_disjoint_cover():
 def test_normalize_no_edges_uniform_is_identity():
     g = SpatialGraph(adjacency=np.zeros((3, 3), dtype=np.int8))
     norm = normalize_adjacency(g, partition(g, "uniform"))
-    assert norm.P == 1
-    assert np.array_equal(norm.matrices[0], np.eye(3))
+    assert norm.shape[0] == 1
+    assert np.array_equal(norm[0], np.eye(3))
 
 
 def test_normalize_two_node_uniform():
     g = SpatialGraph(adjacency=np.array([[0, 1], [1, 0]], dtype=np.int8))
     norm = normalize_adjacency(g, partition(g, "uniform"))
-    assert np.allclose(norm.matrices[0], [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(norm[0], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_normalize_two_node_distance():
     g = SpatialGraph(adjacency=np.array([[0, 1], [1, 0]], dtype=np.int8))
     norm = normalize_adjacency(g, partition(g, "distance"))
-    assert np.allclose(norm.matrices[0], [[0.5, 0.0], [0.0, 0.5]])
-    assert np.allclose(norm.matrices[1], [[0.0, 0.5], [0.5, 0.0]])
+    assert np.allclose(norm[0], [[0.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(norm[1], [[0.0, 0.5], [0.5, 0.0]])
+
+
+def test_normalize_returns_read_only_float64_stack():
+    g = random_graph(5, np.random.default_rng(7))
+    norm = normalize_adjacency(g, partition(g, "distance"))
+    assert isinstance(norm, np.ndarray)
+    assert norm.shape == (2, 5, 5) and norm.dtype == np.float64
+    with pytest.raises(ValueError):
+        norm[0, 0, 0] = 1.0
 
 
 def test_mask_sum_reconstructs_a_plus_i():
@@ -171,7 +181,7 @@ def test_mask_sum_reconstructs_a_plus_i():
         labels = partition(g, "distance" if trial % 2 else "uniform")
         degree = g.adjacency.astype(np.float64).sum(axis=1) + 1.0
         scale = np.outer(1 / np.sqrt(degree), 1 / np.sqrt(degree))
-        total = normalize_adjacency(g, labels).matrices.sum(axis=0)
+        total = normalize_adjacency(g, labels).sum(axis=0)
         expected = (g.adjacency + np.eye(g.J)) * scale
         assert np.array_equal(total, expected)
 
@@ -180,7 +190,7 @@ def test_uniform_matrix_symmetric_spectral_radius():
     rng = np.random.default_rng(4)
     for _ in range(25):
         g = random_graph(rng.integers(2, 13), rng)
-        m = normalize_adjacency(g, partition(g, "uniform")).matrices[0]
+        m = normalize_adjacency(g, partition(g, "uniform"))[0]
         assert np.array_equal(m, m.T)
         x = rng.normal(size=g.J)
         for _ in range(200):
@@ -198,10 +208,10 @@ def test_normalization_commutes_with_permutation():
     for strategy in ("uniform", "distance"):
         g = random_graph(7, rng)
         labels = partition(g, strategy)
-        norm = normalize_adjacency(g, labels).matrices
+        norm = normalize_adjacency(g, labels)
         perm = rng.permutation(7)
         pg = SpatialGraph(adjacency=g.adjacency[np.ix_(perm, perm)])
-        pnorm = normalize_adjacency(pg, partition(pg, strategy)).matrices
+        pnorm = normalize_adjacency(pg, partition(pg, strategy))
         for p in range(labels.P):
             assert np.array_equal(pnorm[p], norm[p][np.ix_(perm, perm)])
 
@@ -251,3 +261,42 @@ def test_fgg1_header_format(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0] == "FGG1 2 1 uniform"
     assert lines[1:] == ["0 0 0", "0 1 0", "1 0 0", "1 1 0"]
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"FGG1 2 2 distance\n0 1 1\n1 0 \xff\n", 3),
+    (b"FGG1 2 2 dist\xe9nce\n0 1 1\n", 1),
+], ids=["body", "header"])
+def test_fgg1_non_ascii_byte_is_parse_error(tmp_path, text, line):
+    p = tmp_path / "g.fgg"
+    p.write_bytes(text)
+    with pytest.raises(ParseError, match="non-ASCII") as info:
+        load_graph(p)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("body", [
+    "0 0 0\n0 1 1\n1 1 0\n",  # (1, 0) missing
+    "0 0 0\n0 1 1\n1 0 0\n1 1 0\n",  # (1, 0) labeled as a root
+], ids=["missing-reverse", "reverse-label-differs"])
+def test_fgg1_asymmetric_labels_are_parse_error(tmp_path, body):
+    p = tmp_path / "g.fgg"
+    p.write_text("FGG1 2 2 distance\n" + body)
+    with pytest.raises(ParseError, match=r"\(0, 1\) and \(1, 0\)"):
+        load_graph(p)
+
+
+def test_fgg1_missing_root_pair_is_parse_error(tmp_path):
+    p = tmp_path / "g.fgg"
+    p.write_text("FGG1 2 2 distance\n0 0 0\n0 1 1\n1 0 1\n")  # no `1 1 0`
+    with pytest.raises(ParseError, match="node 1"):
+        load_graph(p)
+
+
+@pytest.mark.parametrize("head", ["FGG1 -1 2 distance", "FGG1 2 0 distance",
+                                  "FGG1 2 200 distance"])
+def test_fgg1_bad_header_counts_are_parse_error(tmp_path, head):
+    p = tmp_path / "g.fgg"
+    p.write_text(head + "\n")
+    with pytest.raises(ParseError, match="header"):
+        load_graph(p)

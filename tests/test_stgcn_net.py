@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from facegcn import st_graph, stgcn_net
+from facegcn import stgcn_net
 from facegcn.errors import (
     LabelOutOfRange,
     ParseError,
@@ -23,17 +23,21 @@ from facegcn.stgcn_net import (
     evaluate,
     forward,
     graph_conv,
-    graph_conv_reference,
     init_model,
     load_checkpoint,
     lr_schedule,
     save_checkpoint,
     sgd_step,
-    softmax,
     temporal_conv,
     train_model,
 )
-from stgcn_testutil import finite_difference_check, random_regular_graph, toy_model_and_input
+from stgcn_testutil import (
+    cardinalities,
+    finite_difference_check,
+    graph_conv_reference,
+    random_regular_graph,
+    toy_model_and_input,
+)
 
 
 def single_node_setup():
@@ -54,7 +58,7 @@ def complete_two_node():
 
 def test_reference_isolated_node_identity():
     g, labels, _ = single_node_setup()
-    z = st_graph.cardinalities(g, labels)
+    z = cardinalities(g, labels)
     params = GraphConvParams(weights=np.eye(3)[None])
     f = np.random.default_rng(0).normal(size=(3, 1, 4))
     out = graph_conv_reference(f, params, g, labels, z)
@@ -63,7 +67,7 @@ def test_reference_isolated_node_identity():
 
 def test_reference_two_node_average():
     g, labels, _ = complete_two_node()
-    z = st_graph.cardinalities(g, labels)
+    z = cardinalities(g, labels)
     params = GraphConvParams(weights=np.ones((1, 1, 1)))
     f = np.array([[[2.0], [6.0]]])  # (C=1, J=2, T=1): a=2, b=6
     out = graph_conv_reference(f, params, g, labels, z)
@@ -72,7 +76,7 @@ def test_reference_two_node_average():
 
 def test_reference_zero_weights():
     g, labels, _ = complete_two_node()
-    z = st_graph.cardinalities(g, labels)
+    z = cardinalities(g, labels)
     params = GraphConvParams(weights=np.zeros((1, 2, 1)))
     f = np.random.default_rng(1).normal(size=(1, 2, 3))
     assert np.all(graph_conv_reference(f, params, g, labels, z) == 0)
@@ -93,7 +97,7 @@ def test_graph_conv_matches_reference_on_regular_graphs():
         g = random_regular_graph(j, d, rng)
         labels = partition(g, "uniform")
         norm = normalize_adjacency(g, labels)
-        z = st_graph.cardinalities(g, labels)
+        z = cardinalities(g, labels)
         c_in, c_out, t = (int(x) for x in rng.integers(1, 5, size=3))
         params = GraphConvParams(weights=rng.normal(size=(1, c_out, c_in)))
         f = rng.normal(size=(c_in, j, t))
@@ -114,7 +118,7 @@ def test_graph_conv_matches_degree_weighted_reference_on_irregular():
         g = SpatialGraph(adjacency=a)
         labels = partition(g, "distance")
         norm = normalize_adjacency(g, labels)
-        z = st_graph.cardinalities(g, labels)
+        z = cardinalities(g, labels)
         params = GraphConvParams(weights=rng.normal(size=(2, 3, 2)))
         f = rng.normal(size=(2, j, 2))
         fast = graph_conv(f, params, norm)
@@ -258,8 +262,10 @@ def test_softmax_sums_to_one_loss_nonnegative():
     rng = np.random.default_rng(9)
     for _ in range(50):
         logits = rng.normal(size=rng.integers(2, 8)) * rng.uniform(0.1, 50)
-        assert abs(softmax(logits).sum() - 1.0) <= 1e-6
-        assert cross_entropy(logits, 0) >= 0.0
+        tape = GradientTape()
+        loss = cross_entropy(logits, 0, tape=tape)
+        assert abs(tape.probs.sum() - 1.0) <= 1e-6
+        assert loss >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,8 @@ def test_backward_zero_input_zeroes_weight_grads():
     tape = GradientTape()
     logits = forward(model, np.zeros_like(x), tape=tape)
     cross_entropy(logits, 0, tape=tape)
-    grads = backward(tape)
-    for name in grads.arrays:
+    grads, _ = backward(tape)
+    for name in grads:
         if name == "classifier.bias":
             assert np.any(grads[name] != 0)
         else:
@@ -286,10 +292,22 @@ def test_backward_scaling_linear():
     tape = GradientTape()
     logits = forward(model, x, tape=tape)
     cross_entropy(logits, 2, tape=tape)
-    g1 = backward(tape, loss_scale=1.0)
-    g2 = backward(tape, loss_scale=2.0)
-    for name in g1.arrays:
+    g1, _ = backward(tape, loss_scale=1.0)
+    g2, _ = backward(tape, loss_scale=2.0)
+    for name in g1:
         assert np.array_equal(2.0 * g1[name], g2[name])
+
+
+def test_backward_grads_follow_parameter_order():
+    model, x = toy_model_and_input(dtype=np.float64)
+    tape = GradientTape()
+    cross_entropy(forward(model, x, tape=tape), 1, tape=tape)
+    grads, dx = backward(tape)
+    assert type(grads) is dict
+    assert list(grads) == [name for name, _ in model.parameters()]
+    for name, param in model.parameters():
+        assert grads[name].shape == param.shape and grads[name].dtype == param.dtype
+    assert dx.shape == x.shape
 
 
 def test_backward_requires_recorded_loss():
@@ -316,7 +334,7 @@ def test_input_gradient_matches_finite_differences():
         return cross_entropy(logits, 1, tape=tape), tape
 
     _, tape = loss_of(x)
-    _, dx = backward(tape, with_input_grad=True)
+    _, dx = backward(tape)
     assert dx.shape == x.shape
     rng = np.random.default_rng(14)
     h = 1e-4
@@ -464,11 +482,11 @@ def test_training_learns_separable_toy():
 
 
 def test_epoch_stats_log_line():
-    stats = stgcn_net.EpochStats(epoch=2, lr=0.01, loss=1.5, train_acc=0.75,
-                                 eval_acc=None, seconds=0.5)
+    stats = stgcn_net.EpochStats(epoch=2, lr=0.01, loss=1.5, train_acc=0.75, seconds=0.5)
     line = stats.log_line()
     assert line.startswith("epoch=2 lr=0.01 loss=1.500000 train_acc=0.7500")
     assert "eval_acc" not in line
+    assert line == "epoch=2 lr=0.01 loss=1.500000 train_acc=0.7500 time=0.50s"
 
 
 def tamper_checkpoint(path, edit_header=None, extra=b""):
@@ -513,4 +531,24 @@ def test_checkpoint_trailing_payload_is_parse_error(tmp_path):
     save_checkpoint(p, model)
     tamper_checkpoint(p, extra=b"\x00" * 8)
     with pytest.raises(ParseError, match="trailing"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_non_ascii_header_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model)
+    data = bytearray(p.read_bytes())
+    data[data.index(b"kernel_size")] = 0xE9
+    p.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="non-ASCII"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_bad_meta_value_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model, {"epoch": 3})
+    tamper_checkpoint(p, lambda h: [("epoch x" if line == "epoch 3" else line) for line in h])
+    with pytest.raises(ParseError, match="metadata"):
         load_checkpoint(p)
