@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     EmptySide,
     FaceGcnError,
+    InconsistentLandmarks,
     NumericalError,
 )
 from .fileio import write_atomic
@@ -76,13 +77,52 @@ def _build_spatial(cfg: RunConfig, landmarks):
     return graph, labels
 
 
+def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
+    """Write each sample's tensor, then graph.fgg, then the manifest.
+
+    The manifest is what marks a complete dataset, so any previous one is
+    removed before the first write and the new one is written last; on any
+    failure every file this call wrote is removed again.
+    """
+    out = cfg.output_dir
+    graph, labels = _build_spatial(cfg, landmarks)
+    cfg.manifest_path.unlink(missing_ok=True)
+    written: list[Path] = []
+    try:
+        entries = []
+        for name, sample in named_samples:
+            written.append(out / f"{name}.fgt")
+            patch_features.save_tensor(sample.tensor, written[-1])
+            entries.append({
+                "sequence": name,
+                "identity": sample.identity,
+                "emotion": sample.emotion,
+                "tensor": written[-1].name,
+                "provenance": sample.provenance,
+            })
+        written.append(out / "graph.fgg")
+        st_graph.save_graph(graph, labels, written[-1])
+        _write_manifest(cfg.manifest_path, {
+            "kind": "facegcn-manifest",
+            "k": cfg.features.k,
+            "J": len(landmarks),
+            "graph": "graph.fgg",
+            "samples": entries,
+            **extra,
+        })
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    log.info("wrote %d tensors and %s", len(entries), cfg.manifest_path)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
 
 def cmd_synth(cfg: RunConfig, force: bool) -> int:
-    out = cfg.output_dir
-    with _output_lock(out):
+    with _output_lock(cfg.output_dir):
         _refuse_existing(cfg.manifest_path, force)
         s = cfg.synth
         synth_cfg = dataset_synth.SynthConfig(
@@ -100,36 +140,15 @@ def cmd_synth(cfg: RunConfig, force: bool) -> int:
         result = dataset_synth.build_dataset(
             synth_cfg, scale_normalize=cfg.features.scale_normalize
         )
-
-        entries = []
-        for sample in result.samples:
-            name = f"id{sample.identity:03d}_emo{sample.emotion}.fgt"
-            patch_features.save_tensor(sample.tensor, out / name)
-            entries.append(
-                {
-                    "sequence": name.removesuffix(".fgt"),
-                    "identity": sample.identity,
-                    "emotion": sample.emotion,
-                    "tensor": name,
-                    "provenance": sample.provenance,
-                }
-            )
-
-        graph, labels = _build_spatial(cfg, result.landmarks)
-        st_graph.save_graph(graph, labels, out / "graph.fgg")
-        manifest = {
-            "kind": "facegcn-manifest",
-            "k": cfg.features.k,
-            "J": len(result.landmarks),
-            "graph": "graph.fgg",
-            "separability": {
+        _write_dataset(
+            cfg,
+            [(f"id{x.identity:03d}_emo{x.emotion}", x) for x in result.samples],
+            result.landmarks,
+            separability={
                 "inter_identity": result.inter_identity_distance,
                 "intra_identity": result.intra_identity_distance,
             },
-            "samples": entries,
-        }
-        _write_manifest(cfg.manifest_path, manifest)
-        log.info("wrote %d tensors and %s", len(entries), cfg.manifest_path)
+        )
     return 0
 
 
@@ -137,7 +156,8 @@ def cmd_synth(cfg: RunConfig, force: bool) -> int:
 # preprocess
 
 
-def _sequence_frames(seq_dir: Path, cfg: RunConfig):
+def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
+    """Feature tensor of one sequence directory and its first frame's landmarks."""
     mesh_files = sorted(
         p for p in seq_dir.iterdir() if p.suffix in (".ply", ".obj") and p.stem.startswith("frame_")
     )
@@ -163,17 +183,10 @@ def _sequence_frames(seq_dir: Path, cfg: RunConfig):
         if result.skipped:
             log.warning("%s: skipped unreachable pairs %s", mesh_path.name, result.skipped)
         frames.append((mesh, result.landmarks))
-    return frames
-
-
-def _preprocess_sequence(seq_dir: Path, cfg: RunConfig, out: Path):
-    frames = _sequence_frames(seq_dir, cfg)
     tensor = patch_features.build_sequence_tensor(
         frames, cfg.features.k, scale_normalize=cfg.features.scale_normalize
     )
-    name = seq_dir.name + ".fgt"
-    patch_features.save_tensor(tensor, out / name)
-    return name, tensor, frames[0][1]
+    return tensor, frames[0][1]
 
 
 def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
@@ -192,52 +205,29 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
     labels = _read_json(labels_path)
     if not isinstance(labels, dict):
         raise ConfigError(f"{labels_path}: expected an object keyed by sequence name")
-
-    out = cfg.output_dir
-    with _output_lock(out):
-        _refuse_existing(cfg.manifest_path, force)
-        written: list[Path] = []
+    targets = []
+    for seq_dir in seq_dirs:
         try:
-            results = [_preprocess_sequence(d, cfg, out) for d in seq_dirs]
-            entries = []
-            first_landmarks = None
-            for seq_dir, (name, tensor, landmarks) in zip(seq_dirs, results):
-                written.append(out / name)
-                if first_landmarks is None:
-                    first_landmarks = landmarks
-                seq_labels = labels.get(seq_dir.name)
-                if seq_labels is None:
-                    raise ConfigError(f"{labels_path} has no entry for sequence {seq_dir.name!r}")
-                try:
-                    identity, emotion = int(seq_labels["identity"]), int(seq_labels["emotion"])
-                except (KeyError, TypeError, ValueError):
-                    raise ConfigError(f"{labels_path}: entry {seq_dir.name!r} needs integer "
-                                      "identity and emotion")
-                entries.append(
-                    {
-                        "sequence": seq_dir.name,
-                        "identity": identity,
-                        "emotion": emotion,
-                        "tensor": name,
-                        "provenance": {"k": cfg.features.k, "J": tensor.J, "T": tensor.T},
-                    }
-                )
-            graph, part = _build_spatial(cfg, first_landmarks)
-            st_graph.save_graph(graph, part, out / "graph.fgg")
-            written.append(out / "graph.fgg")
-            manifest = {
-                "kind": "facegcn-manifest",
-                "k": cfg.features.k,
-                "J": len(first_landmarks),
-                "graph": "graph.fgg",
-                "samples": entries,
-            }
-            _write_manifest(cfg.manifest_path, manifest)
-        except BaseException:
-            for p in written:  # no partial outputs on failure
-                p.unlink(missing_ok=True)
-            raise
-        log.info("preprocessed %d sequences into %s", len(seq_dirs), out)
+            entry = labels[seq_dir.name]
+            targets.append((seq_dir, int(entry["identity"]), int(entry["emotion"])))
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{labels_path}: sequence {seq_dir.name!r} needs an entry with "
+                              "integer identity and emotion")
+
+    with _output_lock(cfg.output_dir):
+        _refuse_existing(cfg.manifest_path, force)
+        named = []
+        for seq_dir, identity, emotion in targets:
+            tensor, seq_landmarks = _ingest_sequence(seq_dir, cfg)
+            if not named:
+                landmarks = seq_landmarks
+            elif tensor.landmark_hash != named[0][1].tensor.landmark_hash:
+                raise InconsistentLandmarks(f"sequence {seq_dir.name!r} disagrees with "
+                                            f"{named[0][0]!r} on landmark count or ordering")
+            provenance = {"k": cfg.features.k, "J": tensor.J, "T": tensor.T}
+            sample = dataset_synth.SequenceSample(tensor, identity, emotion, provenance)
+            named.append((seq_dir.name, sample))
+        _write_dataset(cfg, named, landmarks)
     return 0
 
 
@@ -262,11 +252,19 @@ def _load_manifest(cfg: RunConfig):
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})")
-    samples = [
-        dataset_synth.SequenceSample(patch_features.load_tensor(tensor), identity, emotion, provenance)
-        for tensor, identity, emotion, provenance in entries
-    ]
+    samples = []
+    for tensor_path, identity, emotion, provenance in entries:
+        t = patch_features.load_tensor(tensor_path)
+        first = samples[0].tensor if samples else t
+        if t.k != k:
+            raise ConfigError(f"{tensor_path}: k={t.k}, but {path} says k={k}")
+        if (t.J, t.landmark_hash) != (first.J, first.landmark_hash):
+            raise InconsistentLandmarks(f"{tensor_path} disagrees with {entries[0][0]} on "
+                                        f"landmark count or ordering (J={t.J} vs {first.J})")
+        samples.append(dataset_synth.SequenceSample(t, identity, emotion, provenance))
     graph, labels = st_graph.load_graph(graph_path)
+    if first.J != graph.J:
+        raise InconsistentLandmarks(f"tensors have J={first.J}, but {graph_path} has J={graph.J}")
     return k, samples, graph, labels
 
 
@@ -362,18 +360,18 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
     if not test_side:
         raise EmptySide("no test samples")
 
+    targets = [classes[s.identity] for s in test_side]
+    correct, total, preds = stgcn_net.evaluate(
+        model, [(s.tensor.values, c) for s, c in zip(test_side, targets)]
+    )
     by_emotion: dict[int, list[int]] = {}
-    correct = 0
-    for s in test_side:
-        pred = stgcn_net.predict(model, s.tensor.values)
-        ok = int(pred == classes[s.identity])
-        correct += ok
-        by_emotion.setdefault(s.emotion, []).append(ok)
+    for s, c, pred in zip(test_side, targets, preds):
+        by_emotion.setdefault(s.emotion, []).append(int(pred == c))
 
     report = {
-        "total": len(test_side),
+        "total": total,
         "correct": correct,
-        "accuracy": correct / len(test_side),
+        "accuracy": correct / total,
         "per_emotion": [
             {
                 "emotion": e,

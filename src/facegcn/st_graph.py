@@ -132,20 +132,28 @@ def normalize_adjacency(graph: SpatialGraph, labels: PartitionLabels) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # FGG1 graph cache: `FGG1 J P strategy` header, then one `i j label` line
-# per labeled ordered pair
+# per labeled ordered pair in row-major order
+
+
+def _render(graph: SpatialGraph, labels: PartitionLabels) -> list[str]:
+    """The lines of the FGG1 file for (graph, labels), header first."""
+    rows, cols = np.nonzero(labels.labels >= 0)
+    pairs = zip(rows.tolist(), cols.tolist(), labels.labels[rows, cols].tolist())
+    return [f"FGG1 {graph.J} {labels.P} {labels.strategy}"] + [f"{i} {j} {l}" for i, j, l in pairs]
 
 
 def save_graph(graph: SpatialGraph, labels: PartitionLabels, path) -> None:
-    lines = [f"FGG1 {graph.J} {labels.P} {labels.strategy}"]
-    for i in range(graph.J):
-        for j in range(graph.J):
-            l = labels.labels[i, j]
-            if l >= 0:
-                lines.append(f"{i} {j} {l}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_atomic(path, ("\n".join(_render(graph, labels)) + "\n").encode("ascii"))
 
 
 def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
+    """Read an FGG1 file: the adjacency comes from its `i != j` lines.
+
+    The labels are `partition(graph, strategy)`, and the file's non-blank
+    lines must be exactly what `save_graph` writes for them, so a duplicated
+    or missing pair, a wrong label or a P that disagrees with the strategy is
+    a ParseError naming the first differing line.
+    """
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -155,39 +163,32 @@ def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
     if not lines:
         raise ParseError("empty graph cache", path=path)
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "FGG1":
+    # a valid file has a root line per node, so J < len(lines) bounds the arrays
+    if len(head) != 4 or head[0] != "FGG1" or not head[1].isdigit() or int(head[1]) >= len(lines):
         raise ParseError("bad FGG1 header", path=path, line=1)
-    try:
-        j_count, p_count = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError("bad FGG1 header numbers", path=path, line=1)
-    if j_count < 0 or not 1 <= p_count <= 127:  # labels are int8
-        raise ParseError("bad FGG1 header numbers", path=path, line=1)
-    strategy = head[3]
-    labels = np.full((j_count, j_count), -1, dtype=np.int8)
+    j_count = int(head[1])
+    body = [(n, line.split()) for n, line in enumerate(lines[1:], start=2) if line.strip()]
     a = np.zeros((j_count, j_count), dtype=np.int8)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tok = line.split()
-        if len(tok) != 3:
-            raise ParseError("expected `i j label`", path=path, line=lineno)
+    for lineno, tok in body:
         try:
-            i, j, l = int(tok[0]), int(tok[1]), int(tok[2])
+            i, j = map(int, tok[:2])
         except ValueError:
-            raise ParseError("bad integer", path=path, line=lineno)
-        if not (0 <= i < j_count and 0 <= j < j_count and 0 <= l < p_count):
-            raise ParseError("pair or label out of range", path=path, line=lineno)
-        labels[i, j] = l
+            raise ParseError("expected `i j label`", path=path, line=lineno)
+        if not (0 <= i < j_count and 0 <= j < j_count):
+            raise ParseError("pair out of range", path=path, line=lineno)
         if i != j:
             a[i, j] = 1
-    rootless = np.flatnonzero(np.diagonal(labels) < 0)
-    if rootless.size:
-        raise ParseError(f"node {rootless[0]} has no `i i label` line", path=path)
-    odd = np.argwhere(labels != labels.T)
-    if odd.size:
-        i, j = odd[0]
-        raise ParseError(f"pairs ({i}, {j}) and ({j}, {i}) are not labeled alike", path=path)
     graph = _graph_from_adjacency(a)
-    labels.flags.writeable = False
-    return graph, PartitionLabels(P=p_count, strategy=strategy, labels=labels)
+    try:
+        labels = partition(graph, head[3])
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=1)
+    found = [(1, head)] + body + [(len(lines) + 1, None)]
+    expected = [line.split() for line in _render(graph, labels)] + [None]
+    for (lineno, tok), want in zip(found, expected):
+        if tok != want:
+            where = "header" if lineno == 1 else "line"
+            what = "end of file" if want is None else f"`{' '.join(want)}`"
+            raise ParseError(f"{where} differs from the saved {head[3]} partition of this "
+                             f"graph: expected {what}", path=path, line=lineno)
+    return graph, labels

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from facegcn import fileio, stgcn_net
+from facegcn import fileio, mesh_core, stgcn_net
 from facegcn.cli import main
 from facegcn.config import (
     RunConfig,
@@ -16,7 +17,8 @@ from facegcn.config import (
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import ConfigError
 from facegcn.mesh_core import write_mesh
-from facegcn.patch_features import load_tensor
+from facegcn.patch_features import FeatureTensor, load_tensor, save_tensor
+from facegcn.st_graph import SpatialGraph, partition, save_graph
 
 from test_fileio import HalfWriteFile
 
@@ -36,9 +38,10 @@ def small_config(tmp_path, **over):
     return p
 
 
-def write_sequence_dir(root, n_frames=5, n_landmarks=68, grid=12, seed=20):
-    seq = root / "seq_a"
-    seq.mkdir(parents=True)
+def write_sequence_dir(root, n_frames=5, n_landmarks=68, grid=12, seed=20, name="seq_a",
+                       identity=0):
+    seq = root / name
+    seq.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     points = rng.uniform(size=(n_landmarks, 2))
     for t in range(n_frames):
@@ -46,7 +49,10 @@ def write_sequence_dir(root, n_frames=5, n_landmarks=68, grid=12, seed=20):
         write_mesh(mesh, seq / f"frame_{t:04d}.ply")
         lines = "\n".join(f"{u} {v}" for u, v in points)
         (seq / f"frame_{t:04d}.lm2").write_text(lines + "\n")
-    (root / "labels.json").write_text(json.dumps({"seq_a": {"identity": 0, "emotion": 0}}))
+    labels_path = root / "labels.json"
+    labels = json.loads(labels_path.read_text()) if labels_path.exists() else {}
+    labels[name] = {"identity": identity, "emotion": 0}
+    labels_path.write_text(json.dumps(labels))
     return seq
 
 
@@ -153,6 +159,33 @@ def test_synth_seed_override_changes_data(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "force"])
+def test_failed_synth_write_removes_what_it_wrote(tmp_path, monkeypatch, rerun):
+    # the third tensor write fails halfway: no manifest is left, and neither
+    # are the tensors this run wrote before it
+    p = small_config(tmp_path)
+    out = tmp_path / "out"
+    if rerun:
+        assert main(["synth", "--config", str(p)]) == 0
+    before = {q.name for q in out.iterdir()} if rerun else set()
+    real_open = open
+    tensor_opens = []
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if ".fgt." in str(path):
+            tensor_opens.append(path)
+            if len(tensor_opens) == 3:
+                return HalfWriteFile(fh)
+        return fh
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    assert main(["synth", "--config", str(p)] + ["--force"] * rerun) == 2
+    monkeypatch.undo()
+    written = {"id000_emo0.fgt", "id000_emo1.fgt", "id000_emo2.fgt"}
+    assert {q.name for q in out.iterdir()} == before - written - {"manifest.json"}
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 
@@ -235,6 +268,72 @@ def test_preprocess_lm3_source(tmp_path):
     assert main(["preprocess", "--config", str(cfg_path)]) == 0
     t = load_tensor(tmp_path / "out" / "seq_b.fgt")
     assert t.values.shape == (30, 12, 2)  # 10 base + 2 augmented
+
+
+def preprocess_config(tmp_path, raw, **features):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({
+        "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out")},
+        "features": features,
+    }))
+    return p
+
+
+def test_preprocess_failed_second_sequence_leaves_no_tensor(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=2)
+    seq_b = write_sequence_dir(raw, n_frames=2, name="seq_b", identity=1)
+    (seq_b / "frame_0001.lm2").unlink()
+    assert main(["preprocess", "--config", str(preprocess_config(tmp_path, raw))]) == 2
+    assert "frame_0001" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_force_preprocess_keeps_previous_dataset(tmp_path):
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=2)
+    write_sequence_dir(raw, n_frames=2, name="seq_b", identity=1)
+    p = preprocess_config(tmp_path, raw)
+    assert main(["preprocess", "--config", str(p)]) == 0
+    out = tmp_path / "out"
+    before = {q.name: q.read_bytes() for q in out.iterdir()}
+    assert set(before) == {"graph.fgg", "manifest.json", "seq_a.fgt", "seq_b.fgt"}
+    write_sequence_dir(raw, n_frames=2, seed=21)  # seq_a's frames change
+    (raw / "seq_b" / "frame_0001.lm2").unlink()
+    assert main(["preprocess", "--config", str(p), "--force"]) == 2
+    assert {q.name: q.read_bytes() for q in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("seq_b_entry", [None, {"identity": 1}], ids=["missing", "no-emotion"])
+def test_bad_labels_entry_exits_before_ingest(tmp_path, monkeypatch, capsys, seq_b_entry):
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=1)
+    write_sequence_dir(raw, n_frames=1, name="seq_b", identity=1)
+    labels = {"seq_a": {"identity": 0, "emotion": 0}}
+    if seq_b_entry is not None:
+        labels["seq_b"] = seq_b_entry
+    (raw / "labels.json").write_text(json.dumps(labels))
+    real_load_mesh, loaded = mesh_core.load_mesh, []
+
+    def counting_load_mesh(path, *args, **kwargs):
+        loaded.append(path)
+        return real_load_mesh(path, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_core, "load_mesh", counting_load_mesh)
+    assert main(["preprocess", "--config", str(preprocess_config(tmp_path, raw))]) == 2
+    assert "seq_b" in capsys.readouterr().err
+    assert loaded == []
+
+
+def test_preprocess_inconsistent_landmarks_exit_code_2(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=1, n_landmarks=12)
+    write_sequence_dir(raw, n_frames=1, n_landmarks=10, name="seq_b", identity=1)
+    p = preprocess_config(tmp_path, raw, k=5, augmentation_pairs=[[0, 9], [1, 8]])
+    assert main(["preprocess", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "seq_b" in err and "landmark count or ordering" in err and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +460,54 @@ def test_failed_report_write_keeps_previous_file(synth_out, tmp_path, monkeypatc
     monkeypatch.undo()
     assert (out / artifact).read_bytes() == before
     assert not [q.name for q in out.iterdir() if q.name.endswith(".tmp")]
+
+
+def _tensor_with_other_ordering(data):
+    t = load_tensor(data / "id004_emo1.fgt")
+    save_tensor(FeatureTensor(t.values, t.k, t.landmark_hash ^ 1), data / "id004_emo1.fgt")
+
+
+def _tensor_with_fewer_landmarks(data):
+    t = load_tensor(data / "id004_emo1.fgt")
+    fewer = FeatureTensor(t.values[:, 1:].copy(), t.k, t.landmark_hash)
+    save_tensor(fewer, data / "id004_emo1.fgt")
+
+
+def _smaller_graph(data):
+    g = SpatialGraph(adjacency=np.zeros((3, 3), dtype=np.int8))
+    save_graph(g, partition(g, "distance"), data / "graph.fgg")
+
+
+def _manifest_with_other_k(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["k"] = 5
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+MANIFEST_DISAGREEMENTS = {
+    "tensor-landmark-ordering": (_tensor_with_other_ordering, "landmark count or ordering"),
+    "tensor-landmark-count": (_tensor_with_fewer_landmarks, "landmark count or ordering"),
+    "graph-J": (_smaller_graph, "graph.fgg has J=3"),
+    "manifest-k": (_manifest_with_other_k, "says k=5"),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_DISAGREEMENTS))
+def test_manifest_disagreement_exit_code_2(synth_out, tmp_path, capsys, case):
+    tamper, message = MANIFEST_DISAGREEMENTS[case]
+    synth_tmp, _ = synth_out
+    data = tmp_path / "data"
+    shutil.copytree(synth_tmp / "out", data,
+                    ignore=shutil.ignore_patterns("checkpoint_*", "*.txt", "eval_report.json"))
+    tamper(data)
+    cfg = json.loads((synth_tmp / "config.json").read_text())
+    cfg["paths"] = {"output_dir": str(tmp_path / "out"), "manifest": str(data / "manifest.json")}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("facegcn: error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 BAD_JSON_INPUTS = {

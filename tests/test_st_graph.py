@@ -275,26 +275,59 @@ def test_fgg1_non_ascii_byte_is_parse_error(tmp_path, text, line):
     assert info.value.line == line
 
 
-@pytest.mark.parametrize("body", [
-    "0 0 0\n0 1 1\n1 1 0\n",  # (1, 0) missing
-    "0 0 0\n0 1 1\n1 0 0\n1 1 0\n",  # (1, 0) labeled as a root
+@pytest.mark.parametrize("body, line", [
+    ("0 0 0\n0 1 1\n1 1 0\n", 4),  # (1, 0) missing
+    ("0 0 0\n0 1 1\n1 0 0\n1 1 0\n", 4),  # (1, 0) labeled as a root
 ], ids=["missing-reverse", "reverse-label-differs"])
-def test_fgg1_asymmetric_labels_are_parse_error(tmp_path, body):
+def test_fgg1_asymmetric_labels_are_parse_error(tmp_path, body, line):
     p = tmp_path / "g.fgg"
     p.write_text("FGG1 2 2 distance\n" + body)
-    with pytest.raises(ParseError, match=r"\(0, 1\) and \(1, 0\)"):
+    with pytest.raises(ParseError, match="expected `1 0 1`") as info:
         load_graph(p)
+    assert info.value.line == line
 
 
 def test_fgg1_missing_root_pair_is_parse_error(tmp_path):
     p = tmp_path / "g.fgg"
     p.write_text("FGG1 2 2 distance\n0 0 0\n0 1 1\n1 0 1\n")  # no `1 1 0`
-    with pytest.raises(ParseError, match="node 1"):
+    with pytest.raises(ParseError, match="expected `1 1 0`") as info:
         load_graph(p)
+    assert info.value.line == 5  # end of file
+
+
+@pytest.mark.parametrize("text, line, expected", [
+    ("FGG1 2 2 distance\n0 0 0\n0 1 1\n0 1 1\n1 0 1\n1 1 0\n", 4, "`1 0 1`"),
+    ("FGG1 2 2 distance\n0 0 0\n0 1 1\n0 1 0\n1 0 0\n1 1 0\n", 4, "`1 0 1`"),
+    ("FGG1 2 2 distance\n0 0 0\n0 1 0\n1 0 0\n1 1 0\n", 3, "`0 1 1`"),
+    ("FGG1 2 2 bogus\n0 0 0\n0 1 1\n1 0 1\n1 1 0\n", 1, "unknown partition strategy"),
+    ("FGG1 2 2 uniform\n0 0 0\n0 1 0\n1 0 0\n1 1 0\n", 1, "`FGG1 2 1 uniform`"),
+    ("FGG1 2 1 distance\n0 0 0\n1 1 0\n", 1, "`FGG1 2 2 distance`"),
+    ("FGG1 2 2 distance\n0 0 0\n0 1 1\n1 0 1\n1 1 0\n1 1 0\n", 6, "end of file"),
+    ("FGG1 2 2 distance\n1 1 0\n0 0 0\n", 2, "`0 0 0`"),
+], ids=["duplicate-pair", "duplicate-pair-relabeled-root", "neighbor-labeled-root",
+        "unknown-strategy", "uniform-with-P2", "distance-with-P1", "trailing-duplicate",
+        "out-of-order"])
+def test_fgg1_lines_must_match_partition(tmp_path, text, line, expected):
+    # labels are a function of the graph and the strategy: anything but the
+    # lines save_graph writes for them is rejected at its first differing line
+    p = tmp_path / "g.fgg"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=expected) as info:
+        load_graph(p)
+    assert info.value.line == line
+
+
+def test_fgg1_blank_lines_and_spacing_are_ignored(tmp_path):
+    g = SpatialGraph(adjacency=np.array([[0, 1], [1, 0]], dtype=np.int8))
+    p = tmp_path / "g.fgg"
+    p.write_text("FGG1  2 2 distance\n\n0 0 0\n0 1   1\n\n1 0 1\n1 1 0\n\n")
+    g2, labels = load_graph(p)
+    assert np.array_equal(g2.adjacency, g.adjacency)
+    assert np.array_equal(labels.labels, partition(g, "distance").labels)
 
 
 @pytest.mark.parametrize("head", ["FGG1 -1 2 distance", "FGG1 2 0 distance",
-                                  "FGG1 2 200 distance"])
+                                  "FGG1 2 200 distance", "FGG1 10000000000000 2 distance"])
 def test_fgg1_bad_header_counts_are_parse_error(tmp_path, head):
     p = tmp_path / "g.fgg"
     p.write_text(head + "\n")
