@@ -8,6 +8,7 @@ existing outputs unless --force is given.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import os
@@ -32,6 +33,41 @@ from .fileio import write_atomic
 log = logging.getLogger("facegcn")
 
 LOCK_NAME = ".facegcn.lock"
+_LOCK_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+
+
+def _holder_is_gone(lock: Path) -> bool:
+    """True when ``lock`` records the pid of a process that no longer exists."""
+    try:
+        pid = int(lock.read_bytes())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # unreadable, empty, or not ours to signal
+        pass
+    return False
+
+
+def _take_over(lock: Path) -> int:
+    """Replace a lock left by a killed command; ConfigError if its holder may still run.
+
+    The stale lock is unlinked and created again exclusively, under an flock
+    on its directory that the kernel drops if this process dies, so two
+    commands that find the same stale lock cannot both unlink it and win.
+    """
+    dir_fd = os.open(lock.parent, os.O_RDONLY)
+    try:
+        fcntl.flock(dir_fd, fcntl.LOCK_EX)
+        if _holder_is_gone(lock):
+            log.warning("taking over %s: its pid no longer runs", lock)
+            lock.unlink(missing_ok=True)
+            return os.open(lock, _LOCK_FLAGS)
+    except FileExistsError:
+        pass
+    finally:
+        os.close(dir_fd)
+    raise ConfigError(f"{lock} exists: another command is writing to this directory")
 
 
 @contextmanager
@@ -39,9 +75,9 @@ def _output_lock(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, _LOCK_FLAGS)
     except FileExistsError:
-        raise ConfigError(f"{lock} exists: another command is writing to this directory")
+        fd = _take_over(lock)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -82,10 +118,14 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
 
     The manifest is what marks a complete dataset, so any previous one is
     removed before the first write and the new one is written last; on any
-    failure every file this call wrote is removed again.
+    failure every file this call wrote is removed again. The manifest names
+    each file relative to its own directory (created if missing), which
+    need not be the output directory.
     """
     out = cfg.output_dir
     graph, labels = _build_spatial(cfg, landmarks)
+    root = cfg.manifest_path.parent
+    root.mkdir(parents=True, exist_ok=True)
     cfg.manifest_path.unlink(missing_ok=True)
     written: list[Path] = []
     try:
@@ -97,7 +137,7 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
                 "sequence": name,
                 "identity": sample.identity,
                 "emotion": sample.emotion,
-                "tensor": written[-1].name,
+                "tensor": os.path.relpath(written[-1], root),
                 "provenance": sample.provenance,
             })
         written.append(out / "graph.fgg")
@@ -106,7 +146,7 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
             "kind": "facegcn-manifest",
             "k": cfg.features.k,
             "J": len(landmarks),
-            "graph": "graph.fgg",
+            "graph": os.path.relpath(written[-1], root),
             "samples": entries,
             **extra,
         })

@@ -9,7 +9,6 @@ covers face regions the detector conventions leave empty.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from .errors import (
     DegeneratePath,
     EmptyInput,
     InvalidPair,
+    InvariantError,
     MissingUV,
     ParseError,
     Unreachable,
@@ -175,77 +175,113 @@ class GeodesicPath:
         return float(self.cumulative[-1])
 
 
-def _dijkstra(graph: EdgeGraph, a: int, targets) -> tuple[list[int], list[bool]]:
-    """Predecessors and popped flags of a Dijkstra search from ``a``.
+def _csr_rows(graph: EdgeGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR edge indices of every row in ``vertices``, concatenated, and each row's length."""
+    lo = graph.indptr[vertices]
+    counts = graph.indptr[vertices + 1] - lo
+    edges = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return edges, counts
 
-    The search stops once every target has been popped (or the component of
-    ``a`` is exhausted). Ties between equal-length paths go to the smaller
-    predecessor index. A popped vertex's predecessor never changes again, so
-    its path is the one a search stopping at that vertex alone would give.
+
+def _search(graph: EdgeGraph, sources, target_sets) -> np.ndarray:
+    """Shortest-path distances from every source at once, one (N,) row per source.
+
+    A label-correcting search in rounds, in the spirit of delta-stepping
+    (Meyer & Sanders, J. Algorithms 2003). The frontier holds flat
+    (source, vertex) indices into one (S * N) distance array; each round
+    relaxes all their CSR edges with ``np.minimum.at``, and the entries whose
+    distance fell form the next frontier. A search's bound is the largest
+    current distance to its targets (infinite until all are reached), and
+    frontier entries above it are dropped, as no path through them can
+    shorten a path to a target.
+
+    Row s holds exact distances for every vertex no farther from sources[s]
+    than its farthest target: the same doubles a heap Dijkstra computes, since
+    float addition is monotone and both reach the fixed point
+    d[v] = min_u fl(d[u] + w). That needs fl(d + w) > d on every relaxed
+    edge, so an absorbed edge (d + w == d) raises InvariantError. Unreached
+    vertices stay infinite.
     """
     n = graph.n_nodes
-    # memoryviews index to Python scalars far faster than the arrays do,
-    # without copying the graph
-    indptr, nbrs, weights = (
-        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
-    )
-    heappop, heappush = heapq.heappop, heapq.heappush
-    remaining = set(targets)
-    dist = [math.inf] * n
-    pred = [-1] * n
-    done = [False] * n
-    dist[a] = 0.0
-    heap = [(0.0, a)]
-    while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u in remaining:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for i in range(indptr[u], indptr[u + 1]):
-            v = nbrs[i]
-            if done[v]:
-                continue
-            nd = d + weights[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred[v]:
-                pred[v] = u
-    return pred, done
+    offsets = np.arange(len(sources), dtype=np.int64) * n
+    dist = np.full(offsets.size * n, np.inf)
+    slot = np.empty(dist.size, dtype=np.int64)  # dedupes the next frontier without a sort
+    frontier = offsets + np.asarray(sources, dtype=np.int64)
+    dist[frontier] = 0.0
+    sizes = [len(t) for t in target_sets]
+    goals = np.array([t for ts in target_sets for t in ts], dtype=np.int64)
+    goals += np.repeat(offsets, sizes)
+    groups = np.cumsum(sizes) - sizes
+    while frontier.size:
+        bound = np.maximum.reduceat(dist[goals], groups)
+        d = dist[frontier]
+        row, vertex = np.divmod(frontier, n)
+        keep = d <= bound[row]
+        frontier, d, vertex = frontier[keep], d[keep], vertex[keep]
+        edges, counts = _csr_rows(graph, vertex)
+        du = np.repeat(d, counts)
+        nd = du + graph.weights_csr[edges]
+        if (nd == du).any():
+            raise InvariantError("an edge weight is absorbed by the path length (d + w == d)")
+        cand = np.repeat(frontier - vertex, counts) + graph.targets[edges]
+        fell = nd < dist[cand]
+        cand, nd = cand[fell], nd[fell]
+        np.minimum.at(dist, cand, nd)
+        order = np.arange(cand.size)
+        slot[cand] = order  # the last write per index wins: one entry per index survives
+        frontier = cand[slot[cand] == order]
+    return dist.reshape(offsets.size, n)
 
 
-def _path_from_preds(
-    graph: EdgeGraph, pred: list[int], a: int, b: int, src: int
-) -> GeodesicPath:
-    """The a -> b predecessor chain of a search from a, oriented to start at src."""
-    indptr, nbrs, weights = (
-        memoryview(graph.indptr), memoryview(graph.targets), memoryview(graph.weights_csr)
-    )
-    chain = [b]
-    while chain[-1] != a:
-        chain.append(pred[chain[-1]])
-    chain.reverse()
-    if src != a:
-        chain.reverse()
-    edge_weights = []
-    for u, v in zip(chain, chain[1:]):
-        i = indptr[u]
-        while nbrs[i] != v:
-            i += 1
-        edge_weights.append(weights[i])
-    cumulative = np.array(
-        [0.0] + [math.fsum(edge_weights[:i]) for i in range(1, len(chain))]
-    )
+def _walk_back(
+    graph: EdgeGraph, dist: np.ndarray, rows, ends
+) -> list[tuple[list[int], list[float]]]:
+    """Vertex chain and edge weights from each ``ends[i]`` back to the source of row ``rows[i]``.
+
+    All walks advance together. Each step moves from v to the smallest
+    neighbour u with fl(d[u] + w) == d[v]: the predecessor a heap Dijkstra
+    keeps when ties go to the smaller predecessor index. The chains end at
+    the vertex with distance 0.
+    """
+    n, n_csr = graph.n_nodes, graph.targets.size
+    flat = dist.reshape(-1)
+    rows = np.asarray(rows, dtype=np.int64) * n
+    cur = np.asarray(ends, dtype=np.int64)
+    chains = [[v] for v in cur.tolist()]
+    weights: list[list[float]] = [[] for _ in chains]
+    walking = np.nonzero(flat[rows + cur] > 0.0)[0]
+    while walking.size:
+        row, v = rows[walking], cur[walking]
+        edges, counts = _csr_rows(graph, v)
+        u = graph.targets[edges]
+        hit = flat[np.repeat(row, counts) + u] + graph.weights_csr[edges] == np.repeat(
+            flat[row + v], counts
+        )
+        # keyed so the minimum is the smallest u, then its first CSR entry
+        key = np.where(hit, u * n_csr + edges, n * n_csr)
+        pred, edge = np.divmod(np.minimum.reduceat(key, np.cumsum(counts) - counts), n_csr)
+        for i, p, w in zip(walking.tolist(), pred.tolist(), graph.weights_csr[edge].tolist()):
+            chains[i].append(p)
+            weights[i].append(w)
+        cur[walking] = pred
+        walking = walking[flat[rows[walking] + pred] > 0.0]
+    return list(zip(chains, weights))
+
+
+def _oriented_path(chain: list[int], weights: list[float], start: int) -> GeodesicPath:
+    """The path along ``chain``, reversed if needed to begin at ``start``.
+
+    Cumulative arc lengths are exactly-rounded prefix sums (math.fsum), so
+    the total length does not depend on the direction.
+    """
+    if chain[0] != start:
+        chain, weights = chain[::-1], weights[::-1]
+    cumulative = np.array([0.0] + [math.fsum(weights[:i]) for i in range(1, len(chain))])
     return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=cumulative)
 
 
 def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
-    """Shortest path between two vertices in the face-edge graph (Dijkstra).
+    """Shortest path between two vertices in the face-edge graph.
 
     Ties between equal-length paths are broken toward the smaller
     predecessor vertex index. The search always runs from the smaller
@@ -261,10 +297,11 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
             cumulative=np.zeros(1, dtype=np.float64),
         )
     a, b = (int(src), int(dst)) if src < dst else (int(dst), int(src))
-    pred, done = _dijkstra(graph, a, (b,))
-    if not done[b]:
+    dist = _search(graph, [a], [[b]])
+    if dist[0, b] == math.inf:
         raise Unreachable(f"no path from {src} to {dst}")
-    return _path_from_preds(graph, pred, a, b, int(src))
+    [(chain, weights)] = _walk_back(graph, dist, [0], [b])
+    return _oriented_path(chain, weights, int(src))
 
 
 def geodesic_midpoint(
@@ -314,12 +351,18 @@ def augment_landmarks(
             raise InvalidPair(f"pair ({a}, {b}) must name two distinct base ids")
         pair_anchors.append((a, b, by_id[a].anchor, by_id[b].anchor))
 
-    # one search per smaller anchor, stopping once all its partners are popped
+    # one batched search over every smaller anchor, each bounded by its partners
     partners: dict[int, set[int]] = {}
     for _, _, va, vb in pair_anchors:
         if va != vb:
             partners.setdefault(min(va, vb), set()).add(max(va, vb))
-    searches = {lo: _dijkstra(graph, lo, his) for lo, his in partners.items()}
+    sources = list(partners)
+    target_sets = [sorted(partners[lo]) for lo in sources]
+    dist = _search(graph, sources, target_sets)
+    walks = [(r, lo, hi) for r, lo in enumerate(sources) for hi in target_sets[r]
+             if dist[r, hi] < math.inf]
+    found = _walk_back(graph, dist, [r for r, _, _ in walks], [hi for _, _, hi in walks])
+    paths = {(lo, hi): walk for (_, lo, hi), walk in zip(walks, found)}
 
     entries = list(base.entries)
     skipped: list[tuple[int, int]] = []
@@ -328,12 +371,11 @@ def augment_landmarks(
         if va == vb:
             mid = va  # both snapped to one vertex: midpoint is that vertex
         else:
-            lo, hi = min(va, vb), max(va, vb)
-            pred, done = searches[lo]
-            if not done[hi]:
+            walk = paths.get((min(va, vb), max(va, vb)))
+            if walk is None:
                 skipped.append((a, b))
                 continue
-            mid, _ = geodesic_midpoint(_path_from_preds(graph, pred, lo, hi, va))
+            mid, _ = geodesic_midpoint(_oriented_path(*walk, va))
         pos = np.array(mesh.vertices[mid], dtype=np.float64)
         pos.flags.writeable = False
         entries.append(

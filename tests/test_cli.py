@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from facegcn import fileio, mesh_core, stgcn_net
-from facegcn.cli import main
+from facegcn.cli import _output_lock, main
 from facegcn.config import (
     RunConfig,
     config_from_dict,
@@ -135,6 +138,15 @@ def test_synth_writes_60_tensors_and_manifest(tmp_path):
     t = load_tensor(tensors[0])
     assert t.C == 6 * 4
     assert not (out / ".facegcn.lock").exists()
+
+
+def test_manifest_outside_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = small_config(tmp_path, paths={"output_dir": "out", "manifest": "meta/manifest.json"})
+    assert main(["synth", "--config", str(p)]) == 0
+    manifest = json.loads((tmp_path / "meta" / "manifest.json").read_text())
+    assert manifest["graph"] == "../out/graph.fgg"
+    assert main(["train", "--config", str(p)]) == 0
 
 
 def test_synth_refuses_rerun_without_force(tmp_path, capsys):
@@ -559,17 +571,34 @@ def test_output_dir_lock_blocks_concurrent_commands(tmp_path, capsys):
     p = small_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir(parents=True)
-    (out / ".facegcn.lock").write_text("123")
+    (out / ".facegcn.lock").write_text(str(os.getpid()))  # a live holder
     assert main(["synth", "--config", str(p)]) == 2
     assert "lock" in capsys.readouterr().err
     (out / ".facegcn.lock").unlink()
     assert main(["synth", "--config", str(p)]) == 0
 
 
-def test_installed_cli_entry_point(tmp_path):
-    import subprocess
-    import sys
+def test_stale_lock_of_dead_pid_is_taken_over(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid no longer runs
+    lock = tmp_path / ".facegcn.lock"
+    lock.write_text(str(child.pid))
+    with _output_lock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
 
+
+@pytest.mark.parametrize("content", ["", "not a pid"])
+def test_unreadable_lock_blocks(tmp_path, content):
+    lock = tmp_path / ".facegcn.lock"
+    lock.write_text(content)
+    with pytest.raises(ConfigError, match="another command"):
+        with _output_lock(tmp_path):
+            pass
+    assert lock.read_text() == content
+
+
+def test_installed_cli_entry_point(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "facegcn.cli", "synth", "--print-config"],
         capture_output=True, text=True,

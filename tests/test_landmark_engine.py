@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -9,6 +10,7 @@ from facegcn.errors import (
     DegeneratePath,
     EmptyInput,
     InvalidPair,
+    InvariantError,
     MissingUV,
     ParseError,
     Unreachable,
@@ -25,7 +27,7 @@ from facegcn.landmark_engine import (
     load_landmarks_3d,
     snap_to_mesh,
 )
-from facegcn.mesh_core import TexturedMesh, build_edge_graph
+from facegcn.mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
 
 
 def synth_mesh(grid=10, seed=2):
@@ -206,6 +208,27 @@ def test_geodesic_unreachable():
     g = build_edge_graph(two_component_mesh())
     with pytest.raises(Unreachable):
         geodesic_path(g, 0, 3)
+
+
+@pytest.mark.parametrize("src, dst", [(-1, 2), (0, 6), (6, 6)])
+def test_geodesic_vertex_out_of_range(src, dst):
+    g = build_edge_graph(two_component_mesh())
+    with pytest.raises(IndexError):
+        geodesic_path(g, src, dst)
+
+
+def test_absorbed_edge_weight_is_an_invariant_error():
+    # path 0 - 1 - 2: the unit edge vanishes in 1e20 + 1.0 == 1e20
+    g = EdgeGraph(
+        n_nodes=3,
+        edges=np.array([[0, 1], [1, 2]]),
+        weights=np.array([1e20, 1.0]),
+        indptr=np.array([0, 1, 3, 4]),
+        targets=np.array([1, 0, 2, 1]),
+        weights_csr=np.array([1e20, 1e20, 1.0, 1.0]),
+    )
+    with pytest.raises(InvariantError, match="absorbed"):
+        geodesic_path(g, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +500,31 @@ def test_augment_matches_per_pair_reference_on_unit_grids():
             entries[len(base):]
         assert all(np.array_equal(e.position, mesh.vertices[e.anchor]) for e in got.landmarks)
     assert n_skipped > 0
+
+
+def with_random_weights(graph, rng):
+    """The same edges as ``graph`` with seeded weights in [0.1, 1), symmetric in CSR."""
+    n = graph.n_nodes
+    weights = rng.uniform(0.1, 1.0, size=graph.n_edges)
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    keys = np.minimum(rows, graph.targets) * n + np.maximum(rows, graph.targets)
+    edge_of = np.searchsorted(graph.edges[:, 0] * n + graph.edges[:, 1], keys)
+    return dataclasses.replace(graph, weights=weights, weights_csr=weights[edge_of])
+
+
+def test_augment_batched_sources_match_per_pair_reference_on_random_weights():
+    rng = np.random.default_rng(34)
+    mesh = unit_grids(9, rng)  # two components of 81 vertices each
+    g = with_random_weights(build_edge_graph(mesh), rng)
+    anchors = [3, 17, 40, 44, 62, 80, 81 + 40]  # the last lies in the other component
+    base = snap_to_mesh(mesh, mesh.vertices[anchors])
+    pairs = [(0, 1), (0, 4), (0, 6), (1, 2), (1, 5), (2, 3), (3, 4), (5, 0), (4, 5)]
+    got = augment_landmarks(mesh, g, base, pairs)
+
+    assert got.skipped == [(0, 6)]
+    want = [geodesic_midpoint(reference_geodesic_path(g, anchors[a], anchors[b]))[0]
+            for a, b in pairs if (a, b) != (0, 6)]
+    assert [e.anchor for e in got.landmarks.entries[len(base):]] == want
 
 
 def test_lift_matches_broadcast_reference():
