@@ -8,6 +8,7 @@ existing outputs unless --force is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import json
 import logging
@@ -32,58 +33,24 @@ from .fileio import write_atomic
 
 log = logging.getLogger("facegcn")
 
-LOCK_NAME = ".facegcn.lock"
-_LOCK_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-
-
-def _holder_is_gone(lock: Path) -> bool:
-    """True when ``lock`` records the pid of a process that no longer exists."""
-    try:
-        pid = int(lock.read_bytes())
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):  # unreadable, empty, or not ours to signal
-        pass
-    return False
-
-
-def _take_over(lock: Path) -> int:
-    """Replace a lock left by a killed command; ConfigError if its holder may still run.
-
-    The stale lock is unlinked and created again exclusively, under an flock
-    on its directory that the kernel drops if this process dies, so two
-    commands that find the same stale lock cannot both unlink it and win.
-    """
-    dir_fd = os.open(lock.parent, os.O_RDONLY)
-    try:
-        fcntl.flock(dir_fd, fcntl.LOCK_EX)
-        if _holder_is_gone(lock):
-            log.warning("taking over %s: its pid no longer runs", lock)
-            lock.unlink(missing_ok=True)
-            return os.open(lock, _LOCK_FLAGS)
-    except FileExistsError:
-        pass
-    finally:
-        os.close(dir_fd)
-    raise ConfigError(f"{lock} exists: another command is writing to this directory")
-
 
 @contextmanager
 def _output_lock(out_dir: Path):
+    """Hold an exclusive flock on ``out_dir`` for the ``with`` body.
+
+    The kernel drops the lock when its holder exits or is killed, so a
+    killed command leaves nothing behind that blocks a later one.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / LOCK_NAME
+    fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        fd = os.open(lock, _LOCK_FLAGS)
-    except FileExistsError:
-        fd = _take_over(lock)
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{out_dir} is locked: another command is writing to this directory")
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _refuse_existing(path: Path, force: bool) -> None:
@@ -314,13 +281,7 @@ def _class_mapping(samples) -> dict[int, int]:
 
 def _model_arch(cfg: RunConfig, in_channels: int, num_classes: int) -> stgcn_net.ModelArch:
     return stgcn_net.ModelArch(
-        in_channels=in_channels,
-        block_channels=cfg.model.block_channels,
-        strides=cfg.model.strides,
-        kernel_size=cfg.model.kernel_size,
-        num_classes=num_classes,
-        graph_conv_bias=cfg.model.graph_conv_bias,
-        residual=cfg.model.residual,
+        in_channels=in_channels, num_classes=num_classes, **dataclasses.asdict(cfg.model)
     )
 
 
@@ -381,20 +342,13 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)
 
-    if model.arch.num_classes != len(classes):
+    expected = _model_arch(cfg, samples[0].tensor.C, len(classes))
+    if model.arch != expected:
         raise ArchitectureMismatch(
-            f"checkpoint has {model.arch.num_classes} classes, manifest {len(classes)}"
-        )
-    if model.arch.in_channels != samples[0].tensor.C:
-        raise ArchitectureMismatch(
-            f"checkpoint expects C={model.arch.in_channels}, tensors have C={samples[0].tensor.C}"
+            f"checkpoint has {model.arch}, but config and tensors give {expected}"
         )
     if model.J != graph.J:
         raise ArchitectureMismatch(f"checkpoint J={model.J}, graph J={graph.J}")
-    if (model.arch.block_channels, model.arch.strides, model.arch.kernel_size) != (
-        cfg.model.block_channels, cfg.model.strides, cfg.model.kernel_size
-    ):
-        raise ArchitectureMismatch("checkpoint block architecture disagrees with config")
 
     _, test_side = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
     if not test_side:

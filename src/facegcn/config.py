@@ -163,17 +163,6 @@ _PAIR_FIELDS = {"augmentation_pairs", "template_pairs"}
 _TUPLE_FIELDS = {"block_channels", "strides", "decay_epochs", "train_emotions", "emotions"}
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-
-    def listify(x):
-        return [listify(v) for v in x] if isinstance(x, (list, tuple)) else x
-
-    return {k: listify(v) if isinstance(v, (list, tuple)) else
-            ({kk: listify(vv) for kk, vv in v.items()} if isinstance(v, dict) else v)
-            for k, v in out.items()}
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -232,7 +221,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path) -> RunConfig:

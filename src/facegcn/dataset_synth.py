@@ -10,7 +10,6 @@ the held-out ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -285,23 +284,6 @@ def _separability(neutral, peak, cfg: SynthConfig) -> tuple[float, float]:
     inter = float(np.mean(inter_vals)) if inter_vals else np.inf
     intra = float(np.mean(intra_vals)) if intra_vals else 0.0
     return inter, intra
-
-
-def emotion_subset_splits(
-    samples: Sequence[SequenceSample], train_count: int = 3
-):
-    """Yield (train_emotions, train, test) for every train-emotion subset.
-
-    Optional protocol-averaging mode: iterate the C(n, train_count) choices
-    of training emotions and average the resulting test accuracies. The
-    single-subset protocol stays the default.
-    """
-    present = sorted({s.emotion for s in samples})
-    if not (0 < train_count < len(present)):
-        raise EmptySide(f"train_count {train_count} leaves an empty side")
-    for subset in itertools.combinations(present, train_count):
-        train, test = cross_emotion_split(samples, subset)
-        yield subset, train, test
 
 
 def cross_emotion_split(

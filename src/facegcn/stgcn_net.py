@@ -504,6 +504,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         meta = {key: int(keys.get(key, 0)) for key in ("k", "seed", "epoch")}
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad checkpoint metadata: {exc}", path=path)
+    if j_count < 1 or p_count < 1:
+        raise ParseError(f"J={j_count} and P={p_count} must both be positive", path=path)
 
     arrays: dict[str, np.ndarray] = {}
     off = 0

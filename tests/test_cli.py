@@ -1,3 +1,5 @@
+import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -10,13 +12,7 @@ import pytest
 
 from facegcn import fileio, mesh_core, stgcn_net
 from facegcn.cli import _output_lock, main
-from facegcn.config import (
-    RunConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    serialize_config,
-)
+from facegcn.config import RunConfig, config_from_dict, load_config, serialize_config
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import ConfigError
 from facegcn.mesh_core import write_mesh
@@ -67,7 +63,7 @@ def test_config_round_trip():
     cfg = RunConfig()
     cfg.features.k = 9
     cfg.train.train_emotions = (1, 4)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     assert config_from_dict(json.loads(serialize_config(cfg))) == cfg
 
 
@@ -449,6 +445,31 @@ def test_train_golden_checkpoint_digest(synth_out, tmp_path):
     assert digest == GOLDEN_TRAIN_CHECKPOINT_SHA256
 
 
+def test_eval_residual_mismatch(synth_out, tmp_path):
+    # the checkpoint's residual flag is part of the architecture eval checks
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    cfg = json.loads(p.read_text())
+    p_plain = tmp_path / "plain.json"
+    p_plain.write_text(json.dumps(cfg))
+    cfg["model"] = {"residual": False}
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["eval", "--config", str(p_plain)]) == 2
+
+
+def test_eval_nonpositive_checkpoint_j_exit_code_2(synth_out, tmp_path, capsys):
+    # (P, -J, -J) holds as many values as the adjacency, so only the header
+    # check stops the reshape from failing with a ValueError
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    assert main(["train", "--config", str(p)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint_final.fgc"
+    data = ckpt.read_bytes()
+    j = stgcn_net.load_checkpoint(ckpt)[0].J
+    ckpt.write_bytes(data.replace(f"\nJ {j}\n".encode(), f"\nJ -{j}\n".encode(), 1))
+    assert main(["eval", "--config", str(p)]) == 2
+    assert "must both be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, artifact", [
     ("train", "train_log.txt"),
     ("eval", "eval_report.json"),
@@ -571,30 +592,45 @@ def test_output_dir_lock_blocks_concurrent_commands(tmp_path, capsys):
     p = small_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir(parents=True)
-    (out / ".facegcn.lock").write_text(str(os.getpid()))  # a live holder
-    assert main(["synth", "--config", str(p)]) == 2
-    assert "lock" in capsys.readouterr().err
-    (out / ".facegcn.lock").unlink()
+    holder = os.open(out, os.O_RDONLY | os.O_DIRECTORY)  # a live holder
+    try:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(["synth", "--config", str(p)]) == 2
+        assert "another command" in capsys.readouterr().err
+    finally:
+        os.close(holder)
     assert main(["synth", "--config", str(p)]) == 0
 
 
-def test_stale_lock_of_dead_pid_is_taken_over(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: its pid no longer runs
-    lock = tmp_path / ".facegcn.lock"
-    lock.write_text(str(child.pid))
+def test_killed_holder_does_not_block(tmp_path):
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time; from pathlib import Path; from facegcn.cli import _output_lock\n"
+         "with _output_lock(Path(sys.argv[1])):\n"
+         "    print('held', flush=True); time.sleep(60)",
+         str(tmp_path)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline() == "held\n"
+        with pytest.raises(ConfigError, match="another command"):
+            with _output_lock(tmp_path):
+                pass
+    finally:
+        child.kill()  # SIGKILL: the child runs no cleanup
+        child.wait()
+        child.stdout.close()
     with _output_lock(tmp_path):
-        assert lock.read_text() == str(os.getpid())
-    assert not lock.exists()
+        pass
 
 
-@pytest.mark.parametrize("content", ["", "not a pid"])
-def test_unreadable_lock_blocks(tmp_path, content):
+@pytest.mark.parametrize("content", ["", "1", "not a pid"])
+def test_leftover_lock_file_does_not_block(tmp_path, content):
+    # a .facegcn.lock pid file from an earlier version; one killed mid-write is empty
     lock = tmp_path / ".facegcn.lock"
     lock.write_text(content)
-    with pytest.raises(ConfigError, match="another command"):
-        with _output_lock(tmp_path):
-            pass
+    with _output_lock(tmp_path):
+        pass
     assert lock.read_text() == content
 
 

@@ -11,7 +11,6 @@ from facegcn.dataset_synth import (
     build_dataset,
     cross_emotion_split,
     default_augment_pairs,
-    emotion_subset_splits,
     generate_sequence,
     landmark_grid_indices,
     make_frame_mesh,
@@ -178,47 +177,6 @@ def test_split_missing_identity():
     samples = [S(0, 0), S(0, 1), S(1, 0)]  # identity 1 has no emotion-1 sample
     with pytest.raises(MissingIdentity):
         cross_emotion_split(samples, (0,))
-
-
-def test_emotion_subset_splits_enumerates_all_choices():
-    class S:
-        def __init__(self, i, e):
-            self.identity, self.emotion = i, e
-
-    samples = [S(i, e) for i in range(3) for e in range(6)]
-    splits = list(emotion_subset_splits(samples, train_count=3))
-    assert len(splits) == 20  # C(6, 3)
-    assert len({subset for subset, _, _ in splits}) == 20
-    for subset, train, test in splits:
-        assert len(train) == len(test) == 9
-        assert {s.emotion for s in train} == set(subset)
-    with pytest.raises(EmptySide):
-        list(emotion_subset_splits(samples, train_count=6))
-
-
-def test_emotion_subset_protocol_averaging(fast_dataset):
-    # two emotions -> C(2,1) = 2 subset protocols; train one tiny model per
-    # subset and average the test accuracies
-    from facegcn import st_graph, stgcn_net
-
-    graph = st_graph.build_spatial_edges(fast_dataset.landmarks, "knn", knn_m=2)
-    norm = st_graph.normalize_adjacency(graph, st_graph.partition(graph, "distance"))
-    accs = []
-    for subset, train, test in emotion_subset_splits(fast_dataset.samples, train_count=1):
-        arch = stgcn_net.ModelArch(
-            in_channels=train[0].tensor.C, block_channels=(8, 8), strides=(1, 1),
-            kernel_size=3, num_classes=3,
-        )
-        model = stgcn_net.init_model(arch, norm, seed=13)
-        stgcn_net.train_model(
-            model, [(s.tensor.values, s.identity) for s in train],
-            epochs=5, base_lr=0.01, momentum=0.95, weight_decay=0.0,
-            decay_epochs=(), gamma=0.1, batch_size=3, seed=13,
-        )
-        c, t, _ = stgcn_net.evaluate(model, [(s.tensor.values, s.identity) for s in test])
-        accs.append(c / t)
-    assert len(accs) == 2
-    assert 0.0 <= float(np.mean(accs)) <= 1.0
 
 
 # SHA-256 of the FGT1 files of SynthConfig(n_identities=2, emotions=(0,), T=4),

@@ -552,3 +552,17 @@ def test_checkpoint_bad_meta_value_is_parse_error(tmp_path):
     tamper_checkpoint(p, lambda h: [("epoch x" if line == "epoch 3" else line) for line in h])
     with pytest.raises(ParseError, match="metadata"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("line, tampered", [("J 3", "J -3"), ("J 3", "J 0"), ("P 2", "P 0")])
+def test_checkpoint_nonpositive_j_or_p_is_parse_error(tmp_path, line, tampered):
+    # J=3, P=2: the 18 adjacency values also fit a (2, -3, -3) reshape
+    g = SpatialGraph(adjacency=np.ones((3, 3), dtype=np.int8) - np.eye(3, dtype=np.int8))
+    adjacency = normalize_adjacency(g, partition(g, "distance"))
+    arch = ModelArch(in_channels=3, block_channels=(4,), strides=(1,), kernel_size=3,
+                     num_classes=2)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, init_model(arch, adjacency, seed=0))
+    tamper_checkpoint(p, lambda h: [(tampered if ln == line else ln) for ln in h])
+    with pytest.raises(ParseError, match="must both be positive"):
+        load_checkpoint(p)
