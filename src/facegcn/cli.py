@@ -29,7 +29,7 @@ from .errors import (
     InconsistentLandmarks,
     NumericalError,
 )
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 
 log = logging.getLogger("facegcn")
 
@@ -56,13 +56,6 @@ def _output_lock(out_dir: Path):
 def _refuse_existing(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise ConfigError(f"{path} exists; rerun with --force to overwrite")
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}")
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
@@ -209,7 +202,7 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
     labels_path = Path(cfg.paths.labels_file) if cfg.paths.labels_file else input_dir / "labels.json"
     if not labels_path.exists():
         raise ConfigError(f"label mapping file not found: {labels_path}")
-    labels = _read_json(labels_path)
+    labels = read_json(labels_path)
     if not isinstance(labels, dict):
         raise ConfigError(f"{labels_path}: expected an object keyed by sequence name")
     targets = []
@@ -246,7 +239,7 @@ def _load_manifest(cfg: RunConfig):
     path = cfg.manifest_path
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
-    manifest = _read_json(path)
+    manifest = read_json(path)
     if (not isinstance(manifest, dict) or manifest.get("kind") != "facegcn-manifest"
             or not manifest.get("samples")):
         raise ConfigError(f"{path}: not a usable manifest")

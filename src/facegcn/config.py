@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import read_json
 
 # Default augmentation pairs for the 68-point landmark convention: jaw
 # contour to nose/eye-corner/mouth anchors, covering the cheeks the base
@@ -112,6 +113,8 @@ class RunConfig:
 
     def validate(self) -> None:
         f, g, m, o, t, s = self.features, self.graph, self.model, self.optim, self.train, self.synth
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if f.k < 1:
             raise ConfigError(f"features.k must be >= 1, got {f.k}")
         if f.landmark_source not in ("lm2", "lm3"):
@@ -228,10 +231,6 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(read_json(path))
     cfg.validate()
     return cfg

@@ -25,6 +25,10 @@ N_EMOTIONS = 6
 # fixed facial regions of the (u, v) parameter square: mouth, left eye, right eye
 _REGION_CENTERS = ((0.5, 0.3), (0.35, 0.7), (0.65, 0.7))
 _EMOTION_ENTROPY = 7707  # seeds the per-emotion deformation templates
+_RADII = (1.0, 1.3, 0.8)  # dome semi-axes along x, y, z
+_N_MODES = 4  # smooth displacement modes per identity
+_PALETTE_REGIONS = 4  # color palette cells per side of the (u, v) square
+_N_BUMPS = 3  # localized bumps per emotion
 
 
 @dataclass(frozen=True)
@@ -33,10 +37,7 @@ class IdentityParams:
 
     seed: int
     grid: int = 24
-    radii: tuple[float, float, float] = (1.0, 1.3, 0.8)
     amplitude: float = 0.18
-    n_modes: int = 4
-    palette_regions: int = 4
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class ExpressionParams:
 
     emotion: int
     amplitude: float = 0.035
-    n_bumps: int = 3
 
     def __post_init__(self):
         if not (0 <= self.emotion < N_EMOTIONS):
@@ -74,12 +74,12 @@ def _grid_faces(n: int) -> np.ndarray:
 def _identity_fields(params: IdentityParams):
     rng = np.random.default_rng(params.seed)
     modes = []
-    for _ in range(params.n_modes):
+    for _ in range(_N_MODES):
         amp = rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0)
         fu, fv = rng.integers(1, 4), rng.integers(1, 4)
         pu, pv = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
         modes.append((amp, int(fu), int(fv), pu, pv))
-    r = params.palette_regions
+    r = _PALETTE_REGIONS
     palette = rng.uniform(0.02, 0.98, size=(r * r, 3))
     palette = np.round(palette * 255.0) / 255.0  # uchar domain for exact round trips
     return modes, palette
@@ -88,7 +88,7 @@ def _identity_fields(params: IdentityParams):
 def _emotion_template(expr: ExpressionParams):
     rng = np.random.default_rng([_EMOTION_ENTROPY, expr.emotion])
     bumps = []
-    for b in range(expr.n_bumps):
+    for b in range(_N_BUMPS):
         cu, cv = _REGION_CENTERS[b % len(_REGION_CENTERS)]
         cu += rng.uniform(-0.06, 0.06)
         cv += rng.uniform(-0.06, 0.06)
@@ -112,7 +112,7 @@ def make_frame_mesh(identity: IdentityParams, expr: ExpressionParams, t: int, T:
     lin = np.linspace(0.0, 1.0, n)
     u, v = np.meshgrid(lin, lin, indexing="ij")
     su, sv = 2.0 * u - 1.0, 2.0 * v - 1.0
-    rx, ry, rz = identity.radii
+    rx, ry, rz = _RADII
 
     z = rz * np.sqrt(np.clip(1.0 - su**2 - sv**2, 0.0, None))
     modes, palette = _identity_fields(identity)
@@ -128,7 +128,7 @@ def make_frame_mesh(identity: IdentityParams, expr: ExpressionParams, t: int, T:
             )
 
     vertices = np.stack([rx * su, ry * sv, z], axis=-1).reshape(-1, 3)
-    r = identity.palette_regions
+    r = _PALETTE_REGIONS
     iu = np.minimum((u * r).astype(int), r - 1)
     iv = np.minimum((v * r).astype(int), r - 1)
     colors = palette[(iu * r + iv).reshape(-1)]

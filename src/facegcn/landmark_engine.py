@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     Unreachable,
 )
+from .fileio import read_text
 from .mesh_core import EdgeGraph, TexturedMesh
 
 BASE = "base"
@@ -67,15 +68,8 @@ class LandmarkSet:
     def __getitem__(self, i: int) -> Landmark:
         return self.entries[i]
 
-    @property
-    def n_base(self) -> int:
-        return sum(1 for e in self.entries if e.kind == BASE)
-
     def positions(self) -> np.ndarray:
         return np.array([e.position for e in self.entries], dtype=np.float64)
-
-    def anchors(self) -> np.ndarray:
-        return np.array([e.anchor for e in self.entries], dtype=np.int64)
 
     def ordering_hash(self) -> int:
         """64-bit hash of the logical landmark ordering.
@@ -138,18 +132,19 @@ def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
 def _load_point_file(path, dim: int) -> np.ndarray:
     path = Path(path)
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != dim:
-                raise ParseError(f"expected {dim} floats per line", path=path, line=lineno)
-            try:
-                pts.append([float(t) for t in tok])
-            except ValueError:
-                raise ParseError("bad float", path=path, line=lineno)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        if len(tok) != dim:
+            raise ParseError(f"expected {dim} floats per line", path=path, line=lineno)
+        try:
+            pts.append([float(t) for t in tok])
+        except ValueError:
+            raise ParseError("bad float", path=path, line=lineno)
+        if not all(map(math.isfinite, pts[-1])):
+            raise ParseError("non-finite coordinate", path=path, line=lineno)
     if not pts:
         raise EmptyInput(f"{path}: no landmark points")
     return np.asarray(pts, dtype=np.float64)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantError, ParseError
+from .fileio import read_text
 
 DEFAULT_COLOR = (0.5, 0.5, 0.5)
 
@@ -85,25 +86,15 @@ class ValidationReport:
 class EdgeGraph:
     """Undirected weighted graph over mesh vertices, one edge per face edge.
 
-    ``indptr``/``targets``/``weights_csr`` give CSR-style adjacency for
-    traversal; ``edges``/``weights`` list each undirected edge once (u < v).
+    CSR adjacency: the neighbors of v are ``targets[indptr[v]:indptr[v + 1]]``
+    with weights ``weights_csr[indptr[v]:indptr[v + 1]]``; every undirected
+    edge appears once in each endpoint's row.
     """
 
     n_nodes: int
-    edges: np.ndarray  # (E, 2) int64, u < v
-    weights: np.ndarray  # (E,) float64, > 0
     indptr: np.ndarray  # (n_nodes + 1,) int64
     targets: np.ndarray  # (2E,) int64
-    weights_csr: np.ndarray  # (2E,) float64
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
-
-    def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor vertex indices of v and the corresponding edge weights."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return self.targets[lo:hi], self.weights_csr[lo:hi]
+    weights_csr: np.ndarray  # (2E,) float64, > 0
 
 
 def _face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,11 +208,9 @@ def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    for arr in (pairs, weights, indptr, dst, w2):
+    for arr in (indptr, dst, w2):
         arr.flags.writeable = False
-    return EdgeGraph(
-        n_nodes=n, edges=pairs, weights=weights, indptr=indptr, targets=dst, weights_csr=w2
-    )
+    return EdgeGraph(n_nodes=n, indptr=indptr, targets=dst, weights_csr=w2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +222,14 @@ def _f32(text: str) -> float:
     return float(np.float32(text))
 
 
-def load_mesh(path, fmt: str | None = None) -> TexturedMesh:
-    """Load an OBJ or PLY mesh; format inferred from the extension by default.
+def load_mesh(path) -> TexturedMesh:
+    """Load an OBJ or PLY mesh; the format is the file suffix.
 
     The returned mesh satisfies every TexturedMesh invariant (otherwise
     InvariantError); malformed records raise ParseError with a line number.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lower().lstrip(".")
+    fmt = path.suffix.lower().lstrip(".")
     if fmt == "obj":
         mesh = _load_obj(path)
     elif fmt == "ply":
@@ -261,54 +249,53 @@ def _load_obj(path: Path) -> TexturedMesh:
     faces: list[tuple[int, int, int]] = []
     face_uv_refs: list[tuple[int, int, int] | None] = []
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            kind, args = tok[0], tok[1:]
-            if kind == "v":
-                if len(args) not in (3, 6):
-                    raise ParseError("v expects 3 or 6 floats", path=path, line=lineno)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        kind, args = tok[0], tok[1:]
+        if kind == "v":
+            if len(args) not in (3, 6):
+                raise ParseError("v expects 3 or 6 floats", path=path, line=lineno)
+            try:
+                vals = [_f32(a) for a in args]
+            except ValueError:
+                raise ParseError("bad float in v record", path=path, line=lineno)
+            vertices.append(tuple(vals[:3]))
+            colors.append(tuple(vals[3:]) if len(vals) == 6 else None)
+        elif kind == "vt":
+            if len(args) != 2:
+                raise ParseError("vt expects 2 floats", path=path, line=lineno)
+            try:
+                uvs.append((_f32(args[0]), _f32(args[1])))
+            except ValueError:
+                raise ParseError("bad float in vt record", path=path, line=lineno)
+        elif kind == "f":
+            if len(args) != 3:
+                raise ParseError("f expects exactly 3 vertex references", path=path, line=lineno)
+            vidx, tidx = [], []
+            for ref in args:
+                parts = ref.split("/")
+                if len(parts) == 1:
+                    v, t = parts[0], None
+                elif len(parts) == 2 and parts[1]:
+                    v, t = parts
+                else:
+                    raise ParseError(f"unsupported face reference {ref!r}", path=path, line=lineno)
                 try:
-                    vals = [_f32(a) for a in args]
+                    vi = int(v)
+                    ti = int(t) if t is not None else None
                 except ValueError:
-                    raise ParseError("bad float in v record", path=path, line=lineno)
-                vertices.append(tuple(vals[:3]))
-                colors.append(tuple(vals[3:]) if len(vals) == 6 else None)
-            elif kind == "vt":
-                if len(args) != 2:
-                    raise ParseError("vt expects 2 floats", path=path, line=lineno)
-                try:
-                    uvs.append((_f32(args[0]), _f32(args[1])))
-                except ValueError:
-                    raise ParseError("bad float in vt record", path=path, line=lineno)
-            elif kind == "f":
-                if len(args) != 3:
-                    raise ParseError("f expects exactly 3 vertex references", path=path, line=lineno)
-                vidx, tidx = [], []
-                for ref in args:
-                    parts = ref.split("/")
-                    if len(parts) == 1:
-                        v, t = parts[0], None
-                    elif len(parts) == 2 and parts[1]:
-                        v, t = parts
-                    else:
-                        raise ParseError(f"unsupported face reference {ref!r}", path=path, line=lineno)
-                    try:
-                        vi = int(v)
-                        ti = int(t) if t is not None else None
-                    except ValueError:
-                        raise ParseError(f"bad index in face reference {ref!r}", path=path, line=lineno)
-                    if vi < 1 or (ti is not None and ti < 1):
-                        raise ParseError("OBJ indices are 1-based", path=path, line=lineno)
-                    vidx.append(vi - 1)
-                    tidx.append(ti - 1 if ti is not None else None)
-                faces.append(tuple(vidx))
-                face_uv_refs.append(tuple(tidx) if all(t is not None for t in tidx) else None)
-            else:
-                raise ParseError(f"unsupported OBJ record {kind!r}", path=path, line=lineno)
+                    raise ParseError(f"bad index in face reference {ref!r}", path=path, line=lineno)
+                if vi < 1 or (ti is not None and ti < 1):
+                    raise ParseError("OBJ indices are 1-based", path=path, line=lineno)
+                vidx.append(vi - 1)
+                tidx.append(ti - 1 if ti is not None else None)
+            faces.append(tuple(vidx))
+            face_uv_refs.append(tuple(tidx) if all(t is not None for t in tidx) else None)
+        else:
+            raise ParseError(f"unsupported OBJ record {kind!r}", path=path, line=lineno)
 
     n = len(vertices)
     color_arr = np.array(

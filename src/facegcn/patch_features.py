@@ -1,9 +1,9 @@
 """kNN patches around landmarks and per-sequence feature tensors.
 
 Each landmark gets a patch of its k nearest mesh vertices, found by an exact
-brute-force kNN with (d², index) tie order; a patch flattens to 6k channels
-(relative xyz + rgb per neighbor, ordered by ascending distance). A sequence
-of frames becomes one float32 tensor of shape (6k, J, T).
+brute-force kNN with (d², index) tie order; the patch is one column of 6k
+channels (relative xyz + rgb per neighbor, ordered by ascending distance). A
+sequence of frames becomes one float32 tensor of shape (6k, J, T).
 """
 
 from __future__ import annotations
@@ -72,55 +72,26 @@ def build_kd_index(mesh: TexturedMesh) -> KdIndex:
     return KdIndex(mesh.vertices)
 
 
-@dataclass(frozen=True)
-class Patch:
-    """k nearest mesh vertices to one landmark, with relative xyz and rgb."""
-
-    landmark_id: int
-    point_indices: np.ndarray  # (k,) int64 ordered per KdIndex contract
-    rel_positions: np.ndarray  # (k, 3) float64: vertex - landmark position
-    colors: np.ndarray  # (k, 3) float64
-    padded: bool = False  # last point repeated because the mesh had < k vertices
-
-    @property
-    def k(self) -> int:
-        return self.point_indices.shape[0]
-
-
 def extract_patch(
     index: KdIndex, mesh: TexturedMesh, landmark, k: int, scale_normalize: bool = False
-) -> Patch:
-    """Patch of the k nearest vertices to a landmark position.
+) -> np.ndarray:
+    """The landmark's (6k,) float32 channel column: [rel xyz, rgb] per neighbor rank.
 
-    Meshes with fewer than k vertices repeat the last neighbor to pad, so
-    the flattened channel count stays fixed at 6k. With scale_normalize the
-    relative positions are divided by the largest neighbor distance
-    (default off: raw landmark-relative coordinates).
+    Neighbors are the k nearest vertices in KdIndex order. Meshes with fewer
+    than k vertices repeat the last neighbor to pad, so the channel count
+    stays fixed at 6k. With scale_normalize the relative positions are
+    divided by the largest neighbor distance (default off: raw
+    landmark-relative coordinates).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     idx = index.k_nearest(landmark.position, k)
-    padded = idx.shape[0] < k
-    if padded:
+    if idx.shape[0] < k:
         idx = np.concatenate([idx, np.full(k - idx.shape[0], idx[-1], dtype=np.int64)])
     rel = mesh.vertices[idx] - landmark.position
     if scale_normalize:
         scale = float(np.sqrt((rel * rel).sum(axis=1)).max())
         if scale > 0.0:
             rel = rel / scale
-    return Patch(
-        landmark_id=int(landmark.id),
-        point_indices=idx,
-        rel_positions=rel,
-        colors=mesh.colors[idx].copy(),
-        padded=padded,
-    )
-
-
-def patch_to_channels(patch: Patch) -> np.ndarray:
-    """Flatten to 6k float32 channels: [rel xyz, rgb] per neighbor rank."""
-    flat = np.concatenate([patch.rel_positions, patch.colors], axis=1)
-    return flat.reshape(-1).astype(np.float32)
+    return np.concatenate([rel, mesh.colors[idx]], axis=1).reshape(-1).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -173,9 +144,7 @@ def build_sequence_tensor(
     for t, (mesh, lms) in enumerate(frames):
         index = build_kd_index(mesh)
         for j, lm in enumerate(lms):
-            values[:, j, t] = patch_to_channels(
-                extract_patch(index, mesh, lm, k, scale_normalize=scale_normalize)
-            )
+            values[:, j, t] = extract_patch(index, mesh, lm, k, scale_normalize=scale_normalize)
     tensor = FeatureTensor(values=values, k=k, landmark_hash=lm_hash)
     tensor.validate()
     return tensor

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidPair, ParseError, UnknownId
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 
 UNIFORM = "uniform"
 DISTANCE = "distance"
@@ -155,11 +155,7 @@ def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
     a ParseError naming the first differing line.
     """
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError("non-ASCII byte", path=path, line=data.count(b"\n", 0, exc.start) + 1)
+    lines = read_text(path, "ascii").splitlines()
     if not lines:
         raise ParseError("empty graph cache", path=path)
     head = lines[0].split()

@@ -118,6 +118,20 @@ def test_config_type_error_exit_code_2(tmp_path, capsys, data):
     assert err.startswith("facegcn: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_exit_code_2(tmp_path, capsys, where):
+    p = small_config(tmp_path)
+    argv = ["synth", "--config", str(p)]
+    if where == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        p.write_text(json.dumps({**json.loads(p.read_text()), "seed": -1}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("facegcn: error: seed must be >= 0") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -285,6 +299,45 @@ def preprocess_config(tmp_path, raw, **features):
         "features": features,
     }))
     return p
+
+
+# file to corrupt -> (landmark source, 1-based line, new content of that line)
+BAD_TEXT_INPUTS = {
+    "config-byte": ("c.json", "lm2", 3, lambda line: line + b"\xff"),
+    "lm2-byte": ("frame_0000.lm2", "lm2", 5, lambda line: b"\xff" + line),
+    "lm3-byte": ("frame_0000.lm3", "lm3", 5, lambda line: line + b" \xff"),
+    "obj-byte": ("frame_0000.obj", "lm2", 5, lambda line: line.replace(b" ", b"\xff", 1)),
+    "lm2-nan": ("frame_0000.lm2", "lm2", 5, lambda line: b"nan 0.3"),
+    "lm2-inf": ("frame_0000.lm2", "lm2", 5, lambda line: b"1e999 0.3"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TEXT_INPUTS))
+def test_bad_text_input_exit_code_2(tmp_path, capsys, case):
+    name, source, lineno, corrupt = BAD_TEXT_INPUTS[case]
+    raw = tmp_path / "raw"
+    seq = write_sequence_dir(raw, n_frames=1)
+    frame = seq / "frame_0000.ply"
+    mesh = mesh_core.load_mesh(frame)
+    if name.endswith(".obj"):
+        write_mesh(mesh, frame.with_suffix(".obj"), fmt="obj")
+        frame.unlink()
+    if source == "lm3":
+        rows = mesh.vertices[::2][:68]
+        frame.with_suffix(".lm3").write_text("".join(f"{x} {y} {z}\n" for x, y, z in rows))
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({
+        "paths": {"input_dir": str(raw), "output_dir": str(tmp_path / "out")},
+        "features": {"landmark_source": source},
+    }, indent=2))
+    target = p if name == p.name else seq / name
+    lines = target.read_bytes().split(b"\n")
+    lines[lineno - 1] = corrupt(lines[lineno - 1])
+    target.write_bytes(b"\n".join(lines))
+    assert main(["preprocess", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"facegcn: error: {target}:{lineno}: ") and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.fgt"))
 
 
 def test_preprocess_failed_second_sequence_leaves_no_tensor(tmp_path, capsys):

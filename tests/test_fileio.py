@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from facegcn import fileio, st_graph, stgcn_net
+from facegcn.errors import ConfigError, ParseError
 from facegcn.patch_features import FeatureTensor, save_tensor
 
 from stgcn_testutil import toy_model_and_input
@@ -59,3 +60,35 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, name):
     write(fresh)
     write(existing)
     assert fresh.read_bytes() == existing.read_bytes() != b"previous complete artifact"
+
+
+def test_read_text_reads_universal_newlines(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"a\r\nb\rc\n")
+    assert fileio.read_text(p) == "a\nb\nc\n"
+
+
+@pytest.mark.parametrize("encoding, data, line", [
+    ("utf-8", b"a\nb\n\xffc\n", 3),
+    ("utf-8", b"\xe9", 1),
+    ("ascii", b"FGG1\n0 1 \xc3\xa9\n", 2),
+])
+def test_read_text_bad_byte_is_parse_error_at_its_line(tmp_path, encoding, data, line):
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match=f"non-{encoding.upper()} byte") as info:
+        fileio.read_text(p, encoding)
+    assert info.value.line == line
+
+
+def test_read_json(tmp_path):
+    p = tmp_path / "t.json"
+    p.write_bytes(b'{"a": [1, 2]}\r\n')
+    assert fileio.read_json(p) == {"a": [1, 2]}
+    p.write_bytes(b'{"a": [1, 2}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        fileio.read_json(p)
+    p.write_bytes(b'{"a":\n "\xff"}')
+    with pytest.raises(ParseError) as info:
+        fileio.read_json(p)
+    assert info.value.line == 2

@@ -29,6 +29,8 @@ from facegcn.landmark_engine import (
 )
 from facegcn.mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
 
+from edge_testutil import undirected_edges
+
 
 def synth_mesh(grid=10, seed=2):
     return make_frame_mesh(IdentityParams(seed=seed, grid=grid), ExpressionParams(emotion=1), 2, 6)
@@ -44,6 +46,11 @@ def two_component_mesh():
 def brute_dijkstra(graph, src):
     """Independent O(V^2) shortest-path oracle (no heap, no shared code path)."""
     n = graph.n_nodes
+    adjacency = [[] for _ in range(n)]
+    edges, weights = undirected_edges(graph)
+    for (u, v), w in zip(edges.tolist(), weights.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
     dist = [float("inf")] * n
     dist[src] = 0.0
     visited = [False] * n
@@ -55,8 +62,7 @@ def brute_dijkstra(graph, src):
         if u < 0:
             break
         visited[u] = True
-        targets, weights = graph.neighbors(u)
-        for v, w in zip(targets, weights):
+        for v, w in adjacency[u]:
             if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
     return dist
@@ -141,6 +147,23 @@ def test_landmark_file_parsing(tmp_path):
         load_landmarks_2d(empty)
 
 
+@pytest.mark.parametrize("load, row", [
+    (load_landmarks_2d, b"nan 0.3"),
+    (load_landmarks_2d, b"1e999 0.3"),
+    (load_landmarks_2d, b"0.1 0.3\xff"),
+    (load_landmarks_3d, b"0 inf 1"),
+    (load_landmarks_3d, b"0 1 -nan"),
+    (load_landmarks_3d, b"\xff0 1 2"),
+])
+def test_landmark_file_bad_row_is_parse_error_at_its_line(tmp_path, load, row):
+    good = b" ".join([b"0.5"] * len(row.split()))
+    p = tmp_path / "points"
+    p.write_bytes(b"# points\n" + good + b"\n" + row + b"\n" + good + b"\n")
+    with pytest.raises(ParseError) as info:
+        load(p)
+    assert info.value.line == 3
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 
@@ -177,7 +200,7 @@ def test_geodesic_matches_brute_force_and_chord_bound():
 def test_geodesic_path_is_connected_walk():
     g = build_edge_graph(synth_mesh(grid=6))
     path = geodesic_path(g, 0, g.n_nodes - 1)
-    edge_set = {(int(u), int(v)) for u, v in g.edges}
+    edge_set = {(u, v) for u, v in undirected_edges(g)[0].tolist()}
     for a, b in zip(path.vertices, path.vertices[1:]):
         assert (min(a, b), max(a, b)) in edge_set
     assert np.all(np.diff(path.cumulative) > 0)
@@ -221,8 +244,6 @@ def test_absorbed_edge_weight_is_an_invariant_error():
     # path 0 - 1 - 2: the unit edge vanishes in 1e20 + 1.0 == 1e20
     g = EdgeGraph(
         n_nodes=3,
-        edges=np.array([[0, 1], [1, 2]]),
-        weights=np.array([1e20, 1.0]),
         indptr=np.array([0, 1, 3, 4]),
         targets=np.array([1, 0, 2, 1]),
         weights_csr=np.array([1e20, 1e20, 1.0, 1.0]),
@@ -308,7 +329,7 @@ def test_augment_68_plus_15_gives_83():
     lms = result.landmarks
     assert len(lms) == 83
     assert [e.id for e in lms] == list(range(83))
-    assert lms.n_base == 68
+    assert sum(e.kind == BASE for e in lms) == 68
     assert all(e.kind == AUGMENTED and e.source == pairs[i] for i, e in enumerate(lms.entries[68:]))
 
 
@@ -505,11 +526,12 @@ def test_augment_matches_per_pair_reference_on_unit_grids():
 def with_random_weights(graph, rng):
     """The same edges as ``graph`` with seeded weights in [0.1, 1), symmetric in CSR."""
     n = graph.n_nodes
-    weights = rng.uniform(0.1, 1.0, size=graph.n_edges)
+    edges, _ = undirected_edges(graph)
+    weights = rng.uniform(0.1, 1.0, size=len(edges))
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
     keys = np.minimum(rows, graph.targets) * n + np.maximum(rows, graph.targets)
-    edge_of = np.searchsorted(graph.edges[:, 0] * n + graph.edges[:, 1], keys)
-    return dataclasses.replace(graph, weights=weights, weights_csr=weights[edge_of])
+    edge_of = np.searchsorted(edges[:, 0] * n + edges[:, 1], keys)
+    return dataclasses.replace(graph, weights_csr=weights[edge_of])
 
 
 def test_augment_batched_sources_match_per_pair_reference_on_random_weights():
@@ -538,4 +560,4 @@ def test_lift_matches_broadcast_reference():
     pts = np.concatenate([rng.uniform(size=(300, 2)), lattice[:40],
                           (lattice[:40] + lattice[40:80]) / 2])
     want = np.argmin(((mesh.uv[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2), axis=1)
-    assert lift_landmarks(mesh, pts).anchors().tolist() == want.tolist()
+    assert [e.anchor for e in lift_landmarks(mesh, pts)] == want.tolist()

@@ -12,6 +12,7 @@ from facegcn.mesh_core import (
     write_mesh,
 )
 
+from edge_testutil import undirected_edges
 from ply_reference import read_ply_ascii, read_ply_binary
 
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
@@ -61,6 +62,14 @@ def test_obj_unsupported_record_is_parse_error(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_mesh(p)
     assert exc.value.line == 2
+
+
+def test_obj_bad_byte_is_parse_error_at_its_line(tmp_path):
+    p = tmp_path / "bad.obj"
+    p.write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 0  # \xff\nf 1 2 3\n")
+    with pytest.raises(ParseError) as exc:
+        load_mesh(p)
+    assert exc.value.line == 3
 
 
 def test_obj_comments_and_colors(tmp_path):
@@ -245,16 +254,16 @@ def test_validate_face_checks_match_loop_reference():
 
 
 def test_single_triangle_edges():
-    g = build_edge_graph(triangle_mesh())
-    assert g.n_edges == 3
+    edges, _ = undirected_edges(build_edge_graph(triangle_mesh()))
+    assert edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_shared_edge_counted_once():
     mesh = TexturedMesh.from_arrays(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 2, 3]]
     )
-    g = build_edge_graph(mesh)
-    assert g.n_edges == 5
+    edges, _ = undirected_edges(build_edge_graph(mesh))
+    assert len(edges) == 5
 
 
 def test_unit_grid_axis_edge_weights():
@@ -267,8 +276,8 @@ def test_unit_grid_axis_edge_weights():
         for c in range(n - 1):
             faces.append([idx[r, c], idx[r + 1, c], idx[r, c + 1]])
             faces.append([idx[r + 1, c], idx[r + 1, c + 1], idx[r, c + 1]])
-    g = build_edge_graph(TexturedMesh.from_arrays(verts, faces))
-    for (u, v), w in zip(g.edges, g.weights):
+    edges, weights = undirected_edges(build_edge_graph(TexturedMesh.from_arrays(verts, faces)))
+    for (u, v), w in zip(edges, weights):
         du = verts[u] - verts[v]
         if np.count_nonzero(du) == 1:  # axis-aligned edge
             assert w == 1.0
@@ -278,16 +287,16 @@ def test_unit_grid_axis_edge_weights():
 def test_edges_match_unique_rows_reference():
     mesh = synth_mesh(grid=12)
     faces = np.random.default_rng(3).permutation(mesh.faces)
-    g = build_edge_graph(TexturedMesh.from_arrays(mesh.vertices, faces))
+    edges, _ = undirected_edges(build_edge_graph(TexturedMesh.from_arrays(mesh.vertices, faces)))
     pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    assert np.array_equal(g.edges, np.unique(np.sort(pairs, axis=1), axis=0))
+    assert np.array_equal(edges, np.unique(np.sort(pairs, axis=1), axis=0))
 
 
 def test_edge_count_bounds():
     for grid in (4, 8, 12):
         mesh = synth_mesh(grid=grid)
-        g = build_edge_graph(mesh)
-        assert mesh.n_faces <= g.n_edges <= 3 * mesh.n_faces
+        edges, _ = undirected_edges(build_edge_graph(mesh))
+        assert mesh.n_faces <= len(edges) <= 3 * mesh.n_faces
 
 
 def test_invalid_mesh_rejected():
@@ -308,8 +317,8 @@ def test_non_manifold_accepted():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
         [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
     )
-    g = build_edge_graph(mesh)
-    assert g.n_edges == 3 * 2 + 1
+    edges, _ = undirected_edges(build_edge_graph(mesh))
+    assert len(edges) == 3 * 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +378,15 @@ def test_ply_binary_matches_ascii(tmp_path):
     assert np.array_equal(ma.uv, mb.uv)
 
 
-def test_format_inference_and_override(tmp_path):
+def test_format_from_suffix(tmp_path):
     mesh = triangle_mesh()
     p = tmp_path / "m.ply"
     write_mesh(mesh, p)
     assert load_mesh(p).n_vertices == 3
+    txt = tmp_path / "m.txt"
+    txt.write_bytes(p.read_bytes())
     with pytest.raises(ParseError):
-        load_mesh(p, fmt="txt")
+        load_mesh(txt)
 
 
 def test_colors_default_kind():

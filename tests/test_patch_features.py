@@ -8,12 +8,10 @@ from facegcn.mesh_core import TexturedMesh
 from facegcn.patch_features import (
     FeatureTensor,
     KdIndex,
-    Patch,
     build_kd_index,
     build_sequence_tensor,
     extract_patch,
     load_tensor,
-    patch_to_channels,
     save_tensor,
 )
 
@@ -124,16 +122,16 @@ def test_patch_at_anchor_has_zero_relative():
     mesh = synth_mesh()
     lms = snap_to_mesh(mesh, [mesh.vertices[13]])
     patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 1)
-    assert np.array_equal(patch.rel_positions, np.zeros((1, 3)))
-    assert not patch.padded
+    assert patch.shape == (6,)
+    assert np.array_equal(patch[:3], np.zeros(3))
 
 
 def test_patch_k200_gives_1200_channels():
     mesh = synth_mesh(grid=24)  # 576 vertices
     lms = snap_to_mesh(mesh, [mesh.vertices[300]])
     patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 200)
-    assert patch.k == 200
-    assert patch_to_channels(patch).shape == (1200,)
+    assert patch.shape == (1200,)
+    assert patch.dtype == np.float32
 
 
 def test_patch_padding_when_k_exceeds_vertices():
@@ -141,17 +139,16 @@ def test_patch_padding_when_k_exceeds_vertices():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]]
     )
     lms = snap_to_mesh(mesh, [[0, 0, 0]])
-    patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 5)
-    assert patch.padded
-    assert patch.k == 5
-    assert list(patch.point_indices[-3:]) == [patch.point_indices[2]] * 3
+    groups = extract_patch(build_kd_index(mesh), mesh, lms[0], 5).reshape(5, 6)
+    assert len({tuple(g) for g in groups[:3]}) == 3  # the three vertices, once each
+    assert np.array_equal(groups[3:], [groups[2]] * 2)  # then the last one repeated
 
 
 def test_patch_ordering_by_distance():
     mesh = synth_mesh()
     lms = snap_to_mesh(mesh, [mesh.vertices[40]])
-    patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 12)
-    dists = np.linalg.norm(patch.rel_positions, axis=1)
+    patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 12).reshape(12, 6)
+    dists = np.linalg.norm(patch[:, :3].astype(np.float64), axis=1)
     assert np.all(np.diff(dists) >= 0)
     assert dists[0] <= dists.min()
 
@@ -160,21 +157,24 @@ def test_patch_scale_normalize():
     mesh = synth_mesh()
     lms = snap_to_mesh(mesh, [mesh.vertices[40]])
     index = build_kd_index(mesh)
-    raw = extract_patch(index, mesh, lms[0], 8)
-    scaled = extract_patch(index, mesh, lms[0], 8, scale_normalize=True)
-    norms = np.linalg.norm(scaled.rel_positions, axis=1)
+    raw = extract_patch(index, mesh, lms[0], 8).reshape(8, 6)
+    scaled = extract_patch(index, mesh, lms[0], 8, scale_normalize=True).reshape(8, 6)
+    raw_norms = np.linalg.norm(raw[:, :3].astype(np.float64), axis=1)
+    norms = np.linalg.norm(scaled[:, :3].astype(np.float64), axis=1)
     assert norms.max() == pytest.approx(1.0)
-    assert np.array_equal(raw.point_indices, scaled.point_indices)
+    # the same neighbors in the same ranks: equal colors, xyz scaled by one factor
+    assert np.array_equal(np.argsort(norms, kind="stable"), np.argsort(raw_norms, kind="stable"))
+    assert np.array_equal(raw[:, 3:], scaled[:, 3:])
+    assert np.allclose(scaled[:, :3] * raw_norms.max(), raw[:, :3], rtol=1e-6, atol=0)
 
 
 def test_channels_interleave_rel_then_rgb():
-    patch = Patch(
-        landmark_id=0,
-        point_indices=np.array([0]),
-        rel_positions=np.zeros((1, 3)),
-        colors=np.array([[1.0, 0.0, 0.0]]),
+    mesh = TexturedMesh.from_arrays(
+        [[0, 0, 0], [2, 0, 0], [0, 3, 0]], [[0, 1, 2]], colors=np.eye(3)
     )
-    assert list(patch_to_channels(patch)) == [0, 0, 0, 1, 0, 0]
+    lms = snap_to_mesh(mesh, [[0, 0, 0]])
+    patch = extract_patch(build_kd_index(mesh), mesh, lms[0], 2)
+    assert list(patch) == [0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 1, 0]
 
 
 def test_channels_gray_default_slices():
@@ -182,7 +182,7 @@ def test_channels_gray_default_slices():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 3, 2]]
     )
     lms = snap_to_mesh(mesh, [[0, 0, 0]])
-    vec = patch_to_channels(extract_patch(build_kd_index(mesh), mesh, lms[0], 4))
+    vec = extract_patch(build_kd_index(mesh), mesh, lms[0], 4)
     for r in range(4):
         assert np.all(vec[6 * r + 3 : 6 * r + 6] == 0.5)
 
@@ -256,11 +256,12 @@ def test_tensor_deterministic():
 def test_channels_injective_given_k():
     mesh = synth_mesh()
     lms = landmark_pair(mesh)
-    p = extract_patch(build_kd_index(mesh), mesh, lms[0], 4)
-    vec = patch_to_channels(p)
-    back = vec.reshape(4, 6)
-    assert np.array_equal(back[:, :3], p.rel_positions.astype(np.float32))
-    assert np.array_equal(back[:, 3:], p.colors.astype(np.float32))
+    index = build_kd_index(mesh)
+    back = extract_patch(index, mesh, lms[0], 4).reshape(4, 6)
+    idx = index.k_nearest(lms[0].position, 4)
+    rel = mesh.vertices[idx] - lms[0].position
+    assert np.array_equal(back[:, :3], rel.astype(np.float32))
+    assert np.array_equal(back[:, 3:], mesh.colors[idx].astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
