@@ -176,13 +176,12 @@ def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
         else:
             points = landmark_engine.load_landmarks_3d(lm_path)
             base = landmark_engine.snap_to_mesh(mesh, points)
-        graph = mesh_core.build_edge_graph(mesh)
-        result = landmark_engine.augment_landmarks(
-            mesh, graph, base, cfg.features.augmentation_pairs
-        )
+        frames.append((mesh, base))
+    results = landmark_engine.augment_sequence(frames, cfg.features.augmentation_pairs)
+    for mesh_path, result in zip(mesh_files, results):
         if result.skipped:
             log.warning("%s: skipped unreachable pairs %s", mesh_path.name, result.skipped)
-        frames.append((mesh, result.landmarks))
+    frames = [(mesh, result.landmarks) for (mesh, _), result in zip(frames, results)]
     tensor = patch_features.build_sequence_tensor(
         frames, cfg.features.k, scale_normalize=cfg.features.scale_normalize
     )

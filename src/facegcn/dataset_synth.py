@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptySide, MissingIdentity
-from .landmark_engine import BASE, LandmarkSet, _anchored, augment_landmarks
-from .mesh_core import TexturedMesh, build_edge_graph
+from .landmark_engine import BASE, LandmarkSet, _anchored, augment_sequence
+from .mesh_core import TexturedMesh
 from .patch_features import FeatureTensor, build_sequence_tensor
 
 N_EMOTIONS = 6
@@ -231,11 +231,8 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
             frames = generate_sequence(ident, expr, cfg.T, lm_grid=cfg.lm_grid)
             neutral_frames.setdefault(i, frames[0][0].vertices)
             peak_frames[(i, e)] = frames[len(frames) // 2][0].vertices
-            augmented = []
-            for mesh, base in frames:
-                graph = build_edge_graph(mesh)
-                result = augment_landmarks(mesh, graph, base, augment_pairs)
-                augmented.append((mesh, result.landmarks))
+            results = augment_sequence(frames, augment_pairs)
+            augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(frames, results)]
             tensor = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
             if first_landmarks is None:
                 first_landmarks = augmented[0][1]

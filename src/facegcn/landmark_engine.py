@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import mesh_core
 from .errors import (
     DegeneratePath,
     EmptyInput,
@@ -26,7 +27,7 @@ from .errors import (
     Unreachable,
 )
 from .fileio import read_text
-from .mesh_core import EdgeGraph, TexturedMesh
+from .mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
 
 BASE = "base"
 AUGMENTED = "augmented"
@@ -124,8 +125,7 @@ def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise EmptyInput("no points given")
-    index = build_kd_index(mesh)
-    anchors = [index.k_nearest(p, 1)[0] for p in pts]
+    anchors = build_kd_index(mesh).k_nearest_many(pts, 1)[:, 0]
     return _anchored(range(pts.shape[0]), anchors, mesh, BASE)
 
 
@@ -178,79 +178,99 @@ def _csr_rows(graph: EdgeGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.nd
     return edges, counts
 
 
-def _search(graph: EdgeGraph, sources, target_sets) -> np.ndarray:
-    """Shortest-path distances from every source at once, one (N,) row per source.
+def _stacked(graphs: Sequence[EdgeGraph]) -> EdgeGraph:
+    """One CSR graph holding each graph's vertices in turn, shifted past the earlier ones."""
+    if len(graphs) == 1:
+        return graphs[0]
+    vertex_at = np.cumsum([0] + [g.n_nodes for g in graphs])
+    edge_at = np.cumsum([0] + [g.targets.size for g in graphs])
+    rows = [g.indptr[:-1] + e for g, e in zip(graphs, edge_at)]
+    return EdgeGraph(
+        n_nodes=int(vertex_at[-1]),
+        indptr=np.concatenate(rows + [edge_at[-1:]]),
+        targets=np.concatenate([g.targets + v for g, v in zip(graphs, vertex_at)]),
+        weights_csr=np.concatenate([g.weights_csr for g in graphs]),
+    )
+
+
+def _search(graph: EdgeGraph, stride: int, shift, sources, target_sets) -> np.ndarray:
+    """Shortest-path distances from every source at once, in one flat array.
+
+    Row r is the search from vertex sources[r] of ``graph``, which may stack
+    several frames' graphs (see _stacked). Its distances occupy the stride
+    entries from r * stride on, and vertex v of its frame sits at flat index
+    v + shift[r]; the frame's vertices fill the first entries of the row.
 
     A label-correcting search in rounds, in the spirit of delta-stepping
     (Meyer & Sanders, J. Algorithms 2003). The frontier holds flat
-    (source, vertex) indices into one (S * N) distance array; each round
-    relaxes all their CSR edges with ``np.minimum.at``, and the entries whose
-    distance fell form the next frontier. A search's bound is the largest
-    current distance to its targets (infinite until all are reached), and
-    frontier entries above it are dropped, as no path through them can
-    shorten a path to a target.
+    (row, vertex) indices into one (rows * stride) distance array; each
+    round relaxes all their CSR edges with ``np.minimum.at``, and the entries
+    whose distance fell form the next frontier. A search's bound is the
+    largest current distance to its targets (infinite until all are
+    reached), and frontier entries above it are dropped, as no path through
+    them can shorten a path to a target. Rows never touch each other's
+    entries, so a row's rounds and results do not depend on its batch.
 
-    Row s holds exact distances for every vertex no farther from sources[s]
+    Row r holds exact distances for every vertex no farther from sources[r]
     than its farthest target: the same doubles a heap Dijkstra computes, since
     float addition is monotone and both reach the fixed point
     d[v] = min_u fl(d[u] + w). That needs fl(d + w) > d on every relaxed
     edge, so an absorbed edge (d + w == d) raises InvariantError. Unreached
     vertices stay infinite.
     """
-    n = graph.n_nodes
-    offsets = np.arange(len(sources), dtype=np.int64) * n
-    dist = np.full(offsets.size * n, np.inf)
+    shift = np.asarray(shift, dtype=np.int64)
+    dist = np.full(shift.size * stride, np.inf)
     slot = np.empty(dist.size, dtype=np.int64)  # dedupes the next frontier without a sort
-    frontier = offsets + np.asarray(sources, dtype=np.int64)
+    frontier = shift + np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0.0
     sizes = [len(t) for t in target_sets]
     goals = np.array([t for ts in target_sets for t in ts], dtype=np.int64)
-    goals += np.repeat(offsets, sizes)
+    goals += np.repeat(shift, sizes)
     groups = np.cumsum(sizes) - sizes
     while frontier.size:
         bound = np.maximum.reduceat(dist[goals], groups)
         d = dist[frontier]
-        row, vertex = np.divmod(frontier, n)
+        row = frontier // stride
         keep = d <= bound[row]
-        frontier, d, vertex = frontier[keep], d[keep], vertex[keep]
-        edges, counts = _csr_rows(graph, vertex)
+        frontier, d, at = frontier[keep], d[keep], shift[row[keep]]
+        edges, counts = _csr_rows(graph, frontier - at)
         du = np.repeat(d, counts)
         nd = du + graph.weights_csr[edges]
         if (nd == du).any():
             raise InvariantError("an edge weight is absorbed by the path length (d + w == d)")
-        cand = np.repeat(frontier - vertex, counts) + graph.targets[edges]
+        cand = np.repeat(at, counts) + graph.targets[edges]
         fell = nd < dist[cand]
         cand, nd = cand[fell], nd[fell]
         np.minimum.at(dist, cand, nd)
         order = np.arange(cand.size)
         slot[cand] = order  # the last write per index wins: one entry per index survives
         frontier = cand[slot[cand] == order]
-    return dist.reshape(offsets.size, n)
+    return dist
 
 
 def _walk_back(
-    graph: EdgeGraph, dist: np.ndarray, rows, ends
+    graph: EdgeGraph, dist: np.ndarray, shift, ends
 ) -> list[tuple[list[int], list[float]]]:
-    """Vertex chain and edge weights from each ``ends[i]`` back to the source of row ``rows[i]``.
+    """Vertex chain and edge weights from each ``ends[i]`` back to its row's source.
 
-    All walks advance together. Each step moves from v to the smallest
-    neighbour u with fl(d[u] + w) == d[v]: the predecessor a heap Dijkstra
-    keeps when ties go to the smaller predecessor index. The chains end at
-    the vertex with distance 0.
+    ``dist`` is _search's flat array and ``shift[i]`` the shift of the row
+    that walk i reads. All walks advance together. Each step moves from v to
+    the smallest neighbour u with fl(d[u] + w) == d[v]: the predecessor a
+    heap Dijkstra keeps when ties go to the smaller predecessor index. The
+    chains end at the vertex with distance 0.
     """
     n, n_csr = graph.n_nodes, graph.targets.size
-    flat = dist.reshape(-1)
-    rows = np.asarray(rows, dtype=np.int64) * n
+    at = np.asarray(shift, dtype=np.int64)
     cur = np.asarray(ends, dtype=np.int64)
     chains = [[v] for v in cur.tolist()]
     weights: list[list[float]] = [[] for _ in chains]
-    walking = np.nonzero(flat[rows + cur] > 0.0)[0]
+    walking = np.nonzero(dist[at + cur] > 0.0)[0]
     while walking.size:
-        row, v = rows[walking], cur[walking]
+        a, v = at[walking], cur[walking]
         edges, counts = _csr_rows(graph, v)
         u = graph.targets[edges]
-        hit = flat[np.repeat(row, counts) + u] + graph.weights_csr[edges] == np.repeat(
-            flat[row + v], counts
+        hit = dist[np.repeat(a, counts) + u] + graph.weights_csr[edges] == np.repeat(
+            dist[a + v], counts
         )
         # keyed so the minimum is the smallest u, then its first CSR entry
         key = np.where(hit, u * n_csr + edges, n * n_csr)
@@ -259,7 +279,7 @@ def _walk_back(
             chains[i].append(p)
             weights[i].append(w)
         cur[walking] = pred
-        walking = walking[flat[rows[walking] + pred] > 0.0]
+        walking = walking[dist[a + pred] > 0.0]
     return list(zip(chains, weights))
 
 
@@ -292,8 +312,8 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
             cumulative=np.zeros(1, dtype=np.float64),
         )
     a, b = (int(src), int(dst)) if src < dst else (int(dst), int(src))
-    dist = _search(graph, [a], [[b]])
-    if dist[0, b] == math.inf:
+    dist = _search(graph, n, [0], [a], [[b]])
+    if dist[b] == math.inf:
         raise Unreachable(f"no path from {src} to {dst}")
     [(chain, weights)] = _walk_back(graph, dist, [0], [b])
     return _oriented_path(chain, weights, int(src))
@@ -322,18 +342,13 @@ class AugmentationResult(NamedTuple):
     skipped: list[tuple[int, int]]  # pairs with unreachable endpoints
 
 
-def augment_landmarks(
-    mesh: TexturedMesh,
-    graph: EdgeGraph,
-    base: LandmarkSet,
-    pairs: Sequence[tuple[int, int]],
-) -> AugmentationResult:
-    """Append one geodesic-midpoint landmark per pair of base landmark ids.
+class _Plan(NamedTuple):
+    pairs: list[tuple[int, int, int, int]]  # (id a, id b, anchor a, anchor b) per pair
+    targets: dict[int, list[int]]  # smaller anchor -> its partners, ascending
 
-    Pairs whose endpoints lie in disconnected components are skipped and
-    reported. Output ids are densely renumbered: base ids stay 0..B-1,
-    augmented landmarks continue from B in pair order.
-    """
+
+def _plan(base: LandmarkSet, pairs: Sequence[tuple[int, int]]) -> _Plan:
+    """Check the pairs against ``base`` and group them into one search per smaller anchor."""
     if len(base) == 0:
         raise EmptyInput("base landmark set is empty")
     base_ids = {e.id for e in base if e.kind == BASE}
@@ -345,36 +360,101 @@ def augment_landmarks(
         if a == b or a not in base_ids or b not in base_ids:
             raise InvalidPair(f"pair ({a}, {b}) must name two distinct base ids")
         pair_anchors.append((a, b, by_id[a].anchor, by_id[b].anchor))
-
-    # one batched search over every smaller anchor, each bounded by its partners
     partners: dict[int, set[int]] = {}
     for _, _, va, vb in pair_anchors:
         if va != vb:
             partners.setdefault(min(va, vb), set()).add(max(va, vb))
-    sources = list(partners)
-    target_sets = [sorted(partners[lo]) for lo in sources]
-    dist = _search(graph, sources, target_sets)
-    walks = [(r, lo, hi) for r, lo in enumerate(sources) for hi in target_sets[r]
-             if dist[r, hi] < math.inf]
-    found = _walk_back(graph, dist, [r for r, _, _ in walks], [hi for _, _, hi in walks])
-    paths = {(lo, hi): walk for (_, lo, hi), walk in zip(walks, found)}
+    return _Plan(pair_anchors, {lo: sorted(hi) for lo, hi in partners.items()})
 
-    entries = list(base.entries)
-    skipped: list[tuple[int, int]] = []
-    next_id = len(base)
-    for a, b, va, vb in pair_anchors:
-        if va == vb:
-            mid = va  # both snapped to one vertex: midpoint is that vertex
-        else:
-            walk = paths.get((min(va, vb), max(va, vb)))
-            if walk is None:
-                skipped.append((a, b))
-                continue
-            mid, _ = geodesic_midpoint(_oriented_path(*walk, va))
-        pos = np.array(mesh.vertices[mid], dtype=np.float64)
-        pos.flags.writeable = False
-        entries.append(
-            Landmark(id=next_id, anchor=mid, position=pos, kind=AUGMENTED, source=(a, b))
-        )
-        next_id += 1
-    return AugmentationResult(LandmarkSet(entries=tuple(entries)), skipped)
+
+def _augment_batch(
+    batch: Sequence[tuple[TexturedMesh, EdgeGraph, LandmarkSet, _Plan]],
+) -> list[AugmentationResult]:
+    """Every frame's searches as rows of one _search over the stacked frame graphs."""
+    graphs = [graph for _, graph, _, _ in batch]
+    starts = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()  # first stacked vertex
+    stride = max(g.n_nodes for g in graphs)
+    shift, sources, target_sets = [], [], []
+    for at, (_, _, _, plan) in zip(starts, batch):
+        for lo, his in plan.targets.items():
+            shift.append(len(sources) * stride - at)
+            sources.append(lo + at)
+            target_sets.append([hi + at for hi in his])
+    stacked = _stacked(graphs)
+    dist = _search(stacked, stride, shift, sources, target_sets)
+    walks = [(r, hi) for r, his in enumerate(target_sets) for hi in his
+             if dist[hi + shift[r]] < math.inf]
+    found = _walk_back(stacked, dist, [shift[r] for r, _ in walks], [hi for _, hi in walks])
+    paths = {(sources[r], hi): walk for (r, hi), walk in zip(walks, found)}
+
+    results = []
+    for at, (mesh, _, base, plan) in zip(starts, batch):
+        entries = list(base.entries)
+        skipped: list[tuple[int, int]] = []
+        next_id = len(base)
+        for a, b, va, vb in plan.pairs:
+            if va == vb:
+                mid = va  # both snapped to one vertex: midpoint is that vertex
+            else:
+                walk = paths.get((min(va, vb) + at, max(va, vb) + at))
+                if walk is None:
+                    skipped.append((a, b))
+                    continue
+                mid = geodesic_midpoint(_oriented_path(*walk, va + at))[0] - at
+            pos = np.array(mesh.vertices[mid], dtype=np.float64)
+            pos.flags.writeable = False
+            entries.append(
+                Landmark(id=next_id, anchor=mid, position=pos, kind=AUGMENTED, source=(a, b))
+            )
+            next_id += 1
+        results.append(AugmentationResult(LandmarkSet(entries=tuple(entries)), skipped))
+    return results
+
+
+def augment_landmarks(
+    mesh: TexturedMesh,
+    graph: EdgeGraph,
+    base: LandmarkSet,
+    pairs: Sequence[tuple[int, int]],
+) -> AugmentationResult:
+    """Append one geodesic-midpoint landmark per pair of base landmark ids.
+
+    Pairs whose endpoints lie in disconnected components are skipped and
+    reported. Output ids are densely renumbered: base ids stay 0..B-1,
+    augmented landmarks continue from B in pair order. This is the
+    one-frame batch of augment_sequence (one search per smaller anchor, all
+    run together), so both give the same landmarks and skipped pairs.
+    """
+    return _augment_batch([(mesh, graph, base, _plan(base, pairs))])[0]
+
+
+def augment_sequence(
+    frames: Sequence[tuple[TexturedMesh, LandmarkSet]],
+    pairs: Sequence[tuple[int, int]],
+) -> list[AugmentationResult]:
+    """augment_landmarks for every (mesh, base landmarks) frame, batched over frames.
+
+    Each frame gets its own edge graph. Runs of consecutive frames are
+    searched together, as many as keep (searches in the run) x (largest N
+    in the run) within ``mesh_core.BATCH_ENTRIES``, and always at least one
+    frame, so desk-scale sequences share each array pass within that fixed
+    memory budget while 40k-vertex scans search one frame at a time. Frames
+    may differ in vertex count. The results are those of augment_landmarks
+    on each frame alone, whatever the batches.
+    """
+    plans = [_plan(base, pairs) for _, base in frames]
+    results: list[AugmentationResult] = []
+    lo = 0
+    while lo < len(frames):
+        hi, rows, stride = lo + 1, len(plans[lo].targets), frames[lo][0].n_vertices
+        while hi < len(frames):
+            more, wider = rows + len(plans[hi].targets), max(stride, frames[hi][0].n_vertices)
+            if more * wider > mesh_core.BATCH_ENTRIES:
+                break
+            hi, rows, stride = hi + 1, more, wider
+        results += _augment_batch([
+            (mesh, build_edge_graph(mesh), base, plan)
+            for (mesh, base), plan in zip(frames[lo:hi], plans[lo:hi])
+        ])
+        lo = hi
+    return results

@@ -24,6 +24,13 @@ from .fileio import read_text
 
 DEFAULT_COLOR = (0.5, 0.5, 0.5)
 
+# Entries (float64 values) of one batched array pass over N-vertex meshes: a
+# kNN block of R queries holds R * N squared distances and a geodesic search
+# batch holds one N-length distance row per source. Work is batched up to
+# this size so per-call overhead is shared at desk scale while 40k-vertex
+# scans keep one query and one frame per pass; results do not depend on it.
+BATCH_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class TexturedMesh:
@@ -242,6 +249,9 @@ def load_mesh(path) -> TexturedMesh:
     return mesh
 
 
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
 def _load_obj(path: Path) -> TexturedMesh:
     vertices: list[tuple] = []
     colors: list[tuple | None] = []
@@ -290,6 +300,8 @@ def _load_obj(path: Path) -> TexturedMesh:
                     raise ParseError(f"bad index in face reference {ref!r}", path=path, line=lineno)
                 if vi < 1 or (ti is not None and ti < 1):
                     raise ParseError("OBJ indices are 1-based", path=path, line=lineno)
+                if vi > _INDEX_MAX:
+                    raise ParseError(f"face index {vi} beyond int64", path=path, line=lineno)
                 vidx.append(vi - 1)
                 tidx.append(ti - 1 if ti is not None else None)
             faces.append(tuple(vidx))

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import mesh_core
 from .errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
 from .fileio import write_atomic
 from .mesh_core import TexturedMesh
@@ -28,11 +29,14 @@ class KdIndex:
 
     Queries return exactly min(k, N) distinct point indices sorted by
     ascending (squared distance, index); equidistant points therefore come
-    back in ascending index order. Each query is an exact brute-force scan:
-    squared distances to every point, a partition to find the k-th, then a
-    (d², index) sort of the points at or below it. The distances are summed
-    column-wise, (dx² + dy²) + dz², over a (3, N) copy of the points: the
-    same doubles as the (N, 3) row sum, in a fraction of its time.
+    back in ascending index order. Queries are answered in blocks of R rows
+    with R * N within ``mesh_core.BATCH_ENTRIES`` (at least one row): an exact
+    brute-force scan builds the block's (R, N) squared distances, a
+    partition finds each row's k-th, then one (row, d², index) sort orders
+    the points at or below it. The distances are summed column-wise,
+    (dx² + dy²) + dz², over a (3, N) copy of the points: the same doubles as
+    the (N, 3) row sum, in a fraction of its time, and the same whatever the
+    block size, so batching leaves every result unchanged.
     """
 
     def __init__(self, points: np.ndarray):
@@ -46,30 +50,59 @@ class KdIndex:
 
     def k_nearest(self, query, k: int) -> np.ndarray:
         """Indices of the k nearest points to ``query`` (fewer if N < k)."""
+        return self.k_nearest_many(np.asarray(query, dtype=np.float64).reshape(1, 3), k)[0]
+
+    def k_nearest_many(self, queries, k: int) -> np.ndarray:
+        """(R, min(k, N)) indices: row r lists the nearest points to ``queries[r]``."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(query, dtype=np.float64).reshape(3)
+        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         if not np.isfinite(q).all():
             raise InvariantError("non-finite query coordinates")
         k = min(k, self.n)
+        out = np.empty((q.shape[0], k), dtype=np.int64)
+        per_block = max(1, mesh_core.BATCH_ENTRIES // self.n)
         x, y, z = self._columns
-        d2 = x - q[0]
-        d2 *= d2
-        t = y - q[1]
-        t *= t
-        d2 += t
-        np.subtract(z, q[2], out=t)
-        t *= t
-        d2 += t
-        kth = np.partition(d2, k - 1)[k - 1]
-        cand = np.nonzero(d2 <= kth)[0]
-        return cand[np.lexsort((cand, d2[cand]))[:k]]
+        for lo in range(0, q.shape[0], per_block):
+            block = q[lo:lo + per_block]
+            d2 = x - block[:, 0:1]
+            d2 *= d2
+            t = y - block[:, 1:2]
+            t *= t
+            d2 += t
+            np.subtract(z, block[:, 2:3], out=t)
+            t *= t
+            d2 += t
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+            cand = np.flatnonzero(d2 <= kth)  # far faster than a 2D nonzero
+            row, col = np.divmod(cand, self.n)
+            order = np.lexsort((col, d2.reshape(-1)[cand], row))
+            # every row has at least k candidates; take the first k of each
+            first = np.searchsorted(row, np.arange(block.shape[0]))
+            out[lo:lo + per_block] = col[order[first[:, None] + np.arange(k)]]
+        return out
 
 
 def build_kd_index(mesh: TexturedMesh) -> KdIndex:
     if mesh.n_vertices == 0:
         raise EmptyMesh("mesh has no vertices")
     return KdIndex(mesh.vertices)
+
+
+def _patch_columns(
+    index: KdIndex, mesh: TexturedMesh, positions: np.ndarray, k: int, scale_normalize: bool
+) -> np.ndarray:
+    """(R, 6k) float32 channel columns of the landmarks at ``positions`` (R, 3)."""
+    positions = positions.reshape(-1, 3)
+    idx = index.k_nearest_many(positions, k)
+    if idx.shape[1] < k:
+        idx = np.concatenate([idx, np.repeat(idx[:, -1:], k - idx.shape[1], axis=1)], axis=1)
+    rel = mesh.vertices[idx] - positions[:, None, :]
+    if scale_normalize:
+        scale = np.sqrt((rel * rel).sum(axis=2)).max(axis=1)
+        rel = rel / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    cols = np.concatenate([rel, mesh.colors[idx]], axis=2)
+    return cols.reshape(len(positions), 6 * k).astype(np.float32)
 
 
 def extract_patch(
@@ -83,15 +116,8 @@ def extract_patch(
     divided by the largest neighbor distance (default off: raw
     landmark-relative coordinates).
     """
-    idx = index.k_nearest(landmark.position, k)
-    if idx.shape[0] < k:
-        idx = np.concatenate([idx, np.full(k - idx.shape[0], idx[-1], dtype=np.int64)])
-    rel = mesh.vertices[idx] - landmark.position
-    if scale_normalize:
-        scale = float(np.sqrt((rel * rel).sum(axis=1)).max())
-        if scale > 0.0:
-            rel = rel / scale
-    return np.concatenate([rel, mesh.colors[idx]], axis=1).reshape(-1).astype(np.float32)
+    position = np.asarray(landmark.position, dtype=np.float64).reshape(1, 3)
+    return _patch_columns(index, mesh, position, k, scale_normalize)[0]
 
 
 @dataclass(frozen=True)
@@ -142,9 +168,9 @@ def build_sequence_tensor(
 
     values = np.empty((6 * k, j_count, len(frames)), dtype=np.float32)
     for t, (mesh, lms) in enumerate(frames):
-        index = build_kd_index(mesh)
-        for j, lm in enumerate(lms):
-            values[:, j, t] = extract_patch(index, mesh, lm, k, scale_normalize=scale_normalize)
+        values[:, :, t] = _patch_columns(
+            build_kd_index(mesh), mesh, lms.positions(), k, scale_normalize
+        ).T
     tensor = FeatureTensor(values=values, k=k, landmark_hash=lm_hash)
     tensor.validate()
     return tensor

@@ -694,3 +694,107 @@ def test_installed_cli_entry_point(tmp_path):
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["optim"]["momentum"] == 0.95
+
+
+# ---------------------------------------------------------------------------
+# every command on malformed input: exit 2, one error line, no traceback
+
+
+@pytest.fixture(scope="module")
+def trained_out(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained")
+    p = small_config(tmp_path)
+    assert main(["synth", "--config", str(p)]) == 0
+    assert main(["train", "--config", str(p)]) == 0
+    return tmp_path / "out"
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+CORRUPTIONS = {
+    "empty": lambda path: path.write_bytes(b""),
+    "half": _cut_in_half,
+    "binary": lambda path: path.write_bytes(bytes(range(256)) * 2),
+}
+
+# command -> the files it reads, relative to the case directory
+COMMAND_INPUTS = {
+    "synth": ["config.json"],
+    "preprocess": ["config.json", "raw/labels.json", "raw/seq_a/frame_0000.ply",
+                   "raw/seq_a/frame_0001.lm2"],
+    "train": ["config.json", "out/manifest.json", "out/graph.fgg", "out/id003_emo1.fgt"],
+    "eval": ["config.json", "out/manifest.json", "out/graph.fgg", "out/id007_emo4.fgt",
+             "out/checkpoint_final.fgc"],
+}
+
+
+def command_case(command, tmp_path, trained_out, **over):
+    """A directory where ``command`` succeeds; returns the config path."""
+    if command == "preprocess":
+        raw = tmp_path / "raw"
+        write_sequence_dir(raw, n_frames=2)
+        over.setdefault("paths", {})["input_dir"] = str(raw)
+    elif command in ("train", "eval"):
+        shutil.copytree(trained_out, tmp_path / "out")
+    return small_config(tmp_path, **over)
+
+
+def assert_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("facegcn: error: ")]
+    assert len(errors) == 1, err
+    return errors[0]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_command_case_succeeds_unmodified(tmp_path, trained_out, command):
+    p = command_case(command, tmp_path, trained_out)
+    assert all((tmp_path / name).is_file() for name in COMMAND_INPUTS[command])
+    assert main([command, "--config", str(p), "--force"]) == 0
+
+
+@pytest.mark.parametrize("command, name, corruption", [
+    (command, name, corruption)
+    for command, names in COMMAND_INPUTS.items() for name in names for corruption in CORRUPTIONS
+])
+def test_malformed_input_exit_code_2(tmp_path, trained_out, capsys, command, name, corruption):
+    p = command_case(command, tmp_path, trained_out)
+    CORRUPTIONS[corruption](tmp_path / name)
+    assert_one_error_line([command, "--config", str(p), "--force"], capsys)
+
+
+def _obj_face_beyond_int64(tmp_path):
+    frame = tmp_path / "raw" / "seq_a" / "frame_0000.ply"
+    write_mesh(mesh_core.load_mesh(frame), frame.with_suffix(".obj"), fmt="obj")
+    frame.unlink()
+    with open(frame.with_suffix(".obj"), "a") as fh:
+        fh.write("f 1 2 99999999999999999999\n")
+    return "beyond int64"
+
+
+def _pair_beyond_landmarks(tmp_path):
+    return "pair (0, 99)"
+
+
+MALFORMED_CONTENT = {
+    "synth-inseparable": ("synth", {"synth": {"identity_amplitude": 0.0,
+                                               "expression_amplitude": 1.0}},
+                          lambda tmp_path: "separability violated"),
+    "preprocess-obj-face-beyond-int64": ("preprocess", {}, _obj_face_beyond_int64),
+    "preprocess-pair-beyond-landmarks": ("preprocess",
+                                         {"features": {"augmentation_pairs": [[0, 99]]}},
+                                         _pair_beyond_landmarks),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONTENT))
+def test_malformed_content_exit_code_2(tmp_path, trained_out, capsys, case):
+    command, over, tamper = MALFORMED_CONTENT[case]
+    p = command_case(command, tmp_path, trained_out, **over)
+    message = tamper(tmp_path)
+    assert message in assert_one_error_line([command, "--config", str(p)], capsys)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from facegcn import landmark_engine, mesh_core
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import (
     DegeneratePath,
@@ -20,6 +21,7 @@ from facegcn.landmark_engine import (
     BASE,
     GeodesicPath,
     augment_landmarks,
+    augment_sequence,
     geodesic_midpoint,
     geodesic_path,
     lift_landmarks,
@@ -561,3 +563,86 @@ def test_lift_matches_broadcast_reference():
                           (lattice[:40] + lattice[40:80]) / 2])
     want = np.argmin(((mesh.uv[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2), axis=1)
     assert [e.anchor for e in lift_landmarks(mesh, pts)] == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# sequences: frames batched into one search
+
+
+SEQUENCE_PAIRS = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]
+
+
+def sequence_frames():
+    """(mesh, base) frames of different N; four base landmarks each, for SEQUENCE_PAIRS.
+
+    The two-component frame puts pairs (0, 2) and (2, 3) across its
+    components and anchors landmarks 0 and 3 on one vertex, so (3, 0) is a
+    va == vb pair.
+    """
+    rng = np.random.default_rng(40)
+    frames = []
+    for grid, seed in ((8, 2), (10, 3), (12, 4), (9, 5)):
+        mesh = synth_mesh(grid=grid, seed=seed)
+        uv = rng.uniform(size=(4, 2))
+        if grid == 12:
+            uv[3] = uv[0]  # one anchor for landmarks 0 and 3
+        frames.append((mesh, lift_landmarks(mesh, uv)))
+    mesh = two_component_mesh()
+    frames.insert(2, (mesh, snap_to_mesh(mesh, mesh.vertices[[0, 1, 4, 0]])))
+    return frames
+
+
+def as_bytes(result):
+    lms = result.landmarks
+    return ([(e.id, e.anchor, e.kind, e.source) for e in lms], lms.positions().tobytes(),
+            result.skipped)
+
+
+@pytest.mark.parametrize("budget, searches", [(1, 5), (600, 3), (None, 1), (1 << 40, 1)],
+                         ids=["one-row", "some-frames", "default", "all-frames"])
+def test_augment_sequence_equals_per_frame_augment(monkeypatch, budget, searches):
+    if budget is not None:
+        monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", budget)
+    frames = sequence_frames()
+    calls = []
+    search = landmark_engine._search
+    monkeypatch.setattr(landmark_engine, "_search", lambda *a: calls.append(a) or search(*a))
+    got = augment_sequence(frames, SEQUENCE_PAIRS)
+    assert len(calls) == searches
+    monkeypatch.undo()
+    want = [augment_landmarks(mesh, build_edge_graph(mesh), base, SEQUENCE_PAIRS)
+            for mesh, base in frames]
+    assert len({mesh.n_vertices for mesh, _ in frames}) == len(frames)
+    assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
+    assert [r.landmarks for r in got] == [r.landmarks for r in want]
+    assert got[2].skipped == [(0, 2), (2, 3)]
+    assert got[2].landmarks[-1].anchor == frames[2][1][0].anchor  # the va == vb pair
+    assert got[3].landmarks[-1].anchor == frames[3][1][0].anchor
+
+
+def test_augment_sequence_of_no_frames():
+    assert augment_sequence([], SEQUENCE_PAIRS) == []
+
+
+def absorbing_frame():
+    """Triangle whose unit edge vanishes next to 1e20: 1e20 + 1.0 == 1e20."""
+    mesh = TexturedMesh.from_arrays([[0, 0, 0], [1e20, 0, 0], [1e20, 1, 0]], [[0, 1, 2]])
+    return mesh, snap_to_mesh(mesh, mesh.vertices[[0, 2, 1, 0]])
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["own-batch", "shared-batch"])
+def test_augment_sequence_absorbed_edge_in_later_frame(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", budget)
+    frames = sequence_frames()
+    assert len(augment_sequence(frames, SEQUENCE_PAIRS)) == len(frames)
+    with pytest.raises(InvariantError, match="absorbed"):
+        augment_sequence(frames + [absorbing_frame()], SEQUENCE_PAIRS)
+
+
+def test_augment_sequence_checks_every_frame_before_searching():
+    frames = sequence_frames()
+    mesh = frames[1][0]
+    frames[-1] = (mesh, lift_landmarks(mesh, mesh.uv[:3]))  # no base id 3
+    with pytest.raises(InvalidPair):
+        augment_sequence(frames, SEQUENCE_PAIRS)

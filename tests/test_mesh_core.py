@@ -72,6 +72,18 @@ def test_obj_bad_byte_is_parse_error_at_its_line(tmp_path):
     assert exc.value.line == 3
 
 
+def test_obj_face_index_beyond_int64_is_parse_error_at_its_line(tmp_path):
+    p = tmp_path / "big.obj"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    with pytest.raises(ParseError, match="beyond int64") as exc:
+        load_mesh(p)
+    assert exc.value.line == 4
+    # the largest int64 index parses, then fails validation as out of range
+    p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {2**63 - 1}\n")
+    with pytest.raises(InvariantError):
+        load_mesh(p)
+
+
 def test_obj_comments_and_colors(tmp_path):
     p = tmp_path / "c.obj"
     p.write_text("# header\nv 0 0 0 1 0 0\nv 1 0 0 0 1 0\nv 0 1 0 0 0 1  # inline\nf 1 2 3\n")

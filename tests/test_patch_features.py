@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from facegcn import mesh_core
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
 from facegcn.landmark_engine import lift_landmarks, snap_to_mesh
@@ -106,6 +107,57 @@ def test_kd_rejects_empty_and_bad_k():
         index.k_nearest([0, 0, 0], 0)
     with pytest.raises(InvariantError):
         index.k_nearest([np.nan, 0, 0], 1)
+
+
+def knn_many_cases():
+    """(points, queries, k): seeded clouds, lattice ties, duplicates, N < k."""
+    rng = np.random.default_rng(37)
+    cloud = rng.normal(size=(300, 3))
+    g = np.arange(5, dtype=np.float64)
+    lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    dupes = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)
+    return [
+        (cloud, rng.normal(size=(40, 3)) * 1.5, 7),
+        (cloud, cloud[:20], 1),  # queries on points: d² == 0 ties none
+        (lattice, rng.integers(0, 4, size=(40, 3)) + 0.5, 9),  # cell centres: exact d² ties
+        (lattice, lattice[::7], 27),
+        (dupes, np.concatenate([dupes[::5], rng.normal(size=(5, 3))]), 6),  # duplicate points
+        (cloud[:5], rng.normal(size=(8, 3)), 12),  # N < k: rows of N indices
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_k_nearest_many_equals_per_query_k_nearest(case):
+    pts, queries, k = knn_many_cases()[case]
+    index = KdIndex(pts)
+    got = index.k_nearest_many(queries, k)
+    assert got.shape == (len(queries), min(k, len(pts)))
+    for q, row in zip(queries, got):
+        assert row.tolist() == index.k_nearest(q, k).tolist() == brute_knn(pts, q, k)
+    assert index.k_nearest_many(queries[:1], k).tolist() == got[:1].tolist()  # R = 1
+
+
+@pytest.mark.parametrize("over", [0, 1, 2])
+def test_k_nearest_many_across_block_boundary(over):
+    # R at, and just over, the queries one block holds: the rows of the last
+    # block are answered alone and must not change
+    g = np.arange(5, dtype=np.float64)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    per_block = mesh_core.BATCH_ENTRIES // len(pts)
+    rng = np.random.default_rng(38)
+    queries = rng.integers(0, 4, size=(per_block + over, 3)) + 0.5
+    index = KdIndex(pts)
+    got = index.k_nearest_many(queries, 10)
+    assert [row.tolist() for row in got] == [brute_knn(pts, q, 10) for q in queries]
+
+
+def test_k_nearest_many_rejects_bad_input():
+    index = KdIndex(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        index.k_nearest_many(np.zeros((3, 3)), 0)
+    with pytest.raises(InvariantError):
+        index.k_nearest_many([[0, 0, 0], [0, np.inf, 0]], 1)
+    assert index.k_nearest_many(np.zeros((0, 3)), 2).shape == (0, 2)
 
 
 def test_build_kd_index_from_mesh():
@@ -251,6 +303,40 @@ def test_tensor_deterministic():
     b = build_sequence_tensor(frames, 5)
     assert np.array_equal(a.values, b.values)
     assert a.landmark_hash == b.landmark_hash
+
+
+def reference_patch(mesh, position, k, scale_normalize):
+    """One landmark's channel column from the brute-force oracle, padded and scaled alone."""
+    idx = brute_knn(mesh.vertices, position, k)
+    idx += [idx[-1]] * (k - len(idx))
+    rel = mesh.vertices[idx] - position
+    if scale_normalize:
+        scale = float(np.sqrt((rel * rel).sum(axis=1)).max())
+        if scale > 0.0:
+            rel = rel / scale
+    return np.concatenate([rel, mesh.colors[idx]], axis=1).reshape(-1).astype(np.float32)
+
+
+@pytest.mark.parametrize("scale_normalize", [False, True])
+def test_tensor_columns_equal_per_landmark_patches(scale_normalize):
+    rng = np.random.default_rng(39)
+    meshes = [synth_mesh(t=i) for i in range(3)]
+    # three vertices on the origin: a landmark there has scale 0 for k <= 3,
+    # next to landmarks with a positive scale in the same block
+    flat = TexturedMesh.from_arrays(
+        [[0, 0, 0]] * 3 + list(rng.normal(size=(5, 3))), [[0, 1, 2]] * 2
+    )
+    for k in (3, 12):
+        for mesh in meshes + [flat]:
+            lms = snap_to_mesh(mesh, np.concatenate([[[0, 0, 0]], rng.normal(size=(20, 3))]))
+            t = build_sequence_tensor([(mesh, lms)] * 2, k, scale_normalize=scale_normalize)
+            index = build_kd_index(mesh)
+            for j, lm in enumerate(lms):
+                want = extract_patch(index, mesh, lm, k, scale_normalize=scale_normalize)
+                ref = reference_patch(mesh, lm.position, k, scale_normalize)
+                assert want.tobytes() == ref.tobytes()
+                assert t.values[:, j, 0].tobytes() == want.tobytes()
+                assert t.values[:, j, 1].tobytes() == want.tobytes()
 
 
 def test_channels_injective_given_k():
