@@ -27,6 +27,7 @@ from .errors import (
     EmptySide,
     FaceGcnError,
     InconsistentLandmarks,
+    InvalidPair,
     NumericalError,
 )
 from .fileio import read_json, write_atomic
@@ -176,6 +177,10 @@ def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
         else:
             points = landmark_engine.load_landmarks_3d(lm_path)
             base = landmark_engine.snap_to_mesh(mesh, points)
+        for a, b in cfg.features.augmentation_pairs:
+            if not (0 <= a < len(base) and 0 <= b < len(base)):
+                raise InvalidPair(f"sequence {seq_dir}, frame {mesh_path.name}: {lm_path} has "
+                                  f"{len(base)} landmarks, too few for pair ({a}, {b})")
         frames.append((mesh, base))
     results = landmark_engine.augment_sequence(frames, cfg.features.augmentation_pairs)
     for mesh_path, result in zip(mesh_files, results):

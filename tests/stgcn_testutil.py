@@ -2,7 +2,9 @@
 
 Also holds the per-vertex oracles of the spatial graph convolution (Eq. 1),
 which only tests use: neighborhood B_i, partition label lookup, subset
-cardinalities Z and the summation form the matrix form is checked against.
+cardinalities Z and the summation form the matrix form is checked against;
+and the im2col temporal-convolution backward that the per-tap one must
+equal byte for byte.
 """
 
 import numpy as np
@@ -62,6 +64,27 @@ def graph_conv_reference(f_in, params, graph, labels, Z, normalization="cardinal
     if params.bias is not None:
         out += params.bias[:, None, None]
     return out
+
+
+def temporal_conv_backward_reference(g, f, params):
+    """(dx, dk) from the full (C*K, J*T_out) column block and its transpose product."""
+    c_in, j_count, t_count = f.shape
+    pad = params.K // 2
+    s = params.stride
+    t_out = g.shape[2]
+    c_out = params.kernel.shape[0]
+    g_flat = g.reshape(c_out, j_count * t_out)
+
+    cols, _ = stgcn_net._unfold_time(f, params.K, s)
+    dk = (g_flat @ cols.T).reshape(params.kernel.shape)
+
+    dcols = (params.kernel.reshape(c_out, c_in * params.K).T @ g_flat).reshape(
+        c_in, params.K, j_count, t_out
+    )
+    dxp = np.zeros((c_in, j_count, t_count + 2 * pad), dtype=f.dtype)
+    for tap in range(params.K):
+        dxp[:, :, tap : tap + s * (t_out - 1) + 1 : s] += dcols[:, tap]
+    return dxp[:, :, pad : pad + t_count], dk
 
 
 def random_regular_graph(j, d, rng, max_tries=200):

@@ -781,6 +781,14 @@ def _pair_beyond_landmarks(tmp_path):
     return "pair (0, 99)"
 
 
+def _short_landmark_file(tmp_path):
+    # the second frame's landmark file loses its last 38 points
+    seq = tmp_path / "raw" / "seq_a"
+    lm = seq / "frame_0001.lm2"
+    lm.write_text("".join(lm.read_text().splitlines(keepends=True)[:30]))
+    return f"sequence {seq}, frame frame_0001.ply: {lm} has 30 landmarks, too few for pair"
+
+
 MALFORMED_CONTENT = {
     "synth-inseparable": ("synth", {"synth": {"identity_amplitude": 0.0,
                                                "expression_amplitude": 1.0}},
@@ -789,6 +797,7 @@ MALFORMED_CONTENT = {
     "preprocess-pair-beyond-landmarks": ("preprocess",
                                          {"features": {"augmentation_pairs": [[0, 99]]}},
                                          _pair_beyond_landmarks),
+    "preprocess-short-landmark-file": ("preprocess", {}, _short_landmark_file),
 }
 
 

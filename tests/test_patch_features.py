@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from facegcn import mesh_core
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
-from facegcn.landmark_engine import lift_landmarks, snap_to_mesh
+from facegcn.landmark_engine import LandmarkSet, augment_landmarks, lift_landmarks, snap_to_mesh
 from facegcn.mesh_core import TexturedMesh
 from facegcn.patch_features import (
     FeatureTensor,
@@ -281,6 +283,18 @@ def test_tensor_rejects_inconsistent_landmarks():
     frames = [(m, landmark_pair(m)), (m, lift_landmarks(m, [m.uv[3]]))]
     with pytest.raises(InconsistentLandmarks):
         build_sequence_tensor(frames, 2)
+
+
+def test_tensor_rejects_frames_differing_in_one_augmentation_source():
+    m = synth_mesh()
+    base = lift_landmarks(m, [m.uv[3], m.uv[11], m.uv[40]])
+    lms = augment_landmarks(m, mesh_core.build_edge_graph(m), base, [(0, 1), (1, 2)]).landmarks
+    last = lms.entries[-1]
+    swapped = LandmarkSet(lms.entries[:-1] + (dataclasses.replace(last, source=(2, 1)),))
+    tensor = build_sequence_tensor([(m, lms), (m, lms)], 2)
+    assert tensor.landmark_hash == lms.ordering_hash() != swapped.ordering_hash()
+    with pytest.raises(InconsistentLandmarks, match="frame 1 disagrees on landmark ordering"):
+        build_sequence_tensor([(m, lms), (m, swapped)], 2)
 
 
 def test_tensor_translation_invariance_bit_exact():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from facegcn import stgcn_net
 from facegcn.errors import (
     LabelOutOfRange,
+    NumericalError,
     ParseError,
     PartitionMismatch,
     ShapeMismatch,
@@ -36,6 +39,7 @@ from stgcn_testutil import (
     finite_difference_check,
     graph_conv_reference,
     random_regular_graph,
+    temporal_conv_backward_reference,
     toy_model_and_input,
 )
 
@@ -178,6 +182,25 @@ def test_temporal_stride_shape():
 def test_temporal_rejects_even_kernel():
     with pytest.raises(ShapeMismatch):
         TemporalConvParams(kernel=np.zeros((1, 1, 4)), stride=1)
+
+
+# (C, J, T, K, stride): the shipped blocks' temporal convs (J = 28, T = 24),
+# a stride equal to K, and sequences shorter than the kernel
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c, j, t, k, stride", [
+    (64, 28, 24, 5, 1), (128, 28, 24, 5, 2), (256, 28, 12, 5, 2),
+    (7, 4, 10, 3, 3), (5, 3, 2, 5, 1), (6, 4, 1, 3, 2), (4, 3, 2, 7, 3),
+])
+def test_temporal_backward_equals_im2col_reference(c, j, t, k, stride, dtype):
+    rng = np.random.default_rng(c * 1000 + t * 10 + k)
+    params = TemporalConvParams(kernel=rng.normal(size=(c, c, k)).astype(dtype), stride=stride)
+    f = rng.normal(size=(c, j, t)).astype(dtype)
+    g = rng.normal(size=temporal_conv(f, params).shape).astype(dtype)
+    got = stgcn_net._temporal_conv_backward(g, f, params)
+    want = temporal_conv_backward_reference(g, f, params)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +491,93 @@ def test_training_handles_variable_sequence_lengths():
                        weight_decay=0.0, decay_epochs=(), gamma=0.1,
                        batch_size=2, seed=6)
     assert len(hist) == 2 and np.isfinite(hist[-1].loss)
+
+
+def train_with_cpus(monkeypatch, cpus, data, batch_size, epochs=3, on_epoch=None, threads=None):
+    """A fresh tiny model trained with the in-flight count forced through ``cpus``.
+
+    ``threads``, a set, collects the threads that ran a forward pass.
+    """
+    arch, norm, _ = tiny_training_setup()
+    monkeypatch.setattr(stgcn_net, "_usable_cpus", lambda: cpus)
+    if threads is not None:
+        def recording_forward(*args, _forward=stgcn_net.forward, **kwargs):
+            threads.add(threading.get_ident())
+            return _forward(*args, **kwargs)
+
+        monkeypatch.setattr(stgcn_net, "forward", recording_forward)
+    model = init_model(arch, norm, seed=5)
+    try:
+        hist = train_model(model, data, epochs=epochs, base_lr=0.05, momentum=0.9,
+                           weight_decay=1e-4, decay_epochs=(1,), gamma=0.5,
+                           batch_size=batch_size, seed=5, on_epoch=on_epoch)
+    except NumericalError as exc:
+        return model, exc
+    return model, [(h.loss, h.train_acc) for h in hist]
+
+
+def parameter_bytes(model):
+    return [(name, arr.tobytes()) for name, arr in model.parameters()]
+
+
+@pytest.fixture
+def fast_thread_switches():
+    """Switch threads every microsecond, so that a race between samples shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])  # 10 samples: short last batches
+@pytest.mark.parametrize("cpus", [2, 3])  # 3 may be more CPUs than there are
+def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch, fast_thread_switches,
+                                                   batch_size, cpus):
+    _, _, data = tiny_training_setup(n=10)
+    threads = threading.active_count()
+    ran_on_1, ran_on_n = set(), set()
+    model_1, stats_1 = train_with_cpus(monkeypatch, 1, data, batch_size, threads=ran_on_1)
+    monkeypatch.undo()
+    model_n, stats_n = train_with_cpus(monkeypatch, cpus, data, batch_size, threads=ran_on_n)
+    assert stats_n == stats_1  # bit-identical losses and accuracies
+    assert parameter_bytes(model_n) == parameter_bytes(model_1)
+    assert ran_on_1 == {threading.get_ident()}
+    # with 3 in flight one pool thread may happen to take both pool samples
+    assert len(ran_on_n) == 1 if batch_size == 1 else 1 < len(ran_on_n) <= min(cpus, batch_size)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_training_error_order_does_not_depend_on_cpu_count(monkeypatch, cpus):
+    # a NaN sample at batch position 1 of the second batch of epoch 0, and a
+    # label out of range at position 2: the NaN comes first in batch order
+    _, _, data = tiny_training_setup(n=10)
+    order = np.random.default_rng([5, 0]).permutation(len(data))
+    data[order[4 + 1]] = (np.full_like(data[0][0], np.nan), data[0][1])
+    data[order[4 + 2]] = (data[0][0], 7)
+    threads = threading.active_count()
+    model_1, err_1 = train_with_cpus(monkeypatch, 1, data, batch_size=4)
+    model_n, err_n = train_with_cpus(monkeypatch, cpus, data, batch_size=4)
+    assert isinstance(err_1, NumericalError) and type(err_n) is type(err_1)
+    assert str(err_n) == str(err_1)
+    assert parameter_bytes(model_n) == parameter_bytes(model_1)  # the first batch's step
+    assert threading.active_count() == threads
+
+
+def test_training_threads_end_when_on_epoch_raises(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def stop(stats):
+        raise Stop
+
+    _, _, data = tiny_training_setup(n=10)
+    threads = threading.active_count()
+    with pytest.raises(Stop):
+        train_with_cpus(monkeypatch, 2, data, batch_size=4, on_epoch=stop)
+    assert threading.active_count() == threads
 
 
 def test_training_learns_separable_toy():
