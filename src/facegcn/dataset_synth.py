@@ -104,8 +104,15 @@ def _envelope(t: int, T: int) -> float:
     return float(np.sin(np.pi * t / (T - 1)) ** 2)
 
 
-def make_frame_mesh(identity: IdentityParams, expr: ExpressionParams, t: int, T: int) -> TexturedMesh:
-    """Mesh at frame t: dome + identity displacement + enveloped expression bumps."""
+def _sequence_meshes(identity: IdentityParams, expr: ExpressionParams, ts, T: int) -> list[TexturedMesh]:
+    """Meshes at frames ts of a T-frame sequence: dome + identity displacement
+    + enveloped expression bumps.
+
+    Everything but the expression term is computed once; frame t adds
+    ``((env_t * amplitude) * strength) * field`` per bump, in template order,
+    and only when env_t > 0 (adding a zero term could turn -0.0 into +0.0).
+    The frames share one read-only faces, colors and uv array.
+    """
     n = identity.grid
     if n < 2:
         raise ConfigError(f"grid resolution {n} too small")
@@ -120,24 +127,39 @@ def make_frame_mesh(identity: IdentityParams, expr: ExpressionParams, t: int, T:
         z = z + identity.amplitude * amp * np.cos(2 * np.pi * fu * u + pu) * np.cos(
             2 * np.pi * fv * v + pv
         )
-    env = _envelope(t, T)
-    if env > 0.0:
+    zs = np.repeat(z[None], len(ts), axis=0)
+    env = np.array([_envelope(t, T) for t in ts])
+    live = env > 0.0
+    if live.any():
+        scale = env[live] * expr.amplitude
+        z_live = zs[live]
         for cu, cv, width, strength in _emotion_template(expr):
-            z = z + env * expr.amplitude * strength * np.exp(
-                -((u - cu) ** 2 + (v - cv) ** 2) / width**2
-            )
+            field = np.exp(-((u - cu) ** 2 + (v - cv) ** 2) / width**2)
+            z_live = z_live + (scale * strength)[:, None, None] * field
+        zs[live] = z_live
 
-    vertices = np.stack([rx * su, ry * sv, z], axis=-1).reshape(-1, 3)
+    # quantize to the canonical on-disk domain so write/load is bit-exact
+    vertices = np.empty((len(ts), n * n, 3))
+    vertices[:, :, 0] = (rx * su).reshape(-1)
+    vertices[:, :, 1] = (ry * sv).reshape(-1)
+    vertices[:, :, 2] = zs.reshape(len(ts), -1)
+    vertices = vertices.astype(np.float32).astype(np.float64)
     r = _PALETTE_REGIONS
     iu = np.minimum((u * r).astype(int), r - 1)
     iv = np.minimum((v * r).astype(int), r - 1)
     colors = palette[(iu * r + iv).reshape(-1)]
-    uv = np.stack([u, v], axis=-1).reshape(-1, 2)
+    uv = np.stack([u, v], axis=-1).reshape(-1, 2).astype(np.float32).astype(np.float64)
+    faces = _grid_faces(n)
+    for arr in (vertices, faces, colors, uv):
+        arr.flags.writeable = False
+    return [TexturedMesh.from_arrays(frame, faces, colors, uv) for frame in vertices]
 
-    # quantize to the canonical on-disk domain so write/load is bit-exact
-    vertices = vertices.astype(np.float32).astype(np.float64)
-    uv = uv.astype(np.float32).astype(np.float64)
-    return TexturedMesh.from_arrays(vertices, _grid_faces(n), colors, uv)
+
+def make_frame_mesh(identity: IdentityParams, expr: ExpressionParams, t: int, T: int) -> TexturedMesh:
+    """Mesh at frame t of a T-frame sequence; the one-frame call of generate_sequence."""
+    if not (0 <= t < T):
+        raise ConfigError(f"frame {t} outside 0..{T - 1}")
+    return _sequence_meshes(identity, expr, [t], T)[0]
 
 
 def landmark_grid_indices(grid: int, lm_grid: int) -> np.ndarray:
@@ -168,11 +190,10 @@ def generate_sequence(
     if T < 1:
         raise ConfigError("T must be >= 1")
     anchors = landmark_grid_indices(identity.grid, lm_grid)
-    frames = []
-    for t in range(T):
-        mesh = make_frame_mesh(identity, expr, t, T)
-        frames.append((mesh, _anchored(range(len(anchors)), anchors, mesh, BASE)))
-    return frames
+    return [
+        (mesh, _anchored(range(len(anchors)), anchors, mesh, BASE))
+        for mesh in _sequence_meshes(identity, expr, range(T), T)
+    ]
 
 
 @dataclass(frozen=True)
@@ -229,8 +250,9 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
         for e in cfg.emotions:
             expr = cfg.expression_params(e)
             frames = generate_sequence(ident, expr, cfg.T, lm_grid=cfg.lm_grid)
-            neutral_frames.setdefault(i, frames[0][0].vertices)
-            peak_frames[(i, e)] = frames[len(frames) // 2][0].vertices
+            # copies: a frame's vertices are a view of the whole sequence's block
+            neutral_frames.setdefault(i, frames[0][0].vertices.copy())
+            peak_frames[(i, e)] = frames[len(frames) // 2][0].vertices.copy()
             results = augment_sequence(frames, augment_pairs)
             augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(frames, results)]
             tensor = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)

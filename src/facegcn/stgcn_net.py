@@ -216,7 +216,7 @@ def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices):
     d_in_flat = np.zeros_like(flat_in)
     dw = np.zeros_like(params.weights)
     for p in range(params.P):
-        dtmp = np.moveaxis(np.tensordot(matrices[p], g, axes=([0], [1])), 0, 1)
+        dtmp = np.matmul(matrices[p].T, g)
         dtmp_flat = dtmp.reshape(params.c_out, j_count * t_count)
         dw[p] = dtmp_flat @ flat_in.T
         d_in_flat += params.weights[p].T @ dtmp_flat

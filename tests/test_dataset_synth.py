@@ -71,6 +71,45 @@ def test_same_seed_bit_identical():
     assert np.array_equal(m1.colors, m2.colors)
 
 
+@pytest.mark.parametrize("seed", [0, 9, 700_003])
+@pytest.mark.parametrize("T", [1, 2, 5, 24])
+def test_sequence_frames_equal_make_frame_mesh(seed, T):
+    ident = IdentityParams(seed=seed)
+    for emotion in range(6):
+        expr = ExpressionParams(emotion=emotion)
+        frames = generate_sequence(ident, expr, T)
+        assert len(frames) == T
+        for t, (mesh, _) in enumerate(frames):
+            one = make_frame_mesh(ident, expr, t, T)
+            for name in ("vertices", "colors", "uv", "faces"):
+                a, b = getattr(mesh, name), getattr(one, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (emotion, t, name)
+
+
+def test_sequence_frames_share_read_only_arrays():
+    frames = generate_sequence(IdentityParams(seed=8, grid=8), ExpressionParams(emotion=5), 5, lm_grid=2)
+    first = frames[0][0]
+    for mesh, _ in frames:
+        for name in ("faces", "colors", "uv", "vertices"):
+            assert not getattr(mesh, name).flags.writeable
+        for name in ("faces", "colors", "uv"):
+            assert np.shares_memory(getattr(mesh, name), getattr(first, name))
+
+
+@pytest.mark.parametrize("t, T", [(-1, 4), (4, 4), (9, 4), (0, 0)])
+def test_make_frame_mesh_rejects_frame_outside_sequence(t, T):
+    with pytest.raises(ConfigError):
+        make_frame_mesh(IdentityParams(seed=1, grid=8), ExpressionParams(emotion=0), t, T)
+
+
+def test_generate_sequence_validates_length_and_grid():
+    with pytest.raises(ConfigError):
+        generate_sequence(IdentityParams(seed=1, grid=8), ExpressionParams(emotion=0), 0, lm_grid=2)
+    with pytest.raises(ConfigError):
+        generate_sequence(IdentityParams(seed=1, grid=1), ExpressionParams(emotion=0), 3, lm_grid=1)
+
+
 def test_landmark_grid_indices_shape_and_range():
     idx = landmark_grid_indices(24, 4)
     assert idx.shape == (16,)
@@ -185,10 +224,24 @@ def test_split_missing_identity():
 GOLDEN_FGT1_SHA256 = "39df4c632784e8c0a3a652e759979cef94bf34d6caf0b745531ba77afdfe0121"
 
 
-def test_golden_fgt1_digest(tmp_path):
-    result = build_dataset(SynthConfig(n_identities=2, emotions=(0,), T=4))
+def _fgt1_digest(cfg: SynthConfig, tmp_path) -> str:
     h = hashlib.sha256()
-    for i, sample in enumerate(result.samples):
+    for i, sample in enumerate(build_dataset(cfg).samples):
         save_tensor(sample.tensor, tmp_path / f"{i}.fgt")
         h.update((tmp_path / f"{i}.fgt").read_bytes())
-    assert h.hexdigest() == GOLDEN_FGT1_SHA256
+    return h.hexdigest()
+
+
+def test_golden_fgt1_digest(tmp_path):
+    assert _fgt1_digest(SynthConfig(n_identities=2, emotions=(0,), T=4), tmp_path) == GOLDEN_FGT1_SHA256
+
+
+# SHA-256 of the FGT1 files of SynthConfig(n_identities=2, emotions=(0, ..., 5),
+# T=24), concatenated in sample order: the shipped frame count, so every
+# envelope value of a 24-frame sequence is covered.
+GOLDEN_FGT1_T24_SHA256 = "81eff0b90d43120e114af2b039319637c09e1b52243a6b7d6c7103d23f46ac09"
+
+
+def test_golden_fgt1_digest_shipped_frame_count(tmp_path):
+    cfg = SynthConfig(n_identities=2, emotions=(0, 1, 2, 3, 4, 5), T=24)
+    assert _fgt1_digest(cfg, tmp_path) == GOLDEN_FGT1_T24_SHA256
