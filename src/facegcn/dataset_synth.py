@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptySide, MissingIdentity
-from .landmark_engine import BASE, LandmarkSet, _anchored, augment_sequence
+from .landmark_engine import LandmarkSet, _anchored, augment_sequence
 from .mesh_core import TexturedMesh
 from .patch_features import FeatureTensor, build_sequence_tensor
 
@@ -191,7 +191,7 @@ def generate_sequence(
         raise ConfigError("T must be >= 1")
     anchors = landmark_grid_indices(identity.grid, lm_grid)
     return [
-        (mesh, _anchored(range(len(anchors)), anchors, mesh, BASE))
+        (mesh, _anchored(anchors, mesh))
         for mesh in _sequence_meshes(identity, expr, range(T), T)
     ]
 

@@ -89,14 +89,16 @@ class LandmarkSet:
         return int.from_bytes(h.digest(), "little")
 
 
-def _anchored(ids, anchors, mesh, kind, sources=None) -> LandmarkSet:
-    entries = []
-    for j, (i, a) in enumerate(zip(ids, anchors)):
-        pos = np.array(mesh.vertices[a], dtype=np.float64)
-        pos.flags.writeable = False
-        src = sources[j] if sources is not None else None
-        entries.append(Landmark(id=int(i), anchor=int(a), position=pos, kind=kind, source=src))
-    return LandmarkSet(entries=tuple(entries))
+def _anchored(anchors, mesh) -> LandmarkSet:
+    """Base landmarks 0..n-1 at the given vertices, in order."""
+    # one gather for every position; each landmark holds a read-only row of it
+    anchors = np.asarray(anchors, dtype=np.intp)
+    positions = mesh.vertices[anchors].astype(np.float64)
+    positions.flags.writeable = False
+    return LandmarkSet(entries=tuple(
+        Landmark(id=i, anchor=a, position=positions[i], kind=BASE)
+        for i, a in enumerate(anchors.tolist())
+    ))
 
 
 def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
@@ -115,7 +117,7 @@ def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
     # returns the first (lowest) index on ties
     u, v = np.ascontiguousarray(mesh.uv[:, 0]), np.ascontiguousarray(mesh.uv[:, 1])
     anchors = [int(np.argmin((u - a) ** 2 + (v - b) ** 2)) for a, b in pts]
-    return _anchored(range(pts.shape[0]), anchors, mesh, BASE)
+    return _anchored(anchors, mesh)
 
 
 def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
@@ -126,7 +128,7 @@ def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
     if pts.shape[0] == 0:
         raise EmptyInput("no points given")
     anchors = build_kd_index(mesh).k_nearest_many(pts, 1)[:, 0]
-    return _anchored(range(pts.shape[0]), anchors, mesh, BASE)
+    return _anchored(anchors, mesh)
 
 
 def _load_point_file(path, dim: int) -> np.ndarray:

@@ -183,11 +183,6 @@ def init_model(
 # functional ops
 
 
-def _mix_nodes(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # out[o, i, t] = sum_j m[i, j] x[o, j, t]
-    return np.moveaxis(np.tensordot(m, x, axes=([1], [1])), 0, 1)
-
-
 def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) -> np.ndarray:
     """Matrix-form spatial graph convolution: sum_p M_p (W_p f_in)."""
     if matrices.shape[0] != params.P:
@@ -200,28 +195,35 @@ def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) 
             f"input {f_in.shape} incompatible with weights {params.weights.shape} "
             f"and adjacency J={matrices.shape[1]}"
         )
+    c_out = params.c_out
     flat = f_in.reshape(c_in, j_count * t_count)
-    out = np.zeros((params.c_out, j_count, t_count), dtype=f_in.dtype)
+    # node mixes in (J, C_out*T) layout, each the (J, J) @ (J, C_out*T) GEMM
+    # of tensordot(m, tmp, ([1], [1])), added from zeros in partition order
+    mixed = np.zeros((j_count, c_out * t_count), dtype=f_in.dtype)
     for p in range(params.P):
-        tmp = (params.weights[p] @ flat).reshape(params.c_out, j_count, t_count)
-        out += _mix_nodes(matrices[p], tmp)
-    if params.bias is not None:
-        out += params.bias[:, None, None]
-    return out
+        tmp = (params.weights[p] @ flat).reshape(c_out, j_count, t_count)
+        mixed += np.dot(matrices[p], tmp.transpose(1, 0, 2).reshape(j_count, c_out * t_count))
+    out = mixed.reshape(j_count, c_out, t_count).transpose(1, 0, 2)
+    if params.bias is None:
+        return np.ascontiguousarray(out)
+    return np.add(out, params.bias[:, None, None], order="C")
 
 
-def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices):
+def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad=True):
+    """(d_in, dw, db); d_in is None when input_grad is false."""
     c_in, j_count, t_count = f_in.shape
     flat_in = f_in.reshape(c_in, j_count * t_count)
-    d_in_flat = np.zeros_like(flat_in)
+    d_in_flat = np.zeros_like(flat_in) if input_grad else None
     dw = np.zeros_like(params.weights)
     for p in range(params.P):
         dtmp = np.matmul(matrices[p].T, g)
         dtmp_flat = dtmp.reshape(params.c_out, j_count * t_count)
         dw[p] = dtmp_flat @ flat_in.T
-        d_in_flat += params.weights[p].T @ dtmp_flat
+        if input_grad:
+            d_in_flat += params.weights[p].T @ dtmp_flat
     db = g.sum(axis=(1, 2)) if params.bias is not None else None
-    return d_in_flat.reshape(f_in.shape), dw, db
+    d_in = d_in_flat.reshape(f_in.shape) if input_grad else None
+    return d_in, dw, db
 
 
 def _unfold_time(f: np.ndarray, kernel_size: int, stride: int):
@@ -251,9 +253,14 @@ def temporal_conv(f: np.ndarray, params: TemporalConvParams) -> np.ndarray:
 
 
 def _temporal_conv_backward(g, f, params: TemporalConvParams):
-    # one tap at a time: a strided slice of the padded input instead of the
-    # full (C*K, J*T_out) column block, and no (C*K, J*T_out) block for dx;
-    # the same products and the same tap order, so the same bytes
+    """(dx, dk); dx is a (C_in, J, T) view of a (J, T, C_in) buffer.
+
+    dk is one GEMM over the forward's columns. The dx products are one GEMM
+    in (J*T_out, C_in*K) layout, added tap by tap, in tap order, into a
+    zeroed time-major buffer, so each += runs J*T_out rows of C_in elements.
+    Each element sums the same products in the same order as the im2col
+    reference, so the bytes are the same.
+    """
     c_in, j_count, t_count = f.shape
     pad = params.K // 2
     s = params.stride
@@ -261,15 +268,16 @@ def _temporal_conv_backward(g, f, params: TemporalConvParams):
     c_out = params.kernel.shape[0]
     g_flat = g.reshape(c_out, j_count * t_out)
 
-    xp = np.zeros((c_in, j_count, t_count + 2 * pad), dtype=f.dtype)
-    xp[:, :, pad : pad + t_count] = f
-    dxp = np.zeros_like(xp)
-    dk = np.empty_like(params.kernel)
+    cols, _ = _unfold_time(f, params.K, s)
+    dk = (g_flat @ cols.T).reshape(params.kernel.shape)
+    del cols  # as large as dcols; every sample in flight would hold both
+    dcols = (g_flat.T @ params.kernel.reshape(c_out, c_in * params.K)).reshape(
+        j_count, t_out, c_in, params.K
+    )
+    dxp = np.zeros((j_count, t_count + 2 * pad, c_in), dtype=f.dtype)
     for tap in range(params.K):
-        taps = slice(tap, tap + s * (t_out - 1) + 1, s)
-        dk[:, :, tap] = g_flat @ xp[:, :, taps].reshape(c_in, j_count * t_out).T
-        dxp[:, :, taps] += (params.kernel[:, :, tap].T @ g_flat).reshape(c_in, j_count, t_out)
-    return dxp[:, :, pad : pad + t_count], dk
+        dxp[:, tap : tap + s * (t_out - 1) + 1 : s] += dcols[..., tap]
+    return dxp[:, pad : pad + t_count].transpose(2, 0, 1), dk
 
 
 def cross_entropy(logits: np.ndarray, label: int, tape: "GradientTape | None" = None) -> float:
@@ -356,11 +364,13 @@ def forward(model: Model, features: np.ndarray, tape: GradientTape | None = None
     return logits
 
 
-def backward(tape: GradientTape, loss_scale: float = 1.0):
+def backward(tape: GradientTape, loss_scale: float = 1.0, *, _input_grad: bool = True):
     """Exact reverse-mode gradients of (loss_scale * loss).
 
     Returns (grads, dx): grads maps each parameter name to its gradient in
     Model.parameters() order, dx is the gradient w.r.t. the input features.
+    The training step passes _input_grad=False: then dx is None, and block
+    0's input gradient (P products and a (C_in, J, T) array) is never formed.
     """
     if tape.model is None or tape.probs is None or tape.label is None:
         raise TapeIncomplete("forward pass and cross_entropy must be recorded first")
@@ -390,15 +400,18 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
         da, dk = _temporal_conv_backward(dz, cache.tconv_in, block.tconv)
         grads[f"block{bi}.tconv.kernel"] = dk
         # every sample train_model has in flight holds what is alive here, so
-        # da and dg go once used (0.4 MB less per sample at the defaults)
-        dg = da * cache.gconv_mask
+        # da and dg go once used (0.4 MB less per sample at the defaults); da
+        # is a transposed view, and dg is formed C-contiguous so that the
+        # node-mix matmul sees the layout its bytes were pinned with
+        dg = np.multiply(da, cache.gconv_mask, order="C")
         del da
-        d_in, dw, db = _graph_conv_backward(dg, cache.f_in, block.gconv, model.adjacency)
+        d_in, dw, db = _graph_conv_backward(dg, cache.f_in, block.gconv, model.adjacency,
+                                            input_grad=bi > 0 or _input_grad)
         del dg
         grads[f"block{bi}.gconv.weight"] = dw
         if db is not None:
             grads[f"block{bi}.gconv.bias"] = db
-        if dres is not None:
+        if dres is not None and d_in is not None:
             d_in += dres
         dx = d_in
     return {name: grads[name] for name, _ in model.parameters()}, dx
@@ -602,7 +615,8 @@ def _sample_step(model: Model, loss_scale: float, epoch: int, tape: GradientTape
     loss = cross_entropy(logits, label, tape=tape)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss at epoch {epoch}")
-    return loss, int(np.argmax(logits) == label), backward(tape, loss_scale=loss_scale)[0]
+    grads, _ = backward(tape, loss_scale=loss_scale, _input_grad=False)
+    return loss, int(np.argmax(logits) == label), grads
 
 
 def _in_order(pool: ThreadPoolExecutor | None, tapes: list[GradientTape], step, items):

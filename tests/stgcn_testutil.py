@@ -3,8 +3,9 @@
 Also holds the per-vertex oracles of the spatial graph convolution (Eq. 1),
 which only tests use: neighborhood B_i, partition label lookup, subset
 cardinalities Z and the summation form the matrix form is checked against;
-and the im2col temporal-convolution backward that the per-tap one must
-equal byte for byte.
+the tensordot matrix form that graph_conv must equal byte for byte; and the
+im2col temporal-convolution backward that the library's must equal byte for
+byte.
 """
 
 import numpy as np
@@ -61,6 +62,19 @@ def graph_conv_reference(f_in, params, graph, labels, Z, normalization="cardinal
                 raise ValueError(f"unknown normalization {normalization!r}")
             for t in range(t_count):
                 out[:, i, t] += norm * (params.weights[lab] @ f_in[:, j, t])
+    if params.bias is not None:
+        out += params.bias[:, None, None]
+    return out
+
+
+def graph_conv_tensordot_reference(f_in, params, matrices):
+    """sum_p M_p (W_p f_in), each node mix a tensordot over J moved back to (C, J, T)."""
+    c_in, j_count, t_count = f_in.shape
+    flat = f_in.reshape(c_in, j_count * t_count)
+    out = np.zeros((params.c_out, j_count, t_count), dtype=f_in.dtype)
+    for p in range(params.P):
+        tmp = (params.weights[p] @ flat).reshape(params.c_out, j_count, t_count)
+        out += np.moveaxis(np.tensordot(matrices[p], tmp, axes=([1], [1])), 0, 1)
     if params.bias is not None:
         out += params.bias[:, None, None]
     return out

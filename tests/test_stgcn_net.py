@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from stgcn_testutil import (
     cardinalities,
     finite_difference_check,
     graph_conv_reference,
+    graph_conv_tensordot_reference,
     random_regular_graph,
     temporal_conv_backward_reference,
     toy_model_and_input,
@@ -54,6 +56,16 @@ def complete_two_node():
     g = SpatialGraph(adjacency=np.array([[0, 1], [1, 0]], dtype=np.int8))
     labels = partition(g, "uniform")
     return g, labels, normalize_adjacency(g, labels)
+
+
+def shipped_model_and_input(seed=0):
+    """The shipped network (k = 25, J = 28, T = 24, distance partition, 10
+    identities) in float32, and one non-negative input sequence."""
+    rng = np.random.default_rng(seed)
+    g = random_regular_graph(28, 4, rng)
+    norm = normalize_adjacency(g, partition(g, "distance"))
+    model = init_model(ModelArch(in_channels=150, num_classes=10), norm, seed=seed)
+    return model, np.abs(rng.normal(size=(150, 28, 24))).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +152,28 @@ def test_graph_conv_linearity():
     lhs = graph_conv(0.7 * f1 + 1.3 * f2, params, norm)
     rhs = 0.7 * graph_conv(f1, params, norm) + 1.3 * graph_conv(f2, params, norm)
     assert np.max(np.abs(lhs - rhs)) <= 1e-5
+
+
+# (C_in, C_out, J, T): the shipped blocks' graph convs (k = 25, J = 28, T = 24)
+# and those of the golden checkpoint's small config (k = 4, J = 6, T = 2)
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in, c_out, j, t", [
+    (150, 64, 28, 24), (64, 128, 28, 24), (128, 256, 28, 12),
+    (24, 64, 6, 2), (64, 128, 6, 2), (128, 256, 6, 1),
+])
+def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias):
+    rng = np.random.default_rng(c_in * 1000 + j * 10 + t)
+    g = random_regular_graph(j, 3, rng)
+    norm = normalize_adjacency(g, partition(g, "distance")).astype(dtype)
+    params = GraphConvParams(weights=rng.normal(size=(2, c_out, c_in)).astype(dtype),
+                             bias=rng.normal(size=c_out).astype(dtype) if bias else None)
+    f = rng.normal(size=(c_in, j, t)).astype(dtype)
+    got = graph_conv(f, params, norm)
+    want = graph_conv_tensordot_reference(f, params, norm)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_graph_conv_partition_mismatch():
@@ -370,6 +404,73 @@ def test_input_gradient_matches_finite_differences():
         lm, _ = loss_of(bumped)
         fd = (lp - lm) / (2 * h)
         assert abs(fd - dx[c, j, t]) <= 1e-5 * max(1.0, abs(fd))
+
+
+def residual_block0_model_and_input():
+    """The toy graph with block 0 residual (C_in = C_out, stride 1)."""
+    toy, _ = toy_model_and_input(np.float32)
+    arch = ModelArch(in_channels=5, block_channels=(5, 6), strides=(1, 2), kernel_size=3,
+                     num_classes=3)
+    model = init_model(arch, toy.adjacency, seed=8)
+    x = np.abs(np.random.default_rng(9).normal(size=(5, toy.J, 7))).astype(np.float32)
+    return model, x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: toy_model_and_input(np.float32), residual_block0_model_and_input,
+    shipped_model_and_input,
+], ids=["toy", "residual-block0", "shipped"])
+def test_training_step_gradients_equal_backward_without_input_gradient(make):
+    model, x = make()
+    tape = GradientTape()
+    cross_entropy(forward(model, x, tape=tape), 1, tape=tape)
+    want, dx = backward(tape, loss_scale=0.25)
+    assert dx.shape == x.shape and dx.dtype == model.dtype
+
+    products = []
+
+    class CountingWeights(np.ndarray):
+        """Block 0's graph-conv weights, counting the matmuls they enter."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            inputs = tuple(a.view(np.ndarray) if isinstance(a, CountingWeights) else a
+                           for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    gconv = model.blocks[0].gconv
+    weights = gconv.weights
+    gconv.weights = weights.view(CountingWeights)
+    try:
+        _, _, got = stgcn_net._sample_step(model, 0.25, 0, GradientTape(), (x, 1))
+        in_step = len(products)
+        tape = GradientTape()
+        cross_entropy(forward(model, x, tape=tape), 1, tape=tape)
+        backward(tape, loss_scale=0.25)
+        in_full = len(products) - in_step
+    finally:
+        gconv.weights = weights
+    # the forward's W_p f_in only; backward's W_p^T dtmp_p forms block 0's dx
+    assert in_step == model.P and in_full == 2 * model.P
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_training_step_traced_peak_at_shipped_defaults():
+    # every sample train_model has in flight holds this peak at once (5.14 MB
+    # measured)
+    model, x = shipped_model_and_input()
+    stgcn_net._sample_step(model, 0.125, 0, GradientTape(), (x, 3))
+    tracemalloc.start()
+    try:
+        stgcn_net._sample_step(model, 0.125, 0, GradientTape(), (x, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5e6
 
 
 # ---------------------------------------------------------------------------
