@@ -4,7 +4,11 @@ Supported formats are a small OBJ subset (``v x y z [r g b]``, ``vt u v``,
 ``f i j k`` or ``f i/ti j/tj k/tk``) and a PLY subset (ascii or
 binary_little_endian 1.0, float x/y/z, optional uchar red/green/blue,
 optional float u/v, uchar+int32 face lists). The canonical writer is ascii
-PLY with 9 significant digits.
+PLY with 9 significant digits. The writers build each format from arrays:
+the PLY vertex record is the reader's own (``_PLY_VERTEX_PROPS`` gives the
+header's property lines and ``_vertex_dtype`` the binary record), and text
+rows are one ``%`` format per row. ``write_mesh`` validates the mesh first,
+writing nothing for an invalid one, and replaces the file atomically.
 
 All float geometry is quantized through float32 at load time (PLY's
 ``float`` property is 32-bit) and stored in float64 arrays, which is what
@@ -13,14 +17,13 @@ makes write/load round trips bit-exact.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError, ParseError
-from .fileio import read_text
+from .fileio import read_text, write_atomic
 
 DEFAULT_COLOR = (0.5, 0.5, 0.5)
 
@@ -131,32 +134,22 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
     report = ValidationReport()
     n = mesh.n_vertices
 
-    bad = ~np.isfinite(mesh.vertices).all(axis=1)
-    for i in np.nonzero(bad)[0]:
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    for i in np.nonzero(~finite)[0]:
         report.add("nan", f"vertices[{i}]", "non-finite coordinate")
 
-    if mesh.colors.shape[0] != n:
-        report.add("length", "colors", f"{mesh.colors.shape[0]} colors for {n} vertices")
-    else:
-        bad = ~np.isfinite(mesh.colors).all(axis=1)
-        for i in np.nonzero(bad)[0]:
-            report.add("nan", f"colors[{i}]", "non-finite component")
-        good = np.isfinite(mesh.colors).all(axis=1)
-        out = good & ((mesh.colors < 0.0) | (mesh.colors > 1.0)).any(axis=1)
+    for name, arr in (("colors", mesh.colors), ("uv", mesh.uv)):
+        if arr is None:
+            continue
+        if arr.shape[0] != n:
+            report.add("length", name, f"{arr.shape[0]} {name} for {n} vertices")
+            continue
+        ok = np.isfinite(arr).all(axis=1)
+        for i in np.nonzero(~ok)[0]:
+            report.add("nan", f"{name}[{i}]", "non-finite component")
+        out = ok & ((arr < 0.0) | (arr > 1.0)).any(axis=1)
         for i in np.nonzero(out)[0]:
-            report.add("range", f"colors[{i}]", "component outside [0, 1]")
-
-    if mesh.uv is not None:
-        if mesh.uv.shape[0] != n:
-            report.add("length", "uv", f"{mesh.uv.shape[0]} uv for {n} vertices")
-        else:
-            bad = ~np.isfinite(mesh.uv).all(axis=1)
-            for i in np.nonzero(bad)[0]:
-                report.add("nan", f"uv[{i}]", "non-finite component")
-            good = np.isfinite(mesh.uv).all(axis=1)
-            out = good & ((mesh.uv < 0.0) | (mesh.uv > 1.0)).any(axis=1)
-            for i in np.nonzero(out)[0]:
-                report.add("range", f"uv[{i}]", "component outside [0, 1]")
+            report.add("range", f"{name}[{i}]", "component outside [0, 1]")
 
     f = mesh.faces
     out = ((f < 0) | (f >= n)).any(axis=1)
@@ -169,7 +162,7 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
 
     # coincident edge endpoints would give zero-weight edges downstream;
     # found on the raw face edges, so only the hits need deduplicating
-    if not out.any() and mesh.n_faces and np.isfinite(mesh.vertices).all():
+    if not out.any() and mesh.n_faces and finite.all():
         lo, hi = _face_edges(f)
         hit = np.nonzero(lo != hi)[0]  # self-pairs are degenerate faces
         for c in range(3):  # narrow the candidates one coordinate at a time
@@ -342,11 +335,15 @@ def _load_obj(path: Path) -> TexturedMesh:
     )
 
 
+# The PLY vertex record: property name -> type, in the order the writers
+# emit them (readers accept any order, and the aliases below).
 _PLY_VERTEX_PROPS = {
-    "x": "f", "y": "f", "z": "f",
-    "red": "u", "green": "u", "blue": "u",
-    "u": "f", "v": "f",
+    "x": "float", "y": "float", "z": "float",
+    "red": "uchar", "green": "uchar", "blue": "uchar",
+    "u": "float", "v": "float",
 }
+_PLY_TYPE_ALIAS = {"float": "float32", "uchar": "uint8"}
+_PLY_FACE_DTYPE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 
 
 def _load_ply(path: Path) -> TexturedMesh:
@@ -402,10 +399,8 @@ def _load_ply(path: Path) -> TexturedMesh:
                 if name not in _PLY_VERTEX_PROPS:
                     raise ParseError(f"unsupported vertex property {name!r}", path=path, line=lineno)
                 want = _PLY_VERTEX_PROPS[name]
-                if want == "f" and ptype not in ("float", "float32"):
-                    raise ParseError(f"property {name} must be float", path=path, line=lineno)
-                if want == "u" and ptype not in ("uchar", "uint8"):
-                    raise ParseError(f"property {name} must be uchar", path=path, line=lineno)
+                if ptype not in (want, _PLY_TYPE_ALIAS[want]):
+                    raise ParseError(f"property {name} must be {want}", path=path, line=lineno)
                 vprops.append(name)
             elif element == "face":
                 if (len(tok) < 4 or tok[1] != "list" or tok[2] not in ("uchar", "uint8")
@@ -436,7 +431,7 @@ def _vertex_dtype(vprops, binary: bool) -> np.dtype:
     # fields are positional: a header may declare one property twice;
     # ascii colors are read as integers, which validation range-checks
     utype = "u1" if binary else "<i8"
-    return np.dtype([(f"p{j}", "<f4" if _PLY_VERTEX_PROPS[p] == "f" else utype)
+    return np.dtype([(f"p{j}", "<f4" if _PLY_VERTEX_PROPS[p] == "float" else utype)
                      for j, p in enumerate(vprops)])
 
 
@@ -533,9 +528,8 @@ def _read_ply_binary(path, body: bytes, n_vertices, n_faces, vprops):
     if len(body) < need:
         raise ParseError("truncated vertex data", path=path)
     table = np.frombuffer(body, dtype=vdtype, count=n_vertices)
-    fdtype = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
-    complete = min(n_faces, (len(body) - need) // fdtype.itemsize)
-    frows = np.frombuffer(body, dtype=fdtype, count=complete, offset=need)
+    complete = min(n_faces, (len(body) - need) // _PLY_FACE_DTYPE.itemsize)
+    frows = np.frombuffer(body, dtype=_PLY_FACE_DTYPE, count=complete, offset=need)
     bad = np.nonzero(frows["n"] != 3)[0]
     if bad.size:
         i = int(bad[0])
@@ -551,93 +545,58 @@ def _read_ply_binary(path, body: bytes, n_vertices, n_faces, vprops):
 # writing
 
 
-def _fmt32(x: float) -> str:
-    return "%.9g" % float(np.float32(x))
-
-
-def _color_byte(c: float) -> int:
-    return min(255, max(0, int(np.floor(c * 255.0 + 0.5))))
-
-
 def write_mesh(mesh: TexturedMesh, path, fmt: str = "ply") -> None:
-    """Write a mesh; ``fmt`` is ``ply`` (canonical ascii), ``ply-binary`` or ``obj``."""
+    """Write a mesh; ``fmt`` is ``ply`` (canonical ascii), ``ply-binary`` or ``obj``.
+
+    An invalid mesh is refused with InvariantError before anything is
+    written; the file is replaced atomically (``fileio.write_atomic``).
+    """
     path = Path(path)
-    if fmt == "ply":
-        _write_ply_ascii(mesh, path)
-    elif fmt == "ply-binary":
-        _write_ply_binary(mesh, path)
-    elif fmt == "obj":
-        _write_obj(mesh, path)
-    else:
+    if fmt not in ("ply", "ply-binary", "obj"):
         raise ValueError(f"unsupported write format {fmt!r}")
+    report = validate_mesh(mesh)
+    if not report.ok:
+        raise InvariantError(f"{path}: refusing to write an invalid mesh: {report}")
+    write_atomic(path, _obj_bytes(mesh) if fmt == "obj" else _ply_bytes(mesh, fmt == "ply-binary"))
 
 
-def _ply_header(mesh: TexturedMesh, binary: bool) -> str:
-    lines = [
-        "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-        f"element vertex {mesh.n_vertices}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-    ]
+def _ply_bytes(mesh: TexturedMesh, binary: bool) -> bytes:
+    """Header, one ``_vertex_dtype`` record per vertex, one face record per face."""
+    columns = [mesh.vertices, np.clip(np.floor(mesh.colors * 255 + 0.5), 0, 255)]
     if mesh.uv is not None:
-        lines += ["property float u", "property float v"]
-    lines += [
+        columns.append(mesh.uv)
+    values = np.hstack(columns)
+    vprops = list(_PLY_VERTEX_PROPS)[: values.shape[1]]
+    table = np.empty(mesh.n_vertices, dtype=_vertex_dtype(vprops, binary=True))
+    for j, column in enumerate(values.T):
+        table[f"p{j}"] = column
+    header = "\n".join([
+        "ply",
+        f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+        f"element vertex {mesh.n_vertices}",
+        *(f"property {_PLY_VERTEX_PROPS[p]} {p}" for p in vprops),
         f"element face {mesh.n_faces}",
         "property list uchar int32 vertex_indices",
-        "end_header",
-    ]
-    return "\n".join(lines) + "\n"
+        "end_header\n",
+    ]).encode("ascii")
+    if binary:
+        faces = np.empty(mesh.n_faces, dtype=_PLY_FACE_DTYPE)
+        faces["n"], faces["i"] = 3, mesh.faces
+        return header + table.tobytes() + faces.tobytes()
+    row = " ".join("%.9g" if _PLY_VERTEX_PROPS[p] == "float" else "%d" for p in vprops) + "\n"
+    rows = [row % r for r in table.tolist()]
+    rows += ["3 %d %d %d\n" % tuple(f) for f in mesh.faces.tolist()]
+    return header + "".join(rows).encode("ascii")
 
 
-def _write_ply_ascii(mesh: TexturedMesh, path: Path) -> None:
-    out = [_ply_header(mesh, binary=False)]
-    for i in range(mesh.n_vertices):
-        fields = [_fmt32(v) for v in mesh.vertices[i]]
-        fields += [str(_color_byte(c)) for c in mesh.colors[i]]
-        if mesh.uv is not None:
-            fields += [_fmt32(v) for v in mesh.uv[i]]
-        out.append(" ".join(fields) + "\n")
-    for face in mesh.faces:
-        out.append("3 %d %d %d\n" % tuple(face))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(out))
-
-
-def _write_ply_binary(mesh: TexturedMesh, path: Path) -> None:
-    parts = [_ply_header(mesh, binary=True).encode("ascii")]
-    has_uv = mesh.uv is not None
-    rec = struct.Struct("<fffBBB" + ("ff" if has_uv else ""))
-    for i in range(mesh.n_vertices):
-        vals = [np.float32(v) for v in mesh.vertices[i]]
-        vals += [_color_byte(c) for c in mesh.colors[i]]
-        if has_uv:
-            vals += [np.float32(v) for v in mesh.uv[i]]
-        parts.append(rec.pack(*vals))
-    frec = struct.Struct("<Biii")
-    for face in mesh.faces:
-        parts.append(frec.pack(3, *[int(x) for x in face]))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def _write_obj(mesh: TexturedMesh, path: Path) -> None:
-    out = []
-    for i in range(mesh.n_vertices):
-        coord = " ".join(_fmt32(v) for v in mesh.vertices[i])
-        col = " ".join(_fmt32(c) for c in mesh.colors[i])
-        out.append(f"v {coord} {col}\n")
-    if mesh.uv is not None:
-        for i in range(mesh.n_vertices):
-            out.append(f"vt {_fmt32(mesh.uv[i][0])} {_fmt32(mesh.uv[i][1])}\n")
-        for face in mesh.faces:
-            out.append("f %d/%d %d/%d %d/%d\n" % tuple(int(x) + 1 for x in face for _ in (0, 1)))
+def _obj_bytes(mesh: TexturedMesh) -> bytes:
+    """``v x y z r g b`` per vertex; then ``vt u v`` and ``f i/i ..`` with uv, else ``f i ..``."""
+    values = np.hstack([mesh.vertices, mesh.colors]).astype(np.float32)
+    rows = ["v %.9g %.9g %.9g %.9g %.9g %.9g\n" % tuple(r) for r in values.tolist()]
+    faces = (mesh.faces + 1).tolist()
+    if mesh.uv is None:
+        rows += ["f %d %d %d\n" % tuple(f) for f in faces]
     else:
-        for face in mesh.faces:
-            out.append("f %d %d %d\n" % tuple(int(x) + 1 for x in face))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(out))
+        rows += ["vt %.9g %.9g\n" % tuple(r) for r in mesh.uv.astype(np.float32).tolist()]
+        rows += ["f %d/%d %d/%d %d/%d\n" % (a, a, b, b, c, c) for a, b, c in faces]
+    return "".join(rows).encode("ascii")

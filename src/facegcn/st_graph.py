@@ -68,10 +68,10 @@ def build_spatial_edges(
         if j_count > 1:
             pos = landmarks.positions()
             d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-            for i in range(j_count):
-                order = sorted(range(j_count), key=lambda j: (d2[i, j], j))
-                picked = [j for j in order if j != i][: min(knn_m, j_count - 1)]
-                a[i, picked] = 1
+            np.fill_diagonal(d2, np.inf)
+            # stable: equal distances keep index order, the (d2, j) tie rule
+            order = np.argsort(d2, axis=1, kind="stable")[:, : min(knn_m, j_count - 1)]
+            np.put_along_axis(a, order, 1, axis=1)
     elif strategy == "template":
         known = {e.id for e in landmarks}
         for p, q in template_pairs or []:

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -369,6 +372,68 @@ def test_write_load_write_idempotent(tmp_path, fmt):
     write_mesh(mesh, p1, fmt=fmt)
     write_mesh(load_mesh(p1), p2, fmt=fmt)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def golden_writer_mesh(seed, with_uv):
+    """Coordinates over 1e-30..1e30 with a +-0 vertex, colors at 0, 1 and the 0.5/255 edge."""
+    rng = np.random.default_rng(seed)
+    n = 24
+    vertices = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 31, size=(n, 1))
+    vertices[0] = [0.0, -0.0, 1.0]
+    colors = rng.uniform(size=(n, 3))
+    edge = 0.5 / 255
+    colors[1] = [0.0, 1.0, edge]
+    colors[2] = [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 127.5 / 255]
+    faces = np.array([rng.permutation(n)[:3] for _ in range(20)])
+    uv = rng.uniform(size=(n, 2)) if with_uv else None
+    if with_uv:
+        uv[3] = [0.0, 1.0]
+    return TexturedMesh.from_arrays(vertices, faces, colors, uv)
+
+
+# sha256 of the writer's bytes, pinned before the writers were built from arrays
+GOLDEN_WRITER_SHA256 = {
+    ("ply", False): "0d60f8327679aafe7a2acad640956a4d35124b56f99cd84c5824372f84619b8d",
+    ("ply-binary", False): "d37880f2a919088e350ae5c382fb3a3f3afe6ca6f837c759f7d377b3047e16e4",
+    ("obj", False): "f73095f70209f5248508700f57664cb81edc651e4ccb5cf187ec9c65502f8ddb",
+    ("ply", True): "117060386ef9e529eb629dea205d0edfc43dd329aed29b8a8daad67adbbeac04",
+    ("ply-binary", True): "a60f4a7cd9c92d8a565f7c21bc5a494854a1ff470c22bb1e3112cc6a795b77fc",
+    ("obj", True): "881e8b05ed240c57953625febf6b308fd59dd5c300aaa13ebf7125e577c0f7b0",
+}
+
+
+def test_write_mesh_golden_digest(tmp_path):
+    # round-trip tests cannot see a formatting drift that both writes share
+    got = {}
+    for fmt, with_uv in GOLDEN_WRITER_SHA256:
+        p = tmp_path / f"m.{'obj' if fmt == 'obj' else 'ply'}"
+        write_mesh(golden_writer_mesh(5 + with_uv, with_uv), p, fmt=fmt)
+        got[fmt, with_uv] = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert got == GOLDEN_WRITER_SHA256
+
+
+def invalid_mesh(case):
+    mesh = synth_mesh(grid=4)
+    vertices, colors = mesh.vertices.copy(), mesh.colors.copy()
+    if case == "nan-color":
+        colors[2, 1] = np.nan
+    elif case == "nan-vertex":
+        vertices[3, 0] = np.nan
+    else:  # would be clipped to 255 in PLY and written as is in OBJ
+        colors[1, 0] = 1.5
+    return TexturedMesh.from_arrays(vertices, mesh.faces, colors, mesh.uv)
+
+
+@pytest.mark.parametrize("case", ["nan-color", "nan-vertex", "color-1.5"])
+@pytest.mark.parametrize("fmt", ["ply", "ply-binary", "obj"])
+def test_write_mesh_refuses_invalid_mesh(tmp_path, fmt, case):
+    p = tmp_path / f"m.{'obj' if fmt == 'obj' else 'ply'}"
+    write_mesh(synth_mesh(grid=4), p, fmt=fmt)
+    before = p.read_bytes()
+    with pytest.raises(InvariantError, match=re.escape(str(p))):
+        write_mesh(invalid_mesh(case), p, fmt=fmt)
+    assert p.read_bytes() == before  # no partial or replaced file, no temporary left
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_vertex_order_preserved(tmp_path):

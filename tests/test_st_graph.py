@@ -71,18 +71,32 @@ def test_knn_m_larger_than_graph_clamps():
     assert g.adjacency.sum() == 3 * 2
 
 
+def knn_per_row_reference(pos, m):
+    """Each row's m nearest other landmarks by a Python (d2, j) sort, symmetrized."""
+    j_count = len(pos)
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    a = np.zeros((j_count, j_count), dtype=np.int8)
+    for i in range(j_count):
+        order = sorted((j for j in range(j_count) if j != i), key=lambda j: (d2[i, j], j))
+        a[i, order[:m]] = 1
+    return a | a.T
+
+
 def test_knn_graph_symmetric():
     rng = np.random.default_rng(21)
-    entries = []
-    for i in range(12):
-        entries.append(
-            landmark_engine.Landmark(
-                id=i, anchor=i, position=rng.normal(size=3), kind=landmark_engine.BASE
-            )
+    cases = [(rng.normal(size=(12, 3)), 3)]
+    # integer lattice points: exact distance ties and repeated points
+    lattice = rng.integers(0, 3, size=(20, 3)).astype(np.float64)
+    cases += [(lattice, m) for m in (1, 2, 4, 7)]
+    for pos, m in cases:
+        entries = tuple(
+            landmark_engine.Landmark(id=i, anchor=i, position=p, kind=landmark_engine.BASE)
+            for i, p in enumerate(pos)
         )
-    g = build_spatial_edges(landmark_engine.LandmarkSet(tuple(entries)), "knn", knn_m=3)
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert np.all(np.diag(g.adjacency) == 0)
+        g = build_spatial_edges(landmark_engine.LandmarkSet(entries), "knn", knn_m=m)
+        assert np.array_equal(g.adjacency, g.adjacency.T)
+        assert np.all(np.diag(g.adjacency) == 0)
+        assert np.array_equal(g.adjacency, knn_per_row_reference(pos, m))
 
 
 def test_template_single_pair():
