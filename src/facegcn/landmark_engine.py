@@ -27,7 +27,7 @@ from .errors import (
     Unreachable,
 )
 from .fileio import read_text
-from .mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
+from .mesh_core import EdgeGraph, TexturedMesh, edge_topology
 
 BASE = "base"
 AUGMENTED = "augmented"
@@ -285,16 +285,27 @@ def _walk_back(
     return list(zip(chains, weights))
 
 
-def _oriented_path(chain: list[int], weights: list[float], start: int) -> GeodesicPath:
-    """The path along ``chain``, reversed if needed to begin at ``start``.
+def _arc_lengths(
+    chain: list[int], weights: list[float], start: int
+) -> tuple[list[int], list[float]]:
+    """``chain`` and its cumulative arc lengths, reversed if needed to begin at ``start``.
 
     Cumulative arc lengths are exactly-rounded prefix sums (math.fsum), so
     the total length does not depend on the direction.
     """
     if chain[0] != start:
         chain, weights = chain[::-1], weights[::-1]
-    cumulative = np.array([0.0] + [math.fsum(weights[:i]) for i in range(1, len(chain))])
-    return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=cumulative)
+    return chain, [0.0] + [math.fsum(weights[:i]) for i in range(1, len(chain))]
+
+
+def _halfway(cumulative: list[float]) -> int:
+    """Index of the arc length closest to half the total; the first one on ties."""
+    total = cumulative[-1]
+    if total <= 0.0:
+        raise DegeneratePath("zero-length path has no midpoint")
+    target = total / 2.0
+    gaps = [abs(c - target) for c in cumulative]
+    return gaps.index(min(gaps))
 
 
 def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
@@ -318,7 +329,8 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
     if dist[b] == math.inf:
         raise Unreachable(f"no path from {src} to {dst}")
     [(chain, weights)] = _walk_back(graph, dist, [0], [b])
-    return _oriented_path(chain, weights, int(src))
+    chain, cumulative = _arc_lengths(chain, weights, int(src))
+    return GeodesicPath(vertices=np.array(chain, dtype=np.int64), cumulative=np.array(cumulative))
 
 
 def geodesic_midpoint(
@@ -330,12 +342,7 @@ def geodesic_midpoint(
     position is None unless the mesh is given. Raises DegeneratePath for
     zero-length paths.
     """
-    total = path.total_length
-    if total <= 0.0:
-        raise DegeneratePath("zero-length path has no midpoint")
-    target = total / 2.0
-    idx = int(np.argmin(np.abs(path.cumulative - target)))
-    v = int(path.vertices[idx])
+    v = int(path.vertices[_halfway(path.cumulative.tolist())])
     return v, (np.array(mesh.vertices[v]) if mesh is not None else None)
 
 
@@ -391,9 +398,8 @@ def _augment_batch(
 
     results = []
     for at, (mesh, _, base, plan) in zip(starts, batch):
-        entries = list(base.entries)
         skipped: list[tuple[int, int]] = []
-        next_id = len(base)
+        kept, mids = [], []  # the pairs that get a landmark, and its vertex
         for a, b, va, vb in plan.pairs:
             if va == vb:
                 mid = va  # both snapped to one vertex: midpoint is that vertex
@@ -402,14 +408,19 @@ def _augment_batch(
                 if walk is None:
                     skipped.append((a, b))
                     continue
-                mid = geodesic_midpoint(_oriented_path(*walk, va + at))[0] - at
-            pos = np.array(mesh.vertices[mid], dtype=np.float64)
-            pos.flags.writeable = False
-            entries.append(
-                Landmark(id=next_id, anchor=mid, position=pos, kind=AUGMENTED, source=(a, b))
-            )
-            next_id += 1
-        results.append(AugmentationResult(LandmarkSet(entries=tuple(entries)), skipped))
+                chain, cumulative = _arc_lengths(*walk, va + at)
+                mid = chain[_halfway(cumulative)] - at
+            kept.append((a, b))
+            mids.append(mid)
+        # one gather for every position; each landmark holds a read-only row of it
+        positions = mesh.vertices[np.asarray(mids, dtype=np.intp)].astype(np.float64)
+        positions.flags.writeable = False
+        entries = (*base.entries, *(
+            Landmark(id=len(base) + i, anchor=mid, position=positions[i], kind=AUGMENTED,
+                     source=source)
+            for i, (mid, source) in enumerate(zip(mids, kept))
+        ))
+        results.append(AugmentationResult(LandmarkSet(entries=entries), skipped))
     return results
 
 
@@ -436,16 +447,26 @@ def augment_sequence(
 ) -> list[AugmentationResult]:
     """augment_landmarks for every (mesh, base landmarks) frame, batched over frames.
 
-    Each frame gets its own edge graph. Runs of consecutive frames are
-    searched together, as many as keep (searches in the run) x (largest N
-    in the run) within ``mesh_core.BATCH_ENTRIES``, and always at least one
-    frame, so desk-scale sequences share each array pass within that fixed
-    memory budget while 40k-vertex scans search one frame at a time. Frames
-    may differ in vertex count. The results are those of augment_landmarks
-    on each frame alone, whatever the batches.
+    Each frame gets its own edge weights; consecutive frames with one vertex
+    count and equal faces share one ``mesh_core.EdgeTopology``, so their
+    graphs share read-only ``indptr`` and ``targets`` arrays, and frames with
+    equal base landmarks share one check of the pairs. Runs of consecutive
+    frames are searched together, as many as keep (searches in the run) x
+    (largest N in the run) within ``mesh_core.BATCH_ENTRIES``, and always at
+    least one frame, so desk-scale sequences share each array pass within
+    that fixed memory budget while 40k-vertex scans search one frame at a
+    time. Frames may differ in vertex count and faces. The results are those
+    of augment_landmarks on each frame alone, whatever the batches.
     """
-    plans = [_plan(base, pairs) for _, base in frames]
+    plan_of: dict[tuple, _Plan] = {}
+    plans = []
+    for _, base in frames:
+        key = tuple((e.id, e.kind, e.anchor) for e in base)
+        if key not in plan_of:
+            plan_of[key] = _plan(base, pairs)
+        plans.append(plan_of[key])
     results: list[AugmentationResult] = []
+    topology = None
     lo = 0
     while lo < len(frames):
         hi, rows, stride = lo + 1, len(plans[lo].targets), frames[lo][0].n_vertices
@@ -454,9 +475,11 @@ def augment_sequence(
             if more * wider > mesh_core.BATCH_ENTRIES:
                 break
             hi, rows, stride = hi + 1, more, wider
-        results += _augment_batch([
-            (mesh, build_edge_graph(mesh), base, plan)
-            for (mesh, base), plan in zip(frames[lo:hi], plans[lo:hi])
-        ])
+        batch = []
+        for (mesh, base), plan in zip(frames[lo:hi], plans[lo:hi]):
+            if topology is None or not topology.fits(mesh):
+                topology = edge_topology(mesh.n_vertices, mesh.faces)
+            batch.append((mesh, topology.graph(mesh.vertices), base, plan))
+        results += _augment_batch(batch)
         lo = hi
     return results

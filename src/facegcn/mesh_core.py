@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,13 +99,62 @@ class EdgeGraph:
 
     CSR adjacency: the neighbors of v are ``targets[indptr[v]:indptr[v + 1]]``
     with weights ``weights_csr[indptr[v]:indptr[v + 1]]``; every undirected
-    edge appears once in each endpoint's row.
+    edge appears once in each endpoint's row. All three arrays are read-only:
+    graphs of frames with one topology share one ``indptr`` and ``targets``.
     """
 
     n_nodes: int
     indptr: np.ndarray  # (n_nodes + 1,) int64
     targets: np.ndarray  # (2E,) int64
     weights_csr: np.ndarray  # (2E,) float64, > 0
+
+
+class EdgeTopology(NamedTuple):
+    """What an EdgeGraph takes from the vertex count and faces alone.
+
+    The unique face edges are the pairs ``(lo[e], hi[e])`` in lexicographic
+    order; CSR entry i carries the length of pair ``pair_of[i]``. Every frame
+    with this vertex count and these faces shares it (see ``fits``), so all
+    its arrays are read-only.
+    """
+
+    faces: np.ndarray  # (F, 3) the faces it was built from
+    lo: np.ndarray  # (E,) int64
+    hi: np.ndarray  # (E,) int64, lo < hi
+    pair_of: np.ndarray  # (2E,) int64
+    indptr: np.ndarray  # (n_nodes + 1,) int64
+    targets: np.ndarray  # (2E,) int64
+
+    @property
+    def n_nodes(self) -> int:
+        return self.indptr.size - 1
+
+    def fits(self, mesh: "TexturedMesh") -> bool:
+        """Whether ``mesh`` has this vertex count and equal faces."""
+        return mesh.n_vertices == self.n_nodes and (
+            mesh.faces is self.faces or np.array_equal(mesh.faces, self.faces))
+
+    def graph(self, vertices: np.ndarray) -> EdgeGraph:
+        """The edge graph of this topology at ``vertices``, (n_nodes, 3) float64.
+
+        Raises InvariantError for a non-finite vertex or a zero-length edge.
+        """
+        if not np.isfinite(vertices).all():
+            raise InvariantError("non-finite vertex coordinates")
+        # over column copies: the doubles of the (E, 3) row sum, without row gathers
+        dx, dy, dz = (col[self.lo] - col[self.hi]
+                      for col in np.ascontiguousarray(vertices.T))
+        weights = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        if (weights <= 0.0).any():
+            bad = int(np.nonzero(weights <= 0.0)[0][0])
+            raise InvariantError(
+                f"zero-length edge between vertices {(self.lo[bad], self.hi[bad])}: "
+                "coincident positions are not usable for geodesics"
+            )
+        weights_csr = weights[self.pair_of]
+        weights_csr.flags.writeable = False
+        return EdgeGraph(n_nodes=self.n_nodes, indptr=self.indptr, targets=self.targets,
+                         weights_csr=weights_csr)
 
 
 def _face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +164,8 @@ def _face_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(u, v), np.maximum(u, v)
 
 
-def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Sorted unique (lo, hi) pairs as (E, 2) rows, in lexicographic order.
+def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique (lo, hi) pairs as (E,) endpoint arrays, in lexicographic order.
 
     Indices must lie in [0, n); each pair is keyed as lo * n + hi, whose 1-D
     order is the lexicographic order. Sorting and dropping repeats of the
@@ -126,7 +176,7 @@ def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     keys = keys[keep]
-    return np.stack([keys // n, keys % n], axis=1)
+    return keys // n, keys % n
 
 
 def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
@@ -137,6 +187,11 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
     finite = np.isfinite(mesh.vertices).all(axis=1)
     for i in np.nonzero(~finite)[0]:
         report.add("nan", f"vertices[{i}]", "non-finite coordinate")
+    # a finite float64 can still overflow the float32 every file stores
+    with np.errstate(over="ignore"):
+        overflow = finite & np.isinf(mesh.vertices.astype(np.float32)).any(axis=1)
+    for i in np.nonzero(overflow)[0]:
+        report.add("range", f"vertices[{i}]", "coordinate beyond float32 range")
 
     for name, arr in (("colors", mesh.colors), ("uv", mesh.uv)):
         if arr is None:
@@ -168,9 +223,27 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
         for c in range(3):  # narrow the candidates one coordinate at a time
             col = mesh.vertices[:, c]
             hit = hit[col[lo[hit]] == col[hi[hit]]]
-        for u, v in _unique_pairs(lo[hit], hi[hit], n):
+        for u, v in zip(*_unique_pairs(lo[hit], hi[hit], n)):
             report.add("degenerate_edge", f"edge({u},{v})", "coincident endpoint positions")
     return report
+
+
+def edge_topology(n: int, faces: np.ndarray) -> EdgeTopology:
+    """The EdgeTopology of ``n`` vertices and ``faces``; InvariantError if an index is out of range."""
+    if faces.size and (faces.min() < 0 or faces.max() >= n):
+        raise InvariantError(f"face index out of range for {n} vertices")
+    lo, hi = _unique_pairs(*_face_edges(faces), n)
+    # each pair listed from both ends, rows in vertex order, stable within a row
+    src = np.concatenate([lo, hi])
+    order = np.argsort(src, kind="stable")
+    targets = np.concatenate([hi, lo])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    pair_of = np.where(order < lo.size, order, order - lo.size)
+    for arr in (lo, hi, pair_of, indptr, targets):
+        arr.flags.writeable = False
+    return EdgeTopology(faces=faces, lo=lo, hi=hi, pair_of=pair_of, indptr=indptr,
+                        targets=targets)
 
 
 def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
@@ -182,35 +255,9 @@ def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
     InvariantError: face indices in range, finite vertices, and positive
     edge lengths (zero-length edges, from coincident positions or repeated
     face vertices, would stop geodesic arc lengths from strictly increasing).
+    This is ``edge_topology(...).graph(...)`` for one frame.
     """
-    n = mesh.n_vertices
-    faces = mesh.faces
-    if faces.size and (faces.min() < 0 or faces.max() >= n):
-        raise InvariantError(f"face index out of range for {n} vertices")
-    if not np.isfinite(mesh.vertices).all():
-        raise InvariantError("non-finite vertex coordinates")
-
-    pairs = _unique_pairs(*_face_edges(faces), n)
-    deltas = mesh.vertices[pairs[:, 0]] - mesh.vertices[pairs[:, 1]]
-    weights = np.sqrt((deltas * deltas).sum(axis=1))
-    if (weights <= 0.0).any():
-        bad = int(np.nonzero(weights <= 0.0)[0][0])
-        raise InvariantError(
-            f"zero-length edge between vertices {tuple(pairs[bad])}: "
-            "coincident positions are not usable for geodesics"
-        )
-
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    w2 = np.concatenate([weights, weights])
-    order = np.argsort(src, kind="stable")
-    src, dst, w2 = src[order], dst[order], w2[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-    for arr in (indptr, dst, w2):
-        arr.flags.writeable = False
-    return EdgeGraph(n_nodes=n, indptr=indptr, targets=dst, weights_csr=w2)
+    return edge_topology(mesh.n_vertices, mesh.faces).graph(mesh.vertices)
 
 
 # ---------------------------------------------------------------------------

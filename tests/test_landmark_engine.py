@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -645,4 +646,82 @@ def test_augment_sequence_checks_every_frame_before_searching():
     mesh = frames[1][0]
     frames[-1] = (mesh, lift_landmarks(mesh, mesh.uv[:3]))  # no base id 3
     with pytest.raises(InvalidPair):
+        augment_sequence(frames, SEQUENCE_PAIRS)
+
+
+def mixed_topology_frames():
+    """(mesh, base) frames in topology runs, and each frame's run number.
+
+    Run 0: three frames on one faces array, then one whose equal faces are a
+    distinct array. Run 1: the same vertex count with half the faces (so
+    some pairs are unreachable). Run 2: a different vertex count. Run 3: the
+    first faces again, which start a new run as they do not follow run 0.
+    """
+    ident = IdentityParams(seed=6, grid=8)
+    meshes = [make_frame_mesh(ident, ExpressionParams(emotion=2), t, 7) for t in range(5)]
+    faces = meshes[0].faces
+    uv = np.random.default_rng(41).uniform(size=(4, 2))
+    frames, runs = [], []
+
+    def add(mesh, run):
+        frames.append((mesh, lift_landmarks(mesh, uv)))
+        runs.append(run)
+
+    for m in meshes[:3]:
+        add(TexturedMesh.from_arrays(m.vertices, faces, m.colors, m.uv), 0)
+    add(TexturedMesh.from_arrays(meshes[3].vertices, faces.copy(), meshes[3].colors, meshes[3].uv), 0)
+    add(TexturedMesh.from_arrays(meshes[4].vertices, faces[::2], meshes[4].colors, meshes[4].uv), 1)
+    add(synth_mesh(grid=9, seed=7), 2)
+    add(TexturedMesh.from_arrays(meshes[1].vertices, faces, meshes[1].colors, meshes[1].uv), 3)
+    return frames, runs
+
+
+@pytest.mark.parametrize("budget", [1, None, 1 << 40], ids=["one-row", "default", "all-frames"])
+def test_augment_sequence_shares_topology_per_run(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", budget)
+    frames, runs = mixed_topology_frames()
+    graphs, plans = [], []
+    augment_batch, plan = landmark_engine._augment_batch, landmark_engine._plan
+    monkeypatch.setattr(landmark_engine, "_augment_batch",
+                        lambda batch: graphs.extend(g for _, g, _, _ in batch) or augment_batch(batch))
+    monkeypatch.setattr(landmark_engine, "_plan", lambda *a: plans.append(a) or plan(*a))
+    got = augment_sequence(frames, SEQUENCE_PAIRS)
+    monkeypatch.undo()
+
+    want = [augment_landmarks(mesh, build_edge_graph(mesh), base, SEQUENCE_PAIRS)
+            for mesh, base in frames]
+    assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
+    assert [r.landmarks for r in got] == [r.landmarks for r in want]
+    assert got[4].skipped  # run 1 drops faces, so some pairs cross components
+    # one plan per distinct base: the frames on one uv grid share their anchors
+    assert len(plans) == len({tuple(e.anchor for e in base) for _, base in frames}) < len(frames)
+    for (mesh, _), graph in zip(frames, graphs):
+        want_graph = build_edge_graph(mesh)
+        for name in ("indptr", "targets", "weights_csr"):
+            assert getattr(graph, name).tobytes() == getattr(want_graph, name).tobytes()
+    for i in range(1, len(frames)):
+        shared = runs[i - 1] == runs[i]
+        assert (graphs[i - 1].indptr is graphs[i].indptr) == shared
+        assert (graphs[i - 1].targets is graphs[i].targets) == shared
+        assert graphs[i - 1].weights_csr is not graphs[i].weights_csr
+
+
+@pytest.mark.parametrize("vertex", [np.inf, 0.0], ids=["non-finite", "zero-length"])
+@pytest.mark.parametrize("budget", [1, None, 1 << 40], ids=["one-row", "default", "all-frames"])
+def test_augment_sequence_checks_each_frame_of_a_shared_run(monkeypatch, budget, vertex):
+    if budget is not None:
+        monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", budget)
+    frames, _ = mixed_topology_frames()
+    mesh, base = frames[2]
+    vertices = mesh.vertices.copy()
+    a, b = mesh.faces[5, :2]
+    if vertex == np.inf:
+        vertices[b, 1] = np.inf
+    else:
+        vertices[b] = vertices[a]  # coincident endpoints of a face edge
+    frames[2] = (TexturedMesh.from_arrays(vertices, mesh.faces, mesh.colors, mesh.uv), base)
+    with pytest.raises(InvariantError) as want:
+        build_edge_graph(frames[2][0])
+    with pytest.raises(InvariantError, match=f"^{re.escape(str(want.value))}$"):
         augment_sequence(frames, SEQUENCE_PAIRS)

@@ -15,7 +15,7 @@ from facegcn.mesh_core import (
     write_mesh,
 )
 
-from edge_testutil import undirected_edges
+from edge_testutil import reference_edge_graph, undirected_edges
 from ply_reference import read_ply_ascii, read_ply_binary
 
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
@@ -212,6 +212,14 @@ def test_validate_uv_range():
     assert any(v.kind == "range" and "uv" in v.where for v in validate_mesh(mesh).violations)
 
 
+def test_validate_float32_overflow():
+    f32_max = float(np.finfo(np.float32).max)
+    verts = [[0, 0, 0], [1e39, 0, 0], [0, -1e39, 0], [f32_max, 1, 0], [0, 0, -f32_max]]
+    mesh = TexturedMesh.from_arrays(verts, [[0, 1, 2], [0, 3, 4]])
+    got = [(v.kind, v.where, v.detail) for v in validate_mesh(mesh).violations]
+    assert got == [("range", f"vertices[{i}]", "coordinate beyond float32 range") for i in (1, 2)]
+
+
 def test_validate_coincident_edge_endpoints():
     mesh = TexturedMesh.from_arrays([[0, 0, 0], [0, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     kinds = [v.kind for v in validate_mesh(mesh).violations]
@@ -336,6 +344,56 @@ def test_non_manifold_accepted():
     assert len(edges) == 3 * 2 + 1
 
 
+def random_grid(n, rng, offset=0.0):
+    """n x n jittered grid with seeded cell diagonals, shifted by ``offset`` in x."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    verts = np.stack([i + offset, j, np.zeros((n, n))], axis=-1).reshape(-1, 3)
+    verts = verts + rng.uniform(-0.3, 0.3, size=verts.shape)
+    p, q = (i[:-1, :-1] * n + j[:-1, :-1]).ravel(), (i[1:, :-1] * n + j[1:, :-1]).ravel()
+    r, s = p + 1, q + 1
+    flip = rng.random(p.size) < 0.5
+    faces = np.concatenate([
+        np.where(flip[:, None], np.stack([p, q, r], 1), np.stack([p, q, s], 1)),
+        np.where(flip[:, None], np.stack([q, s, r], 1), np.stack([p, s, r], 1)),
+    ])
+    return verts, faces
+
+
+def edge_case_mesh(case):
+    rng = np.random.default_rng(51)
+    verts, faces = random_grid(12, rng)
+    if case == "repeated-faces":
+        repeated = np.concatenate([faces, faces[rng.integers(0, len(faces), size=40)]])
+        return TexturedMesh.from_arrays(verts, rng.permutation(repeated))
+    if case == "unreferenced":  # no face refers to the extra vertices
+        return TexturedMesh.from_arrays(np.concatenate([verts, rng.uniform(-5, 5, (30, 3))]), faces)
+    if case == "two-components":
+        v2, f2 = random_grid(9, rng, offset=50.0)
+        return TexturedMesh.from_arrays(np.concatenate([verts, v2]),
+                                        np.concatenate([faces, f2 + len(verts)]))
+    return TexturedMesh.from_arrays(*random_grid(101, rng))  # 10 201 vertices
+
+
+@pytest.mark.parametrize("case", ["repeated-faces", "unreferenced", "two-components", "grid-10k"])
+def test_build_edge_graph_matches_reference(case):
+    mesh = edge_case_mesh(case)
+    got, want = build_edge_graph(mesh), reference_edge_graph(mesh)
+    assert got.n_nodes == want.n_nodes
+    for name in ("indptr", "targets", "weights_csr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("vertex", [[0, 1, 0], [0, np.inf, 0]], ids=["zero-length", "non-finite"])
+def test_build_edge_graph_errors_match_reference(vertex):
+    mesh = TexturedMesh.from_arrays([[0, 0, 0], [1, 0, 0], [0, 1, 0], vertex], [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvariantError) as want:
+        reference_edge_graph(mesh)
+    with pytest.raises(InvariantError, match=re.escape(str(want.value))):
+        build_edge_graph(mesh)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -419,12 +477,14 @@ def invalid_mesh(case):
         colors[2, 1] = np.nan
     elif case == "nan-vertex":
         vertices[3, 0] = np.nan
+    elif case == "f32-overflow-vertex":  # finite, but inf once cast to the file's float32
+        vertices[3, 0] = 1e39
     else:  # would be clipped to 255 in PLY and written as is in OBJ
         colors[1, 0] = 1.5
     return TexturedMesh.from_arrays(vertices, mesh.faces, colors, mesh.uv)
 
 
-@pytest.mark.parametrize("case", ["nan-color", "nan-vertex", "color-1.5"])
+@pytest.mark.parametrize("case", ["nan-color", "nan-vertex", "f32-overflow-vertex", "color-1.5"])
 @pytest.mark.parametrize("fmt", ["ply", "ply-binary", "obj"])
 def test_write_mesh_refuses_invalid_mesh(tmp_path, fmt, case):
     p = tmp_path / f"m.{'obj' if fmt == 'obj' else 'ply'}"
