@@ -29,83 +29,70 @@ from .errors import (
 from .fileio import read_text
 from .mesh_core import EdgeGraph, TexturedMesh, edge_topology
 
-BASE = "base"
-AUGMENTED = "augmented"
+
+class LandmarkView(NamedTuple):
+    """Landmark j of a set, built on demand by ``LandmarkSet[j]``."""
+
+    anchor: int  # mesh vertex index
+    position: np.ndarray  # (3,) read-only row of LandmarkSet.positions
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_NO_SOURCES = _read_only(np.empty((0, 2), dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
-class Landmark:
-    id: int
-    anchor: int  # mesh vertex index
-    position: np.ndarray  # (3,) float64, equals mesh.vertices[anchor]
-    kind: str  # BASE or AUGMENTED
-    source: tuple[int, int] | None = None  # base ids an augmented landmark interpolates
-
-    def __eq__(self, other):
-        if not isinstance(other, Landmark):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.anchor == other.anchor
-            and self.kind == other.kind
-            and self.source == other.source
-            and np.array_equal(self.position, other.position)
-        )
-
-    def __hash__(self):
-        return hash((self.id, self.anchor, self.kind, self.source))
-
-
-@dataclass(frozen=True)
 class LandmarkSet:
-    entries: tuple[Landmark, ...]
+    """The J landmarks of one frame: ids 0..J-1, the n_base base landmarks first.
+
+    Landmark n_base + i is augmented: it lies between the base landmarks
+    ``sources[i]``. Every array is read-only.
+    """
+
+    anchors: np.ndarray  # (J,) int64 mesh vertex of each landmark
+    positions: np.ndarray  # (J, 3) float64, equals mesh.vertices[anchors]
+    n_base: int
+    sources: np.ndarray  # (J - n_base, 2) int64 base ids of each augmented landmark
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.anchors.size
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Landmark:
-        return self.entries[i]
-
-    def positions(self) -> np.ndarray:
-        return np.array([e.position for e in self.entries], dtype=np.float64)
+    def __getitem__(self, j: int) -> LandmarkView:
+        return LandmarkView(int(self.anchors[j]), self.positions[j])
 
     def ordering_hash(self) -> int:
         """64-bit hash of the logical landmark ordering.
 
         Covers count, kinds and augmentation sources but not anchors or
         positions, so all frames of a deforming sequence share the hash.
+        Each landmark is a packed record: kind (0 base, 1 augmented), then
+        its two source ids, (-1, -1) for a base landmark.
         """
+        records = np.empty(len(self), dtype=[("kind", "u1"), ("a", "<i4"), ("b", "<i4")])
+        records["kind"] = np.arange(len(self)) >= self.n_base
+        records["a"][: self.n_base] = records["b"][: self.n_base] = -1
+        records["a"][self.n_base :], records["b"][self.n_base :] = self.sources.T
         h = hashlib.blake2b(digest_size=8)
-        h.update(b"FGLM")
-        h.update(len(self.entries).to_bytes(4, "little"))
-        for e in self.entries:
-            h.update(b"\x00" if e.kind == BASE else b"\x01")
-            a, b = e.source if e.source is not None else (-1, -1)
-            h.update(int(a).to_bytes(4, "little", signed=True))
-            h.update(int(b).to_bytes(4, "little", signed=True))
+        h.update(b"FGLM" + len(self).to_bytes(4, "little") + records.tobytes())
         return int.from_bytes(h.digest(), "little")
 
 
-def _anchored(anchors, mesh) -> LandmarkSet:
-    """Base landmarks 0..n-1 at the given vertices, in order."""
-    # one gather for every position; each landmark holds a read-only row of it
-    anchors = np.asarray(anchors, dtype=np.intp)
-    positions = mesh.vertices[anchors].astype(np.float64)
-    positions.flags.writeable = False
-    return LandmarkSet(entries=tuple(
-        Landmark(id=i, anchor=a, position=positions[i], kind=BASE)
-        for i, a in enumerate(anchors.tolist())
-    ))
+def _anchored(anchors, mesh, sources: np.ndarray = _NO_SOURCES) -> LandmarkSet:
+    """Landmarks at the given mesh vertices, in order; the last len(sources) are augmented."""
+    anchors = _read_only(np.array(anchors, dtype=np.int64))
+    positions = _read_only(mesh.vertices[anchors].astype(np.float64, copy=False))
+    return LandmarkSet(anchors, positions, anchors.size - len(sources), _read_only(sources))
 
 
 def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
     """Anchor each uv point to the mesh vertex with the nearest uv coordinate.
 
     Ties go to the lowest vertex index. Order of the input points is
-    preserved; ids are 0..n-1 and every landmark has kind "base".
+    preserved; ids are 0..n-1 and every landmark is a base landmark.
     """
     if mesh.uv is None:
         raise MissingUV("mesh carries no uv coordinates")
@@ -127,8 +114,7 @@ def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise EmptyInput("no points given")
-    anchors = build_kd_index(mesh).k_nearest_many(pts, 1)[:, 0]
-    return _anchored(anchors, mesh)
+    return _anchored(build_kd_index(mesh).k_nearest_many(pts, 1)[:, 0], mesh)
 
 
 def _load_point_file(path, dim: int) -> np.ndarray:
@@ -291,11 +277,28 @@ def _arc_lengths(
     """``chain`` and its cumulative arc lengths, reversed if needed to begin at ``start``.
 
     Cumulative arc lengths are exactly-rounded prefix sums (math.fsum), so
-    the total length does not depend on the direction.
+    the total length does not depend on the direction. One pass keeps the
+    running sum exact as a list of non-overlapping partials, by Shewchuk's
+    grow-expansion (Adaptive Precision Floating-Point Arithmetic, DCG 1997,
+    the algorithm behind math.fsum), and rounds each prefix with fsum.
     """
     if chain[0] != start:
         chain, weights = chain[::-1], weights[::-1]
-    return chain, [0.0] + [math.fsum(weights[:i]) for i in range(1, len(chain))]
+    cumulative, partials = [0.0], []
+    for x in weights:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        cumulative.append(math.fsum(partials))
+    return chain, cumulative
 
 
 def _halfway(cumulative: list[float]) -> int:
@@ -360,15 +363,13 @@ def _plan(base: LandmarkSet, pairs: Sequence[tuple[int, int]]) -> _Plan:
     """Check the pairs against ``base`` and group them into one search per smaller anchor."""
     if len(base) == 0:
         raise EmptyInput("base landmark set is empty")
-    base_ids = {e.id for e in base if e.kind == BASE}
-    by_id = {e.id: e for e in base}
-
+    anchors = base.anchors.tolist()
     pair_anchors = []
     for a, b in pairs:
         a, b = int(a), int(b)
-        if a == b or a not in base_ids or b not in base_ids:
+        if a == b or not (0 <= a < base.n_base and 0 <= b < base.n_base):
             raise InvalidPair(f"pair ({a}, {b}) must name two distinct base ids")
-        pair_anchors.append((a, b, by_id[a].anchor, by_id[b].anchor))
+        pair_anchors.append((a, b, anchors[a], anchors[b]))
     partners: dict[int, set[int]] = {}
     for _, _, va, vb in pair_anchors:
         if va != vb:
@@ -412,15 +413,10 @@ def _augment_batch(
                 mid = chain[_halfway(cumulative)] - at
             kept.append((a, b))
             mids.append(mid)
-        # one gather for every position; each landmark holds a read-only row of it
-        positions = mesh.vertices[np.asarray(mids, dtype=np.intp)].astype(np.float64)
-        positions.flags.writeable = False
-        entries = (*base.entries, *(
-            Landmark(id=len(base) + i, anchor=mid, position=positions[i], kind=AUGMENTED,
-                     source=source)
-            for i, (mid, source) in enumerate(zip(mids, kept))
-        ))
-        results.append(AugmentationResult(LandmarkSet(entries=entries), skipped))
+        landmarks = _anchored(
+            np.concatenate([base.anchors, np.array(mids, dtype=np.int64)]), mesh,
+            np.concatenate([base.sources, np.array(kept, dtype=np.int64).reshape(-1, 2)]))
+        results.append(AugmentationResult(landmarks, skipped))
     return results
 
 
@@ -461,7 +457,7 @@ def augment_sequence(
     plan_of: dict[tuple, _Plan] = {}
     plans = []
     for _, base in frames:
-        key = tuple((e.id, e.kind, e.anchor) for e in base)
+        key = (base.n_base, base.anchors.tobytes(), base.sources.tobytes())
         if key not in plan_of:
             plan_of[key] = _plan(base, pairs)
         plans.append(plan_of[key])

@@ -148,7 +148,7 @@ class EdgeTopology(NamedTuple):
         if (weights <= 0.0).any():
             bad = int(np.nonzero(weights <= 0.0)[0][0])
             raise InvariantError(
-                f"zero-length edge between vertices {(self.lo[bad], self.hi[bad])}: "
+                f"zero-length edge between vertices {(int(self.lo[bad]), int(self.hi[bad]))}: "
                 "coincident positions are not usable for geodesics"
             )
         weights_csr = weights[self.pair_of]

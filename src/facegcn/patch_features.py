@@ -154,23 +154,22 @@ def build_sequence_tensor(
 ) -> FeatureTensor:
     """Stack per-landmark patch channels over all frames into (6k, J, T).
 
-    All frames must agree on landmark count and logical ordering (each
-    landmark's kind and augmentation source, what the ordering hash covers);
-    the first frame's ordering hash is stored in the tensor metadata.
+    All frames must agree on landmark count and logical ordering (the base
+    count and augmentation sources, what the ordering hash covers); the
+    first frame's ordering hash is stored in the tensor metadata.
     """
     if not frames:
         raise InconsistentLandmarks("no frames given")
     _, lm0 = frames[0]
     j_count = len(lm0)
-    ordering = [(e.kind, e.source) for e in lm0]
     for t, (_, lms) in enumerate(frames):
-        if [(e.kind, e.source) for e in lms] != ordering:
+        if lms.n_base != lm0.n_base or not np.array_equal(lms.sources, lm0.sources):
             raise InconsistentLandmarks(f"frame {t} disagrees on landmark ordering")
 
     values = np.empty((6 * k, j_count, len(frames)), dtype=np.float32)
     for t, (mesh, lms) in enumerate(frames):
         values[:, :, t] = _patch_columns(
-            build_kd_index(mesh), mesh, lms.positions(), k, scale_normalize
+            build_kd_index(mesh), mesh, lms.positions, k, scale_normalize
         ).T
     tensor = FeatureTensor(values=values, k=k, landmark_hash=lm0.ordering_hash())
     tensor.validate()

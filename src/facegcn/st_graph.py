@@ -66,25 +66,21 @@ def build_spatial_edges(
         if knn_m < 1:
             raise ValueError("knn_m must be >= 1")
         if j_count > 1:
-            pos = landmarks.positions()
+            pos = landmarks.positions
             d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
             np.fill_diagonal(d2, np.inf)
             # stable: equal distances keep index order, the (d2, j) tie rule
             order = np.argsort(d2, axis=1, kind="stable")[:, : min(knn_m, j_count - 1)]
             np.put_along_axis(a, order, 1, axis=1)
     elif strategy == "template":
-        known = {e.id for e in landmarks}
         for p, q in template_pairs or []:
             p, q = int(p), int(q)
-            if p not in known or q not in known:
+            if not (0 <= p < j_count and 0 <= q < j_count):
                 raise UnknownId(f"template pair ({p}, {q}) names an unknown landmark id")
             if p == q:
                 raise InvalidPair(f"template pair ({p}, {p}) would be a self-loop")
             a[p, q] = 1
-        for e in landmarks:
-            if e.source is not None:
-                a[e.id, e.source[0]] = 1
-                a[e.id, e.source[1]] = 1
+        a[np.arange(landmarks.n_base, j_count)[:, None], landmarks.sources] = 1
     else:
         raise ValueError(f"unknown edge strategy {strategy!r}")
     return _graph_from_adjacency(a)

@@ -43,7 +43,7 @@ def reference_edge_graph(mesh):
     if (weights <= 0.0).any():
         bad = int(np.nonzero(weights <= 0.0)[0][0])
         raise InvariantError(
-            f"zero-length edge between vertices {tuple(pairs[bad])}: "
+            f"zero-length edge between vertices {(int(pairs[bad, 0]), int(pairs[bad, 1]))}: "
             "coincident positions are not usable for geodesics"
         )
 

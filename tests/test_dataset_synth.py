@@ -32,9 +32,8 @@ def test_generated_meshes_are_valid():
     assert len(frames) == 4
     for mesh, lms in frames:
         assert validate_mesh(mesh).ok
-        assert len(lms) == 4
-        for e in lms:
-            assert np.array_equal(e.position, mesh.vertices[e.anchor])
+        assert len(lms) == lms.n_base == 4
+        assert np.array_equal(lms.positions, mesh.vertices[lms.anchors])
 
 
 def test_zero_expression_amplitude_freezes_sequence():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from facegcn import landmark_engine, mesh_core
-from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
+from facegcn.config import DEFAULT_AUGMENT_PAIRS
+from facegcn.dataset_synth import (
+    ExpressionParams,
+    IdentityParams,
+    SynthConfig,
+    build_dataset,
+    make_frame_mesh,
+)
 from facegcn.errors import (
     DegeneratePath,
     EmptyInput,
@@ -18,8 +25,6 @@ from facegcn.errors import (
     Unreachable,
 )
 from facegcn.landmark_engine import (
-    AUGMENTED,
-    BASE,
     GeodesicPath,
     augment_landmarks,
     augment_sequence,
@@ -33,6 +38,7 @@ from facegcn.landmark_engine import (
 from facegcn.mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
 
 from edge_testutil import undirected_edges
+from landmark_testutil import assert_same_landmarks
 
 
 def synth_mesh(grid=10, seed=2):
@@ -78,18 +84,21 @@ def brute_dijkstra(graph, src):
 def test_lift_exact_uv_hits_vertex():
     mesh = synth_mesh()
     lms = lift_landmarks(mesh, [mesh.uv[17]])
+    assert lms.anchors.tolist() == [17]
+    assert np.array_equal(lms.positions, mesh.vertices[[17]])
+    assert lms.n_base == 1 and lms.sources.shape == (0, 2)
+    # landmarks[j] is a view of row j
     assert lms[0].anchor == 17
     assert np.array_equal(lms[0].position, mesh.vertices[17])
-    assert lms[0].kind == BASE
+    assert not lms[0].position.flags.writeable
 
 
 def test_lift_68_points():
     mesh = synth_mesh(grid=12)
     rng = np.random.default_rng(5)
     lms = lift_landmarks(mesh, rng.uniform(size=(68, 2)))
-    assert len(lms) == 68
-    assert [e.id for e in lms] == list(range(68))
-    assert all(e.kind == BASE for e in lms)
+    assert len(lms) == lms.n_base == 68
+    assert lms.anchors.shape == (68,) and lms.positions.shape == (68, 3)
 
 
 def test_lift_tie_breaks_to_lowest_index():
@@ -99,8 +108,7 @@ def test_lift_tie_breaks_to_lowest_index():
         uv=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     )
     lms = lift_landmarks(mesh, [[0.5, 0.0], [0.0, 0.5]])
-    assert lms[0].anchor == 0  # equidistant to vertices 0 and 1
-    assert lms[1].anchor == 0  # equidistant to vertices 0 and 2
+    assert lms.anchors.tolist() == [0, 0]  # equidistant to vertices 0 and 1, and 0 and 2
 
 
 def test_lift_requires_uv_and_points():
@@ -114,7 +122,7 @@ def test_lift_requires_uv_and_points():
 def test_snap_exact_vertex():
     mesh = synth_mesh()
     lms = snap_to_mesh(mesh, [mesh.vertices[31]])
-    assert lms[0].anchor == 31
+    assert lms.anchors.tolist() == [31]
 
 
 def test_snap_outside_bounding_box():
@@ -122,15 +130,14 @@ def test_snap_outside_bounding_box():
     far = mesh.vertices.max(axis=0) + 100.0
     lms = snap_to_mesh(mesh, [far])
     d = np.linalg.norm(mesh.vertices - far, axis=1)
-    assert lms[0].anchor == int(np.argmin(d))
+    assert lms.anchors.tolist() == [int(np.argmin(d))]
 
 
 def test_snap_duplicates_get_distinct_ids():
     mesh = synth_mesh()
     p = mesh.vertices[4]
     lms = snap_to_mesh(mesh, [p, p])
-    assert lms[0].anchor == lms[1].anchor == 4
-    assert (lms[0].id, lms[1].id) == (0, 1)
+    assert len(lms) == 2 and lms.anchors.tolist() == [4, 4]
 
 
 def test_landmark_file_parsing(tmp_path):
@@ -307,6 +314,23 @@ def test_midpoint_returns_position_with_mesh():
     assert np.array_equal(pos, mesh.vertices[v])
 
 
+def test_arc_lengths_equal_per_prefix_fsum():
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        n_edges = int(rng.integers(1, 301))
+        weights = (10.0 ** rng.uniform(-8, 8, size=n_edges)).tolist()  # 1e-8 to 1e8
+        chain = list(range(n_edges + 1))
+        want = [0.0] + [math.fsum(weights[:i]) for i in range(1, n_edges + 1)]
+        got_chain, got = landmark_engine._arc_lengths(chain, weights, 0)
+        assert got_chain == chain
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # walked from the other end: reversed, then summed from the start vertex
+        back = [0.0] + [math.fsum(weights[::-1][:i]) for i in range(1, n_edges + 1)]
+        got_chain, got = landmark_engine._arc_lengths(chain, weights, n_edges)
+        assert got_chain == chain[::-1]
+        assert np.array(got).tobytes() == np.array(back).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -320,7 +344,7 @@ def test_augment_empty_pairs_identity():
     mesh = synth_mesh()
     base = base_landmarks(mesh)
     result = augment_landmarks(mesh, build_edge_graph(mesh), base, [])
-    assert result.landmarks.entries == base.entries
+    assert_same_landmarks(result.landmarks, base)
     assert result.skipped == []
 
 
@@ -330,17 +354,18 @@ def test_augment_68_plus_15_gives_83():
     pairs = [(i, 67 - i) for i in range(15)]
     result = augment_landmarks(mesh, build_edge_graph(mesh), base, pairs)
     lms = result.landmarks
-    assert len(lms) == 83
-    assert [e.id for e in lms] == list(range(83))
-    assert sum(e.kind == BASE for e in lms) == 68
-    assert all(e.kind == AUGMENTED and e.source == pairs[i] for i, e in enumerate(lms.entries[68:]))
+    assert len(lms) == 83 and lms.n_base == 68
+    assert lms.sources.tolist() == [list(p) for p in pairs]
 
 
 def test_augment_append_only_prefix():
     mesh = synth_mesh()
     base = base_landmarks(mesh)
     result = augment_landmarks(mesh, build_edge_graph(mesh), base, [(0, 9), (2, 7)])
-    assert result.landmarks.entries[: len(base)] == base.entries
+    lms = result.landmarks
+    assert lms.n_base == len(base)
+    assert np.array_equal(lms.anchors[: len(base)], base.anchors)
+    assert lms.positions[: len(base)].tobytes() == base.positions.tobytes()
 
 
 def test_augment_midpoint_is_on_path():
@@ -348,10 +373,10 @@ def test_augment_midpoint_is_on_path():
     g = build_edge_graph(mesh)
     base = base_landmarks(mesh, n=6)
     result = augment_landmarks(mesh, g, base, [(0, 5)])
-    aug = result.landmarks.entries[-1]
-    path = geodesic_path(g, base[0].anchor, base[5].anchor)
-    assert aug.anchor in set(int(v) for v in path.vertices)
-    assert np.array_equal(aug.position, mesh.vertices[aug.anchor])
+    lms = result.landmarks
+    path = geodesic_path(g, base.anchors[0], base.anchors[5])
+    assert lms.anchors[-1] in path.vertices.tolist()
+    assert np.array_equal(lms.positions[-1], mesh.vertices[lms.anchors[-1]])
 
 
 def test_augment_disconnected_pair_skipped():
@@ -371,8 +396,8 @@ def test_augment_ids_stay_dense_after_skip():
     result = augment_landmarks(mesh, g, base, [(0, 2), (0, 1)])
     assert result.skipped == [(0, 2)]
     lms = result.landmarks
-    assert [e.id for e in lms] == [0, 1, 2, 3]  # dense despite the skip
-    assert lms[3].kind == AUGMENTED and lms[3].source == (0, 1)
+    assert len(lms) == 4 and lms.n_base == 3  # dense despite the skip
+    assert lms.sources.tolist() == [[0, 1]]
 
 
 def test_augment_invalid_pair():
@@ -383,6 +408,13 @@ def test_augment_invalid_pair():
         augment_landmarks(mesh, g, base, [(0, 0)])
     with pytest.raises(InvalidPair):
         augment_landmarks(mesh, g, base, [(0, 99)])
+    # pair ids name base landmarks only: -1 and the first augmented id are out
+    augmented = augment_landmarks(mesh, g, base, [(0, 3)]).landmarks
+    for pair in [(-1, 0), (0, 4)]:
+        with pytest.raises(InvalidPair):
+            augment_landmarks(mesh, g, augmented, [pair])
+    assert augment_landmarks(mesh, g, augmented, [(1, 3)]).landmarks.sources.tolist() == \
+        [[0, 3], [1, 3]]
 
 
 def test_augment_same_anchor_pair_not_skipped():
@@ -391,7 +423,7 @@ def test_augment_same_anchor_pair_not_skipped():
     base = lift_landmarks(mesh, [p, p])  # two ids, one anchor
     result = augment_landmarks(mesh, build_edge_graph(mesh), base, [(0, 1)])
     assert result.skipped == []
-    assert result.landmarks[2].anchor == base[0].anchor
+    assert result.landmarks.anchors[2] == base.anchors[0]
 
 
 def test_augment_deterministic():
@@ -401,7 +433,7 @@ def test_augment_deterministic():
     pairs = [(0, 9), (1, 8), (2, 7)]
     a = augment_landmarks(mesh, g, base, pairs)
     b = augment_landmarks(mesh, g, base, pairs)
-    assert a.landmarks.entries == b.landmarks.entries
+    assert_same_landmarks(a.landmarks, b.landmarks)
 
 
 def test_ordering_hash_tracks_structure_not_geometry():
@@ -414,6 +446,35 @@ def test_ordering_hash_tracks_structure_not_geometry():
     assert h1 == h2
     h3 = lift_landmarks(m1, pts[:11]).ordering_hash()
     assert h1 != h3
+
+
+# ordering_hash of two sets, pinned before landmarks became arrays: the shipped
+# synth set (J = 28, B = 16), and 68 lifted base landmarks with the shipped
+# augmentation pairs (J = 83)
+SHIPPED_SYNTH_ORDERING_HASH = 17776700141229389604
+LIFTED_SHIPPED_PAIRS_ORDERING_HASH = 1015977540414376111
+
+
+def assert_read_only(lms):
+    for a in (lms.anchors, lms.positions, lms.sources):
+        assert not a.flags.writeable
+
+
+def test_ordering_hash_pinned_for_shipped_synth_set():
+    lms = build_dataset(SynthConfig()).landmarks
+    assert (len(lms), lms.n_base) == (28, 16)
+    assert lms.ordering_hash() == SHIPPED_SYNTH_ORDERING_HASH
+    assert_read_only(lms)
+
+
+def test_ordering_hash_pinned_for_lifted_set_at_shipped_pairs():
+    mesh = synth_mesh(grid=24)
+    base = lift_landmarks(mesh, np.random.default_rng(68).uniform(size=(68, 2)))
+    result = augment_landmarks(mesh, build_edge_graph(mesh), base, DEFAULT_AUGMENT_PAIRS)
+    assert result.skipped == [] and len(result.landmarks) == 83
+    assert result.landmarks.ordering_hash() == LIFTED_SHIPPED_PAIRS_ORDERING_HASH
+    assert_read_only(base)
+    assert_read_only(result.landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +567,9 @@ def test_augment_matches_per_pair_reference_on_unit_grids():
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 12, size=(30, 2)) if a != b]
         got = augment_landmarks(mesh, g, base, pairs)
 
-        entries, skipped = list(base.entries), []
+        mids, sources, skipped = [], [], []
         for a, b in pairs:
-            va, vb = base[a].anchor, base[b].anchor
+            va, vb = int(base.anchors[a]), int(base.anchors[b])
             if va == vb:
                 mid = va
             else:
@@ -517,12 +578,15 @@ def test_augment_matches_per_pair_reference_on_unit_grids():
                 except Unreachable:
                     skipped.append((a, b))
                     continue
-            entries.append((len(entries), mid, (a, b)))
+            mids.append(mid)
+            sources.append([a, b])
         assert got.skipped == skipped
         n_skipped += len(skipped)
-        assert [(e.id, e.anchor, e.source) for e in got.landmarks.entries[len(base):]] == \
-            entries[len(base):]
-        assert all(np.array_equal(e.position, mesh.vertices[e.anchor]) for e in got.landmarks)
+        lms = got.landmarks
+        assert lms.n_base == len(base)
+        assert lms.anchors.tolist() == base.anchors.tolist() + mids
+        assert lms.sources.tolist() == sources
+        assert np.array_equal(lms.positions, mesh.vertices[lms.anchors])
     assert n_skipped > 0
 
 
@@ -549,7 +613,7 @@ def test_augment_batched_sources_match_per_pair_reference_on_random_weights():
     assert got.skipped == [(0, 6)]
     want = [geodesic_midpoint(reference_geodesic_path(g, anchors[a], anchors[b]))[0]
             for a, b in pairs if (a, b) != (0, 6)]
-    assert [e.anchor for e in got.landmarks.entries[len(base):]] == want
+    assert got.landmarks.anchors[len(base):].tolist() == want
 
 
 def test_lift_matches_broadcast_reference():
@@ -563,7 +627,7 @@ def test_lift_matches_broadcast_reference():
     pts = np.concatenate([rng.uniform(size=(300, 2)), lattice[:40],
                           (lattice[:40] + lattice[40:80]) / 2])
     want = np.argmin(((mesh.uv[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2), axis=1)
-    assert [e.anchor for e in lift_landmarks(mesh, pts)] == want.tolist()
+    assert lift_landmarks(mesh, pts).anchors.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +657,11 @@ def sequence_frames():
     return frames
 
 
-def as_bytes(result):
-    lms = result.landmarks
-    return ([(e.id, e.anchor, e.kind, e.source) for e in lms], lms.positions().tobytes(),
-            result.skipped)
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_landmarks(g.landmarks, w.landmarks)
+        assert g.skipped == w.skipped
 
 
 @pytest.mark.parametrize("budget, searches", [(1, 5), (600, 3), (None, 1), (1 << 40, 1)],
@@ -614,11 +679,10 @@ def test_augment_sequence_equals_per_frame_augment(monkeypatch, budget, searches
     want = [augment_landmarks(mesh, build_edge_graph(mesh), base, SEQUENCE_PAIRS)
             for mesh, base in frames]
     assert len({mesh.n_vertices for mesh, _ in frames}) == len(frames)
-    assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
-    assert [r.landmarks for r in got] == [r.landmarks for r in want]
+    assert_same_results(got, want)
     assert got[2].skipped == [(0, 2), (2, 3)]
-    assert got[2].landmarks[-1].anchor == frames[2][1][0].anchor  # the va == vb pair
-    assert got[3].landmarks[-1].anchor == frames[3][1][0].anchor
+    assert got[2].landmarks.anchors[-1] == frames[2][1].anchors[0]  # the va == vb pair
+    assert got[3].landmarks.anchors[-1] == frames[3][1].anchors[0]
 
 
 def test_augment_sequence_of_no_frames():
@@ -691,11 +755,10 @@ def test_augment_sequence_shares_topology_per_run(monkeypatch, budget):
 
     want = [augment_landmarks(mesh, build_edge_graph(mesh), base, SEQUENCE_PAIRS)
             for mesh, base in frames]
-    assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
-    assert [r.landmarks for r in got] == [r.landmarks for r in want]
+    assert_same_results(got, want)
     assert got[4].skipped  # run 1 drops faces, so some pairs cross components
     # one plan per distinct base: the frames on one uv grid share their anchors
-    assert len(plans) == len({tuple(e.anchor for e in base) for _, base in frames}) < len(frames)
+    assert len(plans) == len({base.anchors.tobytes() for _, base in frames}) < len(frames)
     for (mesh, _), graph in zip(frames, graphs):
         want_graph = build_edge_graph(mesh)
         for name in ("indptr", "targets", "weights_csr"):

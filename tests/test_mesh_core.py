@@ -394,6 +394,16 @@ def test_build_edge_graph_errors_match_reference(vertex):
         build_edge_graph(mesh)
 
 
+def test_zero_length_edge_message_names_plain_vertex_ids():
+    mesh = TexturedMesh.from_arrays([[0, 0, 0], [0, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    want = ("zero-length edge between vertices (0, 1): "
+            "coincident positions are not usable for geodesics")
+    for build in (build_edge_graph, reference_edge_graph):
+        with pytest.raises(InvariantError) as err:
+            build(mesh)
+        assert str(err.value) == want
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -285,12 +283,25 @@ def test_tensor_rejects_inconsistent_landmarks():
         build_sequence_tensor(frames, 2)
 
 
+def test_tensor_rejects_frames_differing_in_base_count():
+    # J = 4 in both frames: three base landmarks and one augmented, then four base
+    m = synth_mesh()
+    uv = [m.uv[3], m.uv[11], m.uv[40], m.uv[50]]
+    lms = augment_landmarks(m, mesh_core.build_edge_graph(m), lift_landmarks(m, uv[:3]),
+                            [(0, 1)]).landmarks
+    all_base = lift_landmarks(m, uv)
+    assert len(lms) == len(all_base) and lms.n_base != all_base.n_base
+    with pytest.raises(InconsistentLandmarks, match="frame 1 disagrees on landmark ordering"):
+        build_sequence_tensor([(m, lms), (m, all_base)], 2)
+
+
 def test_tensor_rejects_frames_differing_in_one_augmentation_source():
     m = synth_mesh()
     base = lift_landmarks(m, [m.uv[3], m.uv[11], m.uv[40]])
     lms = augment_landmarks(m, mesh_core.build_edge_graph(m), base, [(0, 1), (1, 2)]).landmarks
-    last = lms.entries[-1]
-    swapped = LandmarkSet(lms.entries[:-1] + (dataclasses.replace(last, source=(2, 1)),))
+    sources = lms.sources.copy()
+    sources[-1] = [2, 1]
+    swapped = LandmarkSet(lms.anchors, lms.positions, lms.n_base, sources)
     tensor = build_sequence_tensor([(m, lms), (m, lms)], 2)
     assert tensor.landmark_hash == lms.ordering_hash() != swapped.ordering_hash()
     with pytest.raises(InconsistentLandmarks, match="frame 1 disagrees on landmark ordering"):

@@ -3,7 +3,7 @@ import pytest
 
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import InvalidPair, ParseError, UnknownId
-from facegcn.landmark_engine import lift_landmarks
+from facegcn.landmark_engine import LandmarkSet, lift_landmarks
 from facegcn.mesh_core import build_edge_graph
 from facegcn.st_graph import (
     PartitionLabels,
@@ -19,14 +19,15 @@ from facegcn import landmark_engine
 from stgcn_testutil import cardinalities, label, neighborhood
 
 
+def base_landmarks_at(positions):
+    """Base landmarks 0..J-1 at the given (J, 3) positions, on vertices 0..J-1."""
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    return LandmarkSet(anchors=np.arange(len(positions), dtype=np.int64), positions=positions,
+                       n_base=len(positions), sources=np.empty((0, 2), dtype=np.int64))
+
+
 def collinear_landmarks(n=3, spacing=1.0):
-    entries = []
-    for i in range(n):
-        pos = np.array([i * spacing, 0.0, 0.0])
-        entries.append(
-            landmark_engine.Landmark(id=i, anchor=i, position=pos, kind=landmark_engine.BASE)
-        )
-    return landmark_engine.LandmarkSet(entries=tuple(entries))
+    return base_landmarks_at([[i * spacing, 0.0, 0.0] for i in range(n)])
 
 
 def random_graph(j, rng, p=0.4):
@@ -52,7 +53,7 @@ def test_single_node_graph():
 def test_knn1_collinear_chain():
     # brute-force check: nearest of 0 is 1, of 1 is 0 (tie to lower), of 2 is 1
     lms = collinear_landmarks(3)
-    pos = lms.positions()
+    pos = lms.positions
     for i in range(3):
         d = np.linalg.norm(pos - pos[i], axis=1)
         d[i] = np.inf
@@ -89,11 +90,7 @@ def test_knn_graph_symmetric():
     lattice = rng.integers(0, 3, size=(20, 3)).astype(np.float64)
     cases += [(lattice, m) for m in (1, 2, 4, 7)]
     for pos, m in cases:
-        entries = tuple(
-            landmark_engine.Landmark(id=i, anchor=i, position=p, kind=landmark_engine.BASE)
-            for i, p in enumerate(pos)
-        )
-        g = build_spatial_edges(landmark_engine.LandmarkSet(entries), "knn", knn_m=m)
+        g = build_spatial_edges(base_landmarks_at(pos), "knn", knn_m=m)
         assert np.array_equal(g.adjacency, g.adjacency.T)
         assert np.all(np.diag(g.adjacency) == 0)
         assert np.array_equal(g.adjacency, knn_per_row_reference(pos, m))
@@ -116,6 +113,10 @@ def test_template_includes_augmented_sources():
 def test_template_rejects_bad_pairs():
     with pytest.raises(UnknownId):
         build_spatial_edges(collinear_landmarks(3), "template", template_pairs=[(0, 9)])
+    # the id range is 0..J-1: just below and just above it
+    for pair in [(-1, 0), (0, 3), (3, 0)]:
+        with pytest.raises(UnknownId, match=r"names an unknown landmark id"):
+            build_spatial_edges(collinear_landmarks(3), "template", template_pairs=[pair])
     with pytest.raises(InvalidPair):
         build_spatial_edges(collinear_landmarks(3), "template", template_pairs=[(1, 1)])
 
