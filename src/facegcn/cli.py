@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset_synth, landmark_engine, mesh_core, patch_features, st_graph, stgcn_net
-from .config import RunConfig, load_config, serialize_config
+from .config import RunConfig, _is_int, load_config, serialize_config
 from .errors import (
     ArchitectureMismatch,
     ConfigError,
@@ -211,12 +211,12 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
         raise ConfigError(f"{labels_path}: expected an object keyed by sequence name")
     targets = []
     for seq_dir in seq_dirs:
-        try:
-            entry = labels[seq_dir.name]
-            targets.append((seq_dir, int(entry["identity"]), int(entry["emotion"])))
-        except (KeyError, TypeError, ValueError):
+        entry = labels.get(seq_dir.name)
+        if not (isinstance(entry, dict) and _is_int(entry.get("identity"))
+                and _is_int(entry.get("emotion"))):
             raise ConfigError(f"{labels_path}: sequence {seq_dir.name!r} needs an entry with "
                               "integer identity and emotion")
+        targets.append((seq_dir, entry["identity"], entry["emotion"]))
 
     with _output_lock(cfg.output_dir):
         _refuse_existing(cfg.manifest_path, force)

@@ -253,9 +253,25 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
             # copies: a frame's vertices are a view of the whole sequence's block
             neutral_frames.setdefault(i, frames[0][0].vertices.copy())
             peak_frames[(i, e)] = frames[len(frames) // 2][0].vertices.copy()
-            results = augment_sequence(frames, augment_pairs)
-            augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(frames, results)]
-            tensor = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
+            # The frames of one sequence share faces, colors, uv and landmark
+            # anchors, so the vertex bytes fix everything augmentation and
+            # patches read: each distinct frame is processed once (the
+            # sin^2 envelope makes frame t equal frame T-1-t after
+            # quantization) and its column is gathered back into frame order.
+            first_of: dict[bytes, int] = {}  # vertex bytes -> column in distinct
+            distinct, column = [], []
+            for frame in frames:
+                key = frame[0].vertices.tobytes()
+                if key not in first_of:
+                    first_of[key] = len(distinct)
+                    distinct.append(frame)
+                column.append(first_of[key])
+            del first_of
+            results = augment_sequence(distinct, augment_pairs)
+            augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)]
+            unique = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
+            tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k,
+                                   unique.landmark_hash)
             if first_landmarks is None:
                 first_landmarks = augmented[0][1]
             samples.append(

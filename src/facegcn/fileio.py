@@ -25,12 +25,30 @@ def read_text(path, encoding: str = "utf-8") -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+class _NonFinite(str):
+    """Placeholder for a NaN or ±Infinity constant while ``read_json`` parses."""
+
+
 def read_json(path):
-    """The JSON value in ``path``; text that does not parse is a ConfigError."""
+    """The JSON value in ``path``; text that does not parse is a ConfigError.
+
+    So is a ``NaN``, ``Infinity`` or ``-Infinity`` constant, which JSON does
+    not have but Python's parser accepts; the error names the constant and
+    the keys and indices that lead to it.
+    """
     try:
-        return json.loads(read_text(path))
+        value = json.loads(read_text(path), parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}")
+    stack = [(value, "")]  # depth first, in document order
+    while stack:
+        item, where = stack.pop()
+        if isinstance(item, _NonFinite):
+            raise ConfigError(f"{path}: non-finite number {item} at {where or 'top level'}")
+        if isinstance(item, (dict, list)):
+            keyed = list(item.items() if isinstance(item, dict) else enumerate(item))
+            stack += [(v, f"{where}[{json.dumps(k)}]") for k, v in reversed(keyed)]
+    return value
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -118,6 +118,20 @@ def test_config_type_error_exit_code_2(tmp_path, capsys, data):
     assert err.startswith("facegcn: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, constant", [
+    ('{"optim": {"base_lr": Infinity}}', "Infinity"),
+    ('{"optim": {"weight_decay": NaN}}', "NaN"),
+    ('{"optim": {"base_lr": -Infinity}}', "-Infinity"),
+], ids=["infinite-lr", "nan-decay", "negative-infinite-lr"])
+def test_config_non_finite_number_exit_code_2(tmp_path, capsys, text, constant):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    assert main(["synth", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("facegcn: error:") and "Traceback" not in err
+    assert str(p) in err and f"non-finite number {constant} at [\"optim\"]" in err
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_negative_seed_exit_code_2(tmp_path, capsys, where):
     p = small_config(tmp_path)
@@ -365,7 +379,15 @@ def test_failed_force_preprocess_keeps_previous_dataset(tmp_path):
     assert {q.name: q.read_bytes() for q in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("seq_b_entry", [None, {"identity": 1}], ids=["missing", "no-emotion"])
+@pytest.mark.parametrize("seq_b_entry", [
+    None,
+    {"identity": 1},
+    {"identity": float("inf"), "emotion": 0},
+    {"identity": 1.5, "emotion": 0},
+    {"identity": 1, "emotion": True},
+    {"identity": "1", "emotion": 0},
+], ids=["missing", "no-emotion", "infinite-identity", "float-identity", "bool-emotion",
+        "string-identity"])
 def test_bad_labels_entry_exits_before_ingest(tmp_path, monkeypatch, capsys, seq_b_entry):
     raw = tmp_path / "raw"
     write_sequence_dir(raw, n_frames=1)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from facegcn import dataset_synth, landmark_engine
 from facegcn.dataset_synth import (
     DatasetBuildResult,
     ExpressionParams,
@@ -17,7 +19,7 @@ from facegcn.dataset_synth import (
 )
 from facegcn.errors import ConfigError, EmptySide, MissingIdentity
 from facegcn.mesh_core import validate_mesh
-from facegcn.patch_features import save_tensor
+from facegcn.patch_features import build_sequence_tensor, save_tensor
 
 FAST = SynthConfig(n_identities=3, emotions=(0, 1), T=3, k=4, grid=8, lm_grid=2, seed=11)
 
@@ -145,6 +147,58 @@ def test_build_dataset_deterministic(fast_dataset):
 def test_landmark_hash_uniform_across_samples(fast_dataset):
     hashes = {s.tensor.landmark_hash for s in fast_dataset.samples}
     assert len(hashes) == 1
+
+
+def _per_frame_tensors(cfg: SynthConfig):
+    """build_dataset's tensors rebuilt from every frame of every sequence, no reuse."""
+    pairs = default_augment_pairs(cfg.lm_grid)
+    tensors = []
+    for i in range(cfg.n_identities):
+        for e in cfg.emotions:
+            frames = generate_sequence(cfg.identity_params(i), cfg.expression_params(e), cfg.T,
+                                       lm_grid=cfg.lm_grid)
+            results = landmark_engine.augment_sequence(frames, pairs)
+            augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(frames, results)]
+            tensors.append(build_sequence_tensor(augmented, cfg.k))
+    return tensors
+
+
+@pytest.mark.parametrize("case, distinct", [("shipped", 12), ("still", 1), ("ramp", 24)])
+def test_build_dataset_processes_each_distinct_frame_once(monkeypatch, case, distinct):
+    cfg = SynthConfig(n_identities=2, emotions=(0,))
+    if case == "still":  # every frame equals the neutral one
+        cfg = dataclasses.replace(cfg, expression_amplitude=0.0)
+    if case == "ramp":  # no frame repeats
+        monkeypatch.setattr(dataset_synth, "_envelope", lambda t, T: t / T)
+    reference = _per_frame_tensors(cfg)
+    real_augment, augmented = dataset_synth.augment_sequence, []
+
+    def counting_augment(frames, pairs):
+        augmented.append(len(frames))
+        return real_augment(frames, pairs)
+
+    monkeypatch.setattr(dataset_synth, "augment_sequence", counting_augment)
+    samples = build_dataset(cfg).samples
+    assert augmented == [distinct] * len(reference) == [distinct] * len(samples)
+    for sample, ref in zip(samples, reference):
+        got = sample.tensor
+        assert (got.values.shape, got.values.dtype, got.k, got.landmark_hash) == (
+            ref.values.shape, ref.values.dtype, ref.k, ref.landmark_hash)
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_shipped_sequences_mirror_in_time():
+    """Frame t equals frame T-1-t after quantization: the repeats build_dataset reuses."""
+    cfg = SynthConfig()
+    distinct = 0
+    for i in range(cfg.n_identities):
+        for e in cfg.emotions:
+            frames = generate_sequence(cfg.identity_params(i), cfg.expression_params(e), cfg.T,
+                                       lm_grid=cfg.lm_grid)
+            keys = [mesh.vertices.tobytes() for mesh, _ in frames]
+            assert all(keys[t] == keys[cfg.T - 1 - t] for t in range(cfg.T))
+            distinct += len(set(keys))
+    assert (distinct, cfg.n_identities * len(cfg.emotions) * cfg.T) == (720, 1440)
 
 
 def test_separability_oracle(fast_dataset):

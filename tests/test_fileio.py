@@ -92,3 +92,23 @@ def test_read_json(tmp_path):
     with pytest.raises(ParseError) as info:
         fileio.read_json(p)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"NaN", "non-finite number NaN at top level"),
+    (b'{"a": [1, {"b": Infinity}]}', 'non-finite number Infinity at ["a"][1]["b"]'),
+    (b'[0, -Infinity, NaN]', "non-finite number -Infinity at [1]"),
+    (b'{"x": {"y": 1.0}, "z": [NaN]}', 'non-finite number NaN at ["z"][0]'),
+])
+def test_read_json_refuses_non_finite_constants(tmp_path, text, message):
+    p = tmp_path / "t.json"
+    p.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        fileio.read_json(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_read_json_keeps_finite_floats_and_strings(tmp_path):
+    p = tmp_path / "t.json"
+    p.write_bytes(b'{"lr": 1e308, "name": "NaN", "v": [-0.0, "Infinity"]}')
+    assert fileio.read_json(p) == {"lr": 1e308, "name": "NaN", "v": [-0.0, "Infinity"]}
