@@ -24,7 +24,6 @@ from .config import RunConfig, _is_int, load_config, serialize_config
 from .errors import (
     ArchitectureMismatch,
     ConfigError,
-    EmptySide,
     FaceGcnError,
     InconsistentLandmarks,
     InvalidPair,
@@ -248,13 +247,20 @@ def _load_manifest(cfg: RunConfig):
             or not manifest.get("samples")):
         raise ConfigError(f"{path}: not a usable manifest")
     root = path.parent
+
+    def integer(value, where):
+        if not _is_int(value):
+            raise ConfigError(f"{path}: {where} must be an integer, got {value!r}")
+        return value
+
     try:
-        k, graph_path = int(manifest["k"]), root / str(manifest["graph"])
+        k, graph_path = integer(manifest["k"], "k"), root / str(manifest["graph"])
         entries = [
-            (root / str(e["tensor"]), int(e["identity"]), int(e["emotion"]), e.get("provenance", {}))
-            for e in manifest["samples"]
+            (root / str(e["tensor"]), integer(e["identity"], f"samples[{i}].identity"),
+             integer(e["emotion"], f"samples[{i}].emotion"), e.get("provenance", {}))
+            for i, e in enumerate(manifest["samples"])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})")
     samples = []
     for tensor_path, identity, emotion, provenance in entries:
@@ -348,8 +354,6 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
         raise ArchitectureMismatch(f"checkpoint J={model.J}, graph J={graph.J}")
 
     _, test_side = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
-    if not test_side:
-        raise EmptySide("no test samples")
 
     targets = [classes[s.identity] for s in test_side]
     correct, total, preds = stgcn_net.evaluate(

@@ -277,28 +277,11 @@ def _arc_lengths(
     """``chain`` and its cumulative arc lengths, reversed if needed to begin at ``start``.
 
     Cumulative arc lengths are exactly-rounded prefix sums (math.fsum), so
-    the total length does not depend on the direction. One pass keeps the
-    running sum exact as a list of non-overlapping partials, by Shewchuk's
-    grow-expansion (Adaptive Precision Floating-Point Arithmetic, DCG 1997,
-    the algorithm behind math.fsum), and rounds each prefix with fsum.
+    the total length does not depend on the direction.
     """
     if chain[0] != start:
         chain, weights = chain[::-1], weights[::-1]
-    cumulative, partials = [0.0], []
-    for x in weights:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        cumulative.append(math.fsum(partials))
-    return chain, cumulative
+    return chain, [math.fsum(weights[:i]) for i in range(len(weights) + 1)]
 
 
 def _halfway(cumulative: list[float]) -> int:
@@ -316,8 +299,8 @@ def geodesic_path(graph: EdgeGraph, src: int, dst: int) -> GeodesicPath:
 
     Ties between equal-length paths are broken toward the smaller
     predecessor vertex index. The search always runs from the smaller
-    endpoint and the cumulative arc lengths are exactly-rounded prefix sums
-    (math.fsum), so path lengths are exactly symmetric in (src, dst).
+    endpoint and each cumulative arc length is one math.fsum of its prefix,
+    exactly rounded, so path lengths are exactly symmetric in (src, dst).
     """
     n = graph.n_nodes
     if not (0 <= src < n and 0 <= dst < n):

@@ -143,6 +143,8 @@ class FeatureTensor:
     def validate(self) -> None:
         if self.values.ndim != 3 or self.values.dtype != np.float32:
             raise InvariantError("feature tensor must be float32 with shape (C, J, T)")
+        if min(self.k, self.J, self.T) < 1:
+            raise InvariantError(f"empty feature tensor: k={self.k}, J={self.J}, T={self.T}")
         if self.C != 6 * self.k:
             raise InvariantError(f"C={self.C} != 6*k with k={self.k}")
         if not np.isfinite(self.values).all():
@@ -206,5 +208,8 @@ def load_tensor(path) -> FeatureTensor:
         raise ParseError(f"payload size {len(data)} != expected {need}", path=path)
     values = np.frombuffer(data, dtype="<f4", offset=_FGT1_HEADER.size).reshape(c, j, t)
     tensor = FeatureTensor(values=values.astype(np.float32), k=k, landmark_hash=lm_hash)
-    tensor.validate()
+    try:
+        tensor.validate()
+    except InvariantError as exc:
+        raise ParseError(str(exc), path=path) from None
     return tensor

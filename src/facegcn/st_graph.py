@@ -156,7 +156,8 @@ def load_graph(path) -> tuple[SpatialGraph, PartitionLabels]:
         raise ParseError("empty graph cache", path=path)
     head = lines[0].split()
     # a valid file has a root line per node, so J < len(lines) bounds the arrays
-    if len(head) != 4 or head[0] != "FGG1" or not head[1].isdigit() or int(head[1]) >= len(lines):
+    if (len(head) != 4 or head[0] != "FGG1" or not head[1].isdigit()
+            or not 1 <= int(head[1]) < len(lines)):
         raise ParseError("bad FGG1 header", path=path, line=1)
     j_count = int(head[1])
     body = [(n, line.split()) for n, line in enumerate(lines[1:], start=2) if line.strip()]

@@ -209,7 +209,7 @@ def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) 
     return np.add(out, params.bias[:, None, None], order="C")
 
 
-def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad=True):
+def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad):
     """(d_in, dw, db); d_in is None when input_grad is false."""
     c_in, j_count, t_count = f_in.shape
     flat_in = f_in.reshape(c_in, j_count * t_count)
@@ -364,13 +364,11 @@ def forward(model: Model, features: np.ndarray, tape: GradientTape | None = None
     return logits
 
 
-def backward(tape: GradientTape, loss_scale: float = 1.0, *, _input_grad: bool = True):
+def backward(tape: GradientTape, loss_scale: float = 1.0):
     """Exact reverse-mode gradients of (loss_scale * loss).
 
-    Returns (grads, dx): grads maps each parameter name to its gradient in
-    Model.parameters() order, dx is the gradient w.r.t. the input features.
-    The training step passes _input_grad=False: then dx is None, and block
-    0's input gradient (P products and a (C_in, J, T) array) is never formed.
+    Returns a dict mapping each parameter name to its gradient, in
+    Model.parameters() order. Block 0's input gradient is never formed.
     """
     if tape.model is None or tape.probs is None or tape.label is None:
         raise TapeIncomplete("forward pass and cross_entropy must be recorded first")
@@ -406,7 +404,7 @@ def backward(tape: GradientTape, loss_scale: float = 1.0, *, _input_grad: bool =
         dg = np.multiply(da, cache.gconv_mask, order="C")
         del da
         d_in, dw, db = _graph_conv_backward(dg, cache.f_in, block.gconv, model.adjacency,
-                                            input_grad=bi > 0 or _input_grad)
+                                            input_grad=bi > 0)
         del dg
         grads[f"block{bi}.gconv.weight"] = dw
         if db is not None:
@@ -414,7 +412,7 @@ def backward(tape: GradientTape, loss_scale: float = 1.0, *, _input_grad: bool =
         if dres is not None and d_in is not None:
             d_in += dres
         dx = d_in
-    return {name: grads[name] for name, _ in model.parameters()}, dx
+    return {name: grads[name] for name, _ in model.parameters()}
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +613,7 @@ def _sample_step(model: Model, loss_scale: float, epoch: int, tape: GradientTape
     loss = cross_entropy(logits, label, tape=tape)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss at epoch {epoch}")
-    grads, _ = backward(tape, loss_scale=loss_scale, _input_grad=False)
+    grads = backward(tape, loss_scale=loss_scale)
     return loss, int(np.argmax(logits) == label), grads
 
 

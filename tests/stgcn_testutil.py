@@ -153,7 +153,7 @@ def finite_difference_check(model, x, label=1, h=1e-3, rel_tol=1e-4, abs_tol=1e-
         return stgcn_net.cross_entropy(logits, label, tape=tape), tape
 
     _, tape = loss_of()
-    grads, _ = stgcn_net.backward(tape)
+    grads = stgcn_net.backward(tape)
     checked = failed = 0
     worst = 0.0
     for name, param in model.parameters():

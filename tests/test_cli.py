@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -592,11 +594,29 @@ def _manifest_with_other_k(data):
     (data / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _manifest_with(field, value):
+    """Tamper: set ``field`` of the manifest's first sample (or the manifest's own k)."""
+    def tamper(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        (manifest if field == "k" else manifest["samples"][0])[field] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    return tamper
+
+
 MANIFEST_DISAGREEMENTS = {
     "tensor-landmark-ordering": (_tensor_with_other_ordering, "landmark count or ordering"),
     "tensor-landmark-count": (_tensor_with_fewer_landmarks, "landmark count or ordering"),
     "graph-J": (_smaller_graph, "graph.fgg has J=3"),
     "manifest-k": (_manifest_with_other_k, "says k=5"),
+    # JSON integers only, as in labels.json
+    "manifest-float-identity": (_manifest_with("identity", 1.7),
+                                "manifest.json: samples[0].identity must be an integer, got 1.7"),
+    "manifest-bool-emotion": (_manifest_with("emotion", True),
+                              "manifest.json: samples[0].emotion must be an integer, got True"),
+    "manifest-string-identity": (_manifest_with("identity", "1"),
+                                 "manifest.json: samples[0].identity must be an integer, got '1'"),
+    "manifest-string-k": (_manifest_with("k", "4"),
+                          "manifest.json: k must be an integer, got '4'"),
 }
 
 
@@ -647,6 +667,30 @@ def test_bad_json_input_exit_code_2(tmp_path, capsys, case):
     assert main([command, "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("facegcn: error:") and name in err and "Traceback" not in err
+
+
+def test_zero_size_dataset_exit_code_2(tmp_path, capsys):
+    # empty FGT1 tensors (k = C = J = T = 0) and an empty graph: the first
+    # tensor is refused on load, before training sees it
+    p = small_config(tmp_path, train={"epochs": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    empty = struct.pack("<4sIIIIQ", b"FGT1", 0, 0, 0, 0, 0)
+    samples = []
+    for i, (identity, emotion) in enumerate([(0, 0), (0, 3), (1, 0), (1, 3)]):
+        (out / f"s{i}.fgt").write_bytes(empty)
+        samples.append({"tensor": f"s{i}.fgt", "identity": identity, "emotion": emotion})
+    (out / "graph.fgg").write_text("FGG1 0 2 distance\n")
+    (out / "manifest.json").write_text(json.dumps({
+        "kind": "facegcn-manifest", "k": 0, "graph": "graph.fgg", "samples": samples,
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(p)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"facegcn: error: {out / 's0.fgt'}: ")
+    assert not (out / "checkpoint_final.fgc").exists()
 
 
 def test_missing_manifest_is_config_error(tmp_path, capsys):

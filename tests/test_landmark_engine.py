@@ -1,7 +1,9 @@
 import dataclasses
 import heapq
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,17 +317,21 @@ def test_midpoint_returns_position_with_mesh():
 
 
 def test_arc_lengths_equal_per_prefix_fsum():
+    def exact_prefixes(weights):
+        # each prefix summed exactly in rationals, then rounded once to float
+        return [0.0] + [float(total) for total in itertools.accumulate(map(Fraction, weights))]
+
     rng = np.random.default_rng(35)
     for _ in range(300):
         n_edges = int(rng.integers(1, 301))
         weights = (10.0 ** rng.uniform(-8, 8, size=n_edges)).tolist()  # 1e-8 to 1e8
         chain = list(range(n_edges + 1))
-        want = [0.0] + [math.fsum(weights[:i]) for i in range(1, n_edges + 1)]
+        want = exact_prefixes(weights)
         got_chain, got = landmark_engine._arc_lengths(chain, weights, 0)
         assert got_chain == chain
         assert np.array(got).tobytes() == np.array(want).tobytes()
         # walked from the other end: reversed, then summed from the start vertex
-        back = [0.0] + [math.fsum(weights[::-1][:i]) for i in range(1, n_edges + 1)]
+        back = exact_prefixes(weights[::-1])
         got_chain, got = landmark_engine._arc_lengths(chain, weights, n_edges)
         assert got_chain == chain[::-1]
         assert np.array(got).tobytes() == np.array(back).tobytes()

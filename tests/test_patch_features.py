@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -405,3 +407,28 @@ def test_fgt1_rejects_corruption(tmp_path):
     p.write_bytes(bytes(raw[: len(raw) - 4]))
     with pytest.raises(ParseError):
         load_tensor(p)
+
+
+def fgt1_bytes(c, j, t, k, values=None):
+    """An FGT1 file with the given header counts and C*J*T float32 values (zeros by default)."""
+    if values is None:
+        values = np.zeros(c * j * t, dtype="<f4")
+    return struct.pack("<4sIIIIQ", b"FGT1", c, j, t, k, 7) + np.asarray(values, "<f4").tobytes()
+
+
+@pytest.mark.parametrize("data, message", [
+    (fgt1_bytes(0, 0, 0, 0), "empty feature tensor"),
+    (fgt1_bytes(0, 3, 2, 0), "empty feature tensor"),
+    (fgt1_bytes(6, 0, 2, 1), "empty feature tensor"),
+    (fgt1_bytes(6, 3, 0, 1), "empty feature tensor"),
+    (fgt1_bytes(12, 1, 1, 1), "C=12 != 6\\*k"),
+    (fgt1_bytes(6, 1, 1, 1, [0, 0, np.nan, 0, 0, 0]), "non-finite"),
+    (fgt1_bytes(6, 1, 1, 1, [0, np.inf, 0, 0, 0, 0]), "non-finite"),
+], ids=["all-zero", "k-zero", "J-zero", "T-zero", "C-not-6k", "nan", "inf"])
+def test_fgt1_invalid_tensor_is_parse_error_naming_file(tmp_path, data, message):
+    p = tmp_path / "bad.fgt"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match=message) as info:
+        load_tensor(p)
+    assert info.value.path == p and str(info.value).startswith(f"{p}: ")
+

@@ -342,7 +342,8 @@ def test_fgg1_blank_lines_and_spacing_are_ignored(tmp_path):
 
 
 @pytest.mark.parametrize("head", ["FGG1 -1 2 distance", "FGG1 2 0 distance",
-                                  "FGG1 2 200 distance", "FGG1 10000000000000 2 distance"])
+                                  "FGG1 2 200 distance", "FGG1 10000000000000 2 distance",
+                                  "FGG1 0 2 distance"])
 def test_fgg1_bad_header_counts_are_parse_error(tmp_path, head):
     p = tmp_path / "g.fgg"
     p.write_text(head + "\n")
