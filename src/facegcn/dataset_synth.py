@@ -187,13 +187,18 @@ def generate_sequence(
     lm_grid: int = 4,
 ) -> list[tuple[TexturedMesh, LandmarkSet]]:
     """T frames of (mesh, base landmark set); deterministic given the seeds."""
+    anchors, meshes = _sequence(identity, expr, T, lm_grid)
+    return [(mesh, _anchored(anchors, mesh)) for mesh in meshes]
+
+
+def _sequence(
+    identity: IdentityParams, expr: ExpressionParams, T: int, lm_grid: int
+) -> tuple[np.ndarray, list[TexturedMesh]]:
+    """The base landmark anchors and the T meshes of ``generate_sequence``."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     anchors = landmark_grid_indices(identity.grid, lm_grid)
-    return [
-        (mesh, _anchored(anchors, mesh))
-        for mesh in _sequence_meshes(identity, expr, range(T), T)
-    ]
+    return anchors, _sequence_meshes(identity, expr, range(T), T)
 
 
 @dataclass(frozen=True)
@@ -249,22 +254,22 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
         ident = cfg.identity_params(i)
         for e in cfg.emotions:
             expr = cfg.expression_params(e)
-            frames = generate_sequence(ident, expr, cfg.T, lm_grid=cfg.lm_grid)
+            anchors, meshes = _sequence(ident, expr, cfg.T, cfg.lm_grid)
             # copies: a frame's vertices are a view of the whole sequence's block
-            neutral_frames.setdefault(i, frames[0][0].vertices.copy())
-            peak_frames[(i, e)] = frames[len(frames) // 2][0].vertices.copy()
+            neutral_frames.setdefault(i, meshes[0].vertices.copy())
+            peak_frames[(i, e)] = meshes[len(meshes) // 2].vertices.copy()
             # The frames of one sequence share faces, colors, uv and landmark
-            # anchors, so the vertex bytes fix everything augmentation and
-            # patches read: each distinct frame is processed once (the
-            # sin^2 envelope makes frame t equal frame T-1-t after
+            # anchors, so the vertex bytes fix everything landmarks,
+            # augmentation and patches read: each distinct frame is processed
+            # once (the sin^2 envelope makes frame t equal frame T-1-t after
             # quantization) and its column is gathered back into frame order.
             first_of: dict[bytes, int] = {}  # vertex bytes -> column in distinct
             distinct, column = [], []
-            for frame in frames:
-                key = frame[0].vertices.tobytes()
+            for mesh in meshes:
+                key = mesh.vertices.tobytes()
                 if key not in first_of:
                     first_of[key] = len(distinct)
-                    distinct.append(frame)
+                    distinct.append((mesh, _anchored(anchors, mesh)))
                 column.append(first_of[key])
             del first_of
             results = augment_sequence(distinct, augment_pairs)

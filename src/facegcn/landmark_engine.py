@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fileio import read_text
 from .mesh_core import EdgeGraph, TexturedMesh, edge_topology
+from .patch_features import KdIndex, build_kd_index
 
 
 class LandmarkView(NamedTuple):
@@ -92,25 +93,26 @@ def lift_landmarks(mesh: TexturedMesh, uv_points: Sequence) -> LandmarkSet:
     """Anchor each uv point to the mesh vertex with the nearest uv coordinate.
 
     Ties go to the lowest vertex index. Order of the input points is
-    preserved; ids are 0..n-1 and every landmark is a base landmark.
+    preserved; ids are 0..n-1 and every landmark is a base landmark. A
+    non-finite uv point raises InvariantError.
     """
     if mesh.uv is None:
         raise MissingUV("mesh carries no uv coordinates")
     pts = np.asarray(uv_points, dtype=np.float64).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise EmptyInput("no uv points given")
-    # one (N,) distance array per point over uv column copies: the same
-    # doubles as the (N, 2) row sum, without a (J, N, 2) transient; argmin
-    # returns the first (lowest) index on ties
-    u, v = np.ascontiguousarray(mesh.uv[:, 0]), np.ascontiguousarray(mesh.uv[:, 1])
-    anchors = [int(np.argmin((u - a) ** 2 + (v - b) ** 2)) for a, b in pts]
-    return _anchored(anchors, mesh)
+    # uv as (u, v, 0) points: the kNN's (du² + dv²) + 0 is the 2D distance
+    # exactly, and its index tie order keeps the lowest vertex
+    return _anchored(KdIndex(_uv_points(mesh.uv)).k_nearest_many(_uv_points(pts), 1)[:, 0], mesh)
+
+
+def _uv_points(uv: np.ndarray) -> np.ndarray:
+    """(n, 3) points (u, v, 0) of the (n, 2) uv array."""
+    return np.concatenate([uv, np.zeros((len(uv), 1))], axis=1)
 
 
 def snap_to_mesh(mesh: TexturedMesh, points) -> LandmarkSet:
     """Anchor arbitrary 3D points to their nearest mesh vertices (exact kNN)."""
-    from .patch_features import build_kd_index
-
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise EmptyInput("no points given")

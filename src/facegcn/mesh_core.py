@@ -29,10 +29,12 @@ from .fileio import read_text, write_atomic
 DEFAULT_COLOR = (0.5, 0.5, 0.5)
 
 # Entries (float64 values) of one batched array pass over N-vertex meshes: a
-# kNN block of R queries holds R * N squared distances and a geodesic search
-# batch holds one N-length distance row per source. Work is batched up to
-# this size so per-call overhead is shared at desk scale while 40k-vertex
-# scans keep one query and one frame per pass; results do not depend on it.
+# kNN block of R queries holds R * w squared distances (w points per x
+# window, or all N for a small set) and a geodesic search batch holds one
+# N-length distance row per source. Work is batched up to this size so
+# per-call overhead is shared: a desk frame's 28 queries run in one whole-set
+# block, a 40k-vertex scan's 83 run in blocks of 16 over 2048-point windows,
+# and a scan keeps one frame per search pass. Results do not depend on it.
 BATCH_ENTRIES = 1 << 15
 
 

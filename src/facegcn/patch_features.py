@@ -1,7 +1,9 @@
 """kNN patches around landmarks and per-sequence feature tensors.
 
 Each landmark gets a patch of its k nearest mesh vertices, found by an exact
-brute-force kNN with (d², index) tie order; the patch is one column of 6k
+kNN with (d², index) tie order (brute force over a window of x-sorted
+points that provably holds the answer, or over the whole set when that
+window would hold a quarter of it); the patch is one column of 6k
 channels (relative xyz + rgb per neighbor, ordered by ascending distance). A
 sequence of frames becomes one float32 tensor of shape (6k, J, T).
 """
@@ -14,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import mesh_core
 from .errors import EmptyMesh, InconsistentLandmarks, InvariantError, ParseError
@@ -29,14 +32,28 @@ class KdIndex:
 
     Queries return exactly min(k, N) distinct point indices sorted by
     ascending (squared distance, index); equidistant points therefore come
-    back in ascending index order. Queries are answered in blocks of R rows
-    with R * N within ``mesh_core.BATCH_ENTRIES`` (at least one row): an exact
-    brute-force scan builds the block's (R, N) squared distances, a
-    partition finds each row's k-th, then one (row, d², index) sort orders
-    the points at or below it. The distances are summed column-wise,
-    (dx² + dy²) + dz², over a (3, N) copy of the points: the same doubles as
-    the (N, 3) row sum, in a fraction of its time, and the same whatever the
-    block size, so batching leaves every result unchanged.
+    back in ascending index order. Every squared distance is summed
+    column-wise, (dx² + dy²) + dz², over a (3, N) copy of the points: the
+    same doubles as the (N, 3) row sum, in a fraction of its time.
+
+    A query is answered from a window of w consecutive points in x order,
+    w the power of two at or above 2·√(kN), so k ≤ w: a partition finds the
+    window's k-th squared distance. Rounding is monotone and
+    fl((dx² + dy²) + dz²) ≥ fl(dx²), so a point outside the window is at
+    least fl(x − qx)² from the query, and that grows away from it on each
+    side. When the nearest outside point on each side has fl(x − qx)²
+    strictly above the k-th, every outside point is strictly farther than
+    the k-th, and the window holds the exact answer with its ties. Rows that
+    fail this run again with w doubled. Once the window would hold a quarter
+    of the set or more, the rows run one pass over all N points instead,
+    which always covers; a set that never needs a window (every desk frame:
+    N = 576, k = 25) is never sorted or gathered. The x order is one stable
+    argsort, applied to the columns in place by the first windowed query, so
+    one index is not to be queried from two threads at once.
+    Blocks of R rows keep R·w (R·N for the whole set) within
+    ``mesh_core.BATCH_ENTRIES``, at least one row. Every (query, point) gets
+    the same doubles and the same (d², index) order whatever the window or
+    block, so neither changes a result.
     """
 
     def __init__(self, points: np.ndarray):
@@ -46,7 +63,10 @@ class KdIndex:
         if not np.isfinite(points).all():
             raise InvariantError("non-finite coordinates in point set")
         self.n = points.shape[0]
+        # (3, N) coordinate columns, put in x order the first time a query
+        # uses windows; from then on column c holds point _order[c]
         self._columns = np.ascontiguousarray(points.T)
+        self._order: np.ndarray | None = None
 
     def k_nearest(self, query, k: int) -> np.ndarray:
         """Indices of the k nearest points to ``query`` (fewer if N < k)."""
@@ -61,26 +81,92 @@ class KdIndex:
             raise InvariantError("non-finite query coordinates")
         k = min(k, self.n)
         out = np.empty((q.shape[0], k), dtype=np.int64)
-        per_block = max(1, mesh_core.BATCH_ENTRIES // self.n)
-        x, y, z = self._columns
-        for lo in range(0, q.shape[0], per_block):
-            block = q[lo:lo + per_block]
-            d2 = x - block[:, 0:1]
-            d2 *= d2
-            t = y - block[:, 1:2]
-            t *= t
-            d2 += t
-            np.subtract(z, block[:, 2:3], out=t)
-            t *= t
-            d2 += t
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-            cand = np.flatnonzero(d2 <= kth)  # far faster than a 2D nonzero
-            row, col = np.divmod(cand, self.n)
-            order = np.lexsort((col, d2.reshape(-1)[cand], row))
-            # every row has at least k candidates; take the first k of each
-            first = np.searchsorted(row, np.arange(block.shape[0]))
-            out[lo:lo + per_block] = col[order[first[:, None] + np.arange(k)]]
+        rows = np.arange(q.shape[0])
+        w = 2 << ((k * self.n - 1).bit_length() + 1) // 2  # power of two >= 2·sqrt(kN)
+        while rows.size and 4 * w <= self.n:
+            rows = self._window_pass(q, rows, k, w, out)
+            w *= 2
+        if rows.size:
+            self._whole_pass(q, rows, k, out)
         return out
+
+    def _whole_pass(self, q: np.ndarray, rows: np.ndarray, k: int, out: np.ndarray) -> None:
+        """Answer ``q[rows]`` into ``out[rows]`` by a scan of all N points."""
+        order = self._order
+        per_block = max(1, mesh_core.BATCH_ENTRIES // self.n)
+        for lo in range(0, rows.size, per_block):
+            block = rows[lo:lo + per_block]
+            qb = q[block]
+            d2 = _squared_distances(c - qb[:, a:a + 1] for a, c in enumerate(self._columns))
+            _, out[block] = _rank(d2, k, lambda row, col: col if order is None else order[col])
+
+    def _window_pass(
+        self, q: np.ndarray, rows: np.ndarray, k: int, w: int, out: np.ndarray
+    ) -> np.ndarray:
+        """Answer ``q[rows]`` from w-point x windows; return the rows not yet final."""
+        if self._order is None:
+            order = np.argsort(self._columns[0], kind="stable")
+            for c in self._columns:
+                c[:] = c[order]  # one (N,) temporary at a time
+            self._order = order
+        order, xs = self._order, self._columns[0]
+        # xs[i - 1] < qx <= xs[i], so xs[start - 1] < qx <= xs[start + w]
+        starts = np.clip(np.searchsorted(xs, q[rows, 0]) - w // 2, 0, self.n - w)
+        windows = [sliding_window_view(c, w) for c in self._columns]  # (N - w + 1, w) views
+        per_block = max(1, mesh_core.BATCH_ENTRIES // w)
+        pending = []
+        for lo in range(0, rows.size, per_block):
+            block, start = rows[lo:lo + per_block], starts[lo:lo + per_block]
+            qb = q[block]
+            kth, found = _rank(_squared_distances(_window_diffs(windows, start, qb)), k,
+                               lambda row, col: order[start[row] + col])
+            # the window is exact when the nearest outside point on each side
+            # is strictly beyond the k-th by its x gap alone
+            below = xs[start - 1] - qb[:, 0]  # start - 1 = -1 wraps; masked by start == 0
+            above = xs[np.minimum(start + w, self.n - 1)] - qb[:, 0]
+            final = (start == 0) | (below * below > kth)
+            final &= (start + w == self.n) | (above * above > kth)
+            out[block[final]] = found[final]
+            pending.append(block[~final])
+        return np.concatenate(pending)
+
+
+def _window_diffs(windows, start: np.ndarray, qb: np.ndarray):
+    """x − qx, y − qy, z − qz over each row's window: one gathered (R, w) array at a time."""
+    for a, v in enumerate(windows):
+        d = v[start]
+        d -= qb[:, a:a + 1]
+        yield d
+
+
+def _squared_distances(diffs) -> np.ndarray:
+    """(dx² + dy²) + dz², summed in place from an iterator of the (R, M) differences.
+
+    The iterator makes each difference only when it is needed, so at most
+    three (R, M) arrays are alive at once.
+    """
+    d2 = next(diffs)
+    d2 *= d2
+    for t in diffs:
+        t *= t
+        d2 += t
+    return d2
+
+
+def _rank(d2: np.ndarray, k: int, point) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k-th smallest of the (R, M) ``d2`` and its first k points by (d², index).
+
+    ``point(row, col)`` gives the point index of the entries at (row, col).
+    Returns the (R,) k-th values and the (R, k) point indices.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()  # frees the partitioned copy
+    cand = np.flatnonzero(d2 <= kth)  # far faster than a 2D nonzero
+    row, col = np.divmod(cand, d2.shape[1])
+    points = point(row, col)
+    order = np.lexsort((points, d2.reshape(-1)[cand], row))
+    # every row has at least k candidates; take the first k of each
+    first = np.searchsorted(row, np.arange(d2.shape[0]))
+    return kth[:, 0], points[order[first[:, None] + np.arange(k)]]
 
 
 def build_kd_index(mesh: TexturedMesh) -> KdIndex:

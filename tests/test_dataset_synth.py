@@ -177,9 +177,17 @@ def test_build_dataset_processes_each_distinct_frame_once(monkeypatch, case, dis
         augmented.append(len(frames))
         return real_augment(frames, pairs)
 
+    real_anchored, anchored = dataset_synth._anchored, []
+
+    def counting_anchored(anchors, mesh):
+        anchored.append(mesh)
+        return real_anchored(anchors, mesh)
+
     monkeypatch.setattr(dataset_synth, "augment_sequence", counting_augment)
+    monkeypatch.setattr(dataset_synth, "_anchored", counting_anchored)
     samples = build_dataset(cfg).samples
     assert augmented == [distinct] * len(reference) == [distinct] * len(samples)
+    assert len(anchored) == distinct * len(samples)  # base sets of distinct frames only
     for sample, ref in zip(samples, reference):
         got = sample.tensor
         assert (got.values.shape, got.values.dtype, got.k, got.landmark_hash) == (

@@ -636,6 +636,28 @@ def test_lift_matches_broadcast_reference():
     assert lift_landmarks(mesh, pts).anchors.tolist() == want.tolist()
 
 
+def test_lift_at_scan_scale_matches_per_point_argmin():
+    # a 200 x 200 float32 uv grid (200 vertices share each u), as on a scan
+    # frame: the queries run x-sorted windows over (u, v, 0)
+    g = np.linspace(0.0, 1.0, 200).astype(np.float32).astype(np.float64)
+    u, v = np.meshgrid(g, g, indexing="ij")
+    uv = np.stack([u.ravel(), v.ravel()], axis=1)
+    rng = np.random.default_rng(34)
+    mesh = TexturedMesh.from_arrays(rng.normal(size=(len(uv), 3)), [[0, 1, 2]], uv=uv)
+    pick = rng.integers(len(uv), size=(3, 20))
+    pts = np.concatenate([rng.uniform(size=(28, 2)), uv[pick[0]],
+                          (uv[pick[1]] + uv[pick[2]]) / 2, [[-0.5, 0.5], [1.5, 0.5]]])
+    want = [int(np.argmin((uv[:, 0] - a) ** 2 + (uv[:, 1] - b) ** 2)) for a, b in pts]
+    assert lift_landmarks(mesh, pts).anchors.tolist() == want
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf], [0.5, np.nan]])
+def test_lift_refuses_non_finite_points(bad):
+    # these used to anchor silently to vertex 0
+    with pytest.raises(InvariantError):
+        lift_landmarks(synth_mesh(), [[0.5, 0.5], bad])
+
+
 # ---------------------------------------------------------------------------
 # sequences: frames batched into one search
 

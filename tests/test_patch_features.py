@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,173 @@ def test_k_nearest_many_across_block_boundary(over):
     index = KdIndex(pts)
     got = index.k_nearest_many(queries, 10)
     assert [row.tolist() for row in got] == [brute_knn(pts, q, 10) for q in queries]
+
+
+# Windowed queries: most cases above fit in one window of the whole set, so
+# the ones below are sized to reach the x-sorted windows.
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Each KdIndex pass as it runs: ("window", w, rows in, rows left) or ("whole", N, rows)."""
+    calls = []
+    window_pass, whole_pass = KdIndex._window_pass, KdIndex._whole_pass
+
+    def window(self, q, rows, k, w, out):
+        left = window_pass(self, q, rows, k, w, out)
+        calls.append(("window", w, rows.size, left.size))
+        return left
+
+    def whole(self, q, rows, k, out):
+        calls.append(("whole", self.n, rows.size))
+        whole_pass(self, q, rows, k, out)
+
+    monkeypatch.setattr(KdIndex, "_window_pass", window)
+    monkeypatch.setattr(KdIndex, "_whole_pass", whole)
+    return calls
+
+
+def uv_grid_points(n=150):
+    """(u, v, 0) points of an n x n grid in steps of 1/128: n points share each u."""
+    g = np.arange(n) / 128.0
+    u, v = np.meshgrid(g, g, indexing="ij")
+    return np.stack([u.ravel(), v.ravel(), np.zeros(n * n)], axis=1)
+
+
+def windowed_cases():
+    """name -> (points, queries, k); every case reaches the windowed pass."""
+    rng = np.random.default_rng(40)
+    scan = synth_mesh(grid=200).vertices  # N = 40 000, as a scan frame
+    one_x = np.concatenate([np.full((4096, 1), 0.25), rng.normal(size=(4096, 2))], axis=1)
+    uv = uv_grid_points()
+    cloud = rng.uniform(-1.0, 1.0, size=(8192, 3))
+    ends = np.array([[-4.0, 0.0, 0.0], [4.0, 0.5, -0.5], [-1.0001, 1.0, 1.0], [1.0001, -1.0, 0.0],
+                     [-50.0, 3.0, 3.0], [50.0, 0.0, 0.0]])
+    half_cell = [0.5 / 128, 0.5 / 128, 0.0]  # grid midpoints: exact d² ties
+    uv_queries = np.concatenate([uv[rng.integers(len(uv), size=10)],
+                                 uv[rng.integers(len(uv), size=10)] + half_cell,
+                                 rng.uniform(0, 150 / 128, size=(10, 3)) * [1, 1, 0]])
+    scan_queries = np.concatenate([scan[rng.integers(len(scan), size=20)],
+                                   rng.normal(size=(12, 3)) * 0.5])
+    return {
+        "scan-scale": (scan, scan_queries, 25),
+        "one-x": (one_x, np.concatenate([one_x[:4], [[0.25, 0, 0], [-1, 0, 0], [2, 1, 1]]]), 5),
+        "uv-grid-k1": (uv, uv_queries, 1),
+        "uv-grid-k9": (uv, uv[rng.integers(len(uv), size=12)] + half_cell, 9),
+        "beyond-both-ends": (cloud, ends, 7),
+    }
+
+
+@pytest.mark.parametrize("name", list(windowed_cases()))
+def test_windowed_k_nearest_many_equals_brute_force(name, passes):
+    pts, queries, k = windowed_cases()[name]
+    got = KdIndex(pts).k_nearest_many(queries, k)
+    assert [row.tolist() for row in got] == [brute_knn(pts, q, k) for q in queries]
+    assert passes[0][0] == "window"
+    if name == "one-x":
+        # no x gap anywhere: every row widens until the window would hold
+        # a quarter of the set, then one pass over all N covers
+        r = len(queries)
+        assert passes == [("window", 512, r, r), ("window", 1024, r, r), ("whole", 4096, r)]
+    if name == "scan-scale":
+        assert passes[0][:3] == ("window", 2048, len(queries))
+
+
+def test_whole_set_pass_when_the_window_would_hold_a_quarter(passes):
+    # the shipped desk frame (N = 576, k = 25) and N < k never sort or window
+    mesh = synth_mesh(grid=24)
+    rng = np.random.default_rng(41)
+    queries = rng.normal(size=(28, 3))
+    for pts, k in ((mesh.vertices, 25), (mesh.vertices[:20], 30)):
+        index = KdIndex(pts)
+        got = index.k_nearest_many(queries, k)
+        assert [row.tolist() for row in got] == [brute_knn(pts, q, k) for q in queries]
+        assert index._order is None
+    assert passes == [("whole", 576, 28), ("whole", 20, 28)]
+
+
+def edge_tie_case(side):
+    """Points whose first-window k-th (k = 4, d² = 25) ties the nearest point
+    outside the window on ``side``; the outside point has the lower index.
+
+    Built in x order around the query at the origin. N = 4096 and k = 4 give
+    w = 256, so the window is x-sorted positions 1920..2175.
+    """
+    far = 1000.0  # y of every point that is not a neighbor
+    near = [[0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0]] if side == "below" else \
+        [[-1.0, 0, 0], [-0.5, 0, 0], [0.0, 0, 0]]
+
+    def line(lo, hi, n):
+        return np.stack([np.linspace(lo, hi, n), np.full(n, far), np.zeros(n)], axis=1)
+
+    if side == "below":  # outside (-5, 0, 0) at position 1919, inside (3, 4, 0)
+        parts = [line(-3000, -10, 1919), [[-5.0, 0, 0]], line(-4.9, -0.1, 128), near,
+                 [[3.0, 4.0, 0]], line(3.1, 9, 124), line(1000, 3000, 1920)]
+    else:  # inside (-3, 4, 0), outside (5, 0, 0) at position 2176
+        parts = [line(-3000, -9, 1920), line(-8, -3.1, 125), [[-3.0, 4.0, 0]], near,
+                 line(0.1, 4.9, 127), [[5.0, 0, 0]], line(1000, 3000, 1919)]
+    pts = np.concatenate(parts)
+    outside = {"below": 1919, "above": 2176}[side]
+    inside = {"below": 2051, "above": 2045}[side]
+    if side == "above":  # reverse the indices so the outside point comes first
+        pts, outside, inside = pts[::-1], len(pts) - 1 - outside, len(pts) - 1 - inside
+    return pts, outside, inside
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_window_edge_tie_widens(side, passes):
+    # the outside point's x gap alone equals the k-th, so the window is not
+    # known to be exact; taking it as exact (a >= coverage test) would
+    # return the inside point of the tie instead of the lower index
+    pts, outside, inside = edge_tie_case(side)
+    assert len(pts) == 4096
+    want = brute_knn(pts, np.zeros(3), 4)
+    assert want[-1] == outside and inside not in want
+    assert KdIndex(pts).k_nearest([0.0, 0.0, 0.0], 4).tolist() == want
+    assert passes[0] == ("window", 256, 1, 1)
+
+
+@pytest.mark.parametrize("over", [0, 1, 2])
+def test_windowed_pass_across_block_boundary(over, passes):
+    # R at, and just over, the rows one windowed block holds (R·w within the
+    # budget); the last row also needs a wider window
+    pts, outside, _ = edge_tie_case("below")
+    per_block = mesh_core.BATCH_ENTRIES // 256
+    rng = np.random.default_rng(42)
+    queries = np.concatenate([rng.uniform(-3000, 3000, size=(per_block + over - 1, 3)),
+                              np.zeros((1, 3))])
+    got = KdIndex(pts).k_nearest_many(queries, 4)
+    assert [row.tolist() for row in got] == [brute_knn(pts, q, 4) for q in queries]
+    assert got[-1, -1] == outside
+    assert passes[0][:3] == ("window", 256, per_block + over) and passes[0][3] >= 1
+
+
+def test_windowed_results_do_not_depend_on_budget(monkeypatch):
+    tie_points, _, _ = edge_tie_case("above")
+    cases = [*windowed_cases().values(), (tie_points, np.zeros((1, 3)), 4)]
+    want = [KdIndex(pts).k_nearest_many(q, k) for pts, q, k in cases]
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", budget)
+        for (pts, q, k), w in zip(cases, want):
+            assert KdIndex(pts).k_nearest_many(q, k).tolist() == w.tolist()
+
+
+def test_k_nearest_many_traced_peak_at_scan_scale():
+    # 83 landmarks over a 40k-vertex frame, on a fresh index so the one x
+    # sort counts too; capped at the peak of one whole-set scan per row
+    # (1 303 648 bytes measured), so windows cost no memory beyond it
+    mesh = synth_mesh(grid=200)
+    rng = np.random.default_rng(43)
+    queries = mesh.vertices[rng.integers(mesh.n_vertices, size=83)]
+    queries = queries + rng.normal(size=(83, 3)) * 0.01
+    index = KdIndex(mesh.vertices)
+    tracemalloc.start()
+    try:
+        index.k_nearest_many(queries, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.31e6
 
 
 def test_k_nearest_many_rejects_bad_input():
