@@ -181,25 +181,49 @@ def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, n
     return keys // n, keys % n
 
 
-def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
-    """List every invariant violation; an empty report means the mesh is valid."""
-    report = ValidationReport()
-    n = mesh.n_vertices
+_F32_MAX = float(np.finfo(np.float32).max)
 
-    finite = np.isfinite(mesh.vertices).all(axis=1)
-    for i in np.nonzero(~finite)[0]:
-        report.add("nan", f"vertices[{i}]", "non-finite coordinate")
-    # a finite float64 can still overflow the float32 every file stores
-    with np.errstate(over="ignore"):
-        overflow = finite & np.isinf(mesh.vertices.astype(np.float32)).any(axis=1)
-    for i in np.nonzero(overflow)[0]:
-        report.add("range", f"vertices[{i}]", "coordinate beyond float32 range")
+# Weights of the per-vertex key (x * a + y * b) + z * c that screens face
+# edges for coincident endpoints. They are positive and sum to less than 1,
+# so a finite vertex gives a finite key (no product or sum can overflow, so
+# none is NaN), and equal positions give equal keys, 0.0 and -0.0 included.
+# A key tie is necessary for coincident endpoints but not sufficient.
+_KEY_WEIGHTS = (0.4142135623730951, 0.2679491924311228, 0.2360679774997898)
+
+
+def _within(arr: np.ndarray, lo, hi) -> bool:
+    """Whether every entry of ``arr`` lies in [lo, hi]; NaN fails, empty passes."""
+    return arr.size == 0 or bool(lo <= arr.min() and arr.max() <= hi)
+
+
+def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
+    """List every invariant violation; an empty report means the mesh is valid.
+
+    Each check is one whole-array predicate first; the per-row scan that
+    names every bad index runs only for a check whose predicate fails.
+    """
+    report = ValidationReport()
+    n, vertices = mesh.n_vertices, mesh.vertices
+
+    finite = True
+    if not _within(vertices, -_F32_MAX, _F32_MAX):
+        rows = np.isfinite(vertices).all(axis=1)
+        for i in np.nonzero(~rows)[0]:
+            report.add("nan", f"vertices[{i}]", "non-finite coordinate")
+        # a finite float64 can still overflow the float32 every file stores
+        with np.errstate(over="ignore"):
+            overflow = rows & np.isinf(vertices.astype(np.float32)).any(axis=1)
+        for i in np.nonzero(overflow)[0]:
+            report.add("range", f"vertices[{i}]", "coordinate beyond float32 range")
+        finite = bool(rows.all())
 
     for name, arr in (("colors", mesh.colors), ("uv", mesh.uv)):
         if arr is None:
             continue
         if arr.shape[0] != n:
             report.add("length", name, f"{arr.shape[0]} {name} for {n} vertices")
+            continue
+        if _within(arr, 0.0, 1.0):
             continue
         ok = np.isfinite(arr).all(axis=1)
         for i in np.nonzero(~ok)[0]:
@@ -209,24 +233,30 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
             report.add("range", f"{name}[{i}]", "component outside [0, 1]")
 
     f = mesh.faces
-    out = ((f < 0) | (f >= n)).any(axis=1)
+    in_range = _within(f, 0, n - 1)
+    out = np.zeros(f.shape[0], dtype=bool) if in_range else ((f < 0) | (f >= n)).any(axis=1)
     repeated = ~out & ((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2]))
     for fi in np.nonzero(out | repeated)[0]:
         if out[fi]:
-            report.add("face_index", f"faces[{fi}]", f"index out of range in {tuple(f[fi])}")
+            report.add("face_index", f"faces[{fi}]", f"index out of range in {tuple(f[fi].tolist())}")
         else:
-            report.add("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(f[fi])}")
+            report.add("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(f[fi].tolist())}")
 
-    # coincident edge endpoints would give zero-weight edges downstream;
-    # found on the raw face edges, so only the hits need deduplicating
-    if not out.any() and mesh.n_faces and finite.all():
-        lo, hi = _face_edges(f)
-        hit = np.nonzero(lo != hi)[0]  # self-pairs are degenerate faces
-        for c in range(3):  # narrow the candidates one coordinate at a time
-            col = mesh.vertices[:, c]
-            hit = hit[col[lo[hit]] == col[hi[hit]]]
-        for u, v in zip(*_unique_pairs(lo[hit], hi[hit], n)):
-            report.add("degenerate_edge", f"edge({u},{v})", "coincident endpoint positions")
+    # coincident edge endpoints would give zero-weight edges downstream; only
+    # the faces with a key tie have their edges narrowed coordinate-wise, and
+    # only the hits need deduplicating
+    if in_range and mesh.n_faces and finite:
+        a, b, c = _KEY_WEIGHTS
+        key = (vertices[:, 0] * a + vertices[:, 1] * b) + vertices[:, 2] * c
+        k0, k1, k2 = key[f[:, 0]], key[f[:, 1]], key[f[:, 2]]
+        tie = (k0 == k1) | (k1 == k2) | (k0 == k2)
+        if tie.any():
+            lo, hi = _face_edges(f[tie])
+            hit = np.nonzero(lo != hi)[0]  # self-pairs are degenerate faces
+            for col in vertices.T:  # narrow the candidates one coordinate at a time
+                hit = hit[col[lo[hit]] == col[hi[hit]]]
+            for u, v in zip(*_unique_pairs(lo[hit], hi[hit], n)):
+                report.add("degenerate_edge", f"edge({u},{v})", "coincident endpoint positions")
     return report
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from facegcn import mesh_core
-from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
+from facegcn.dataset_synth import ExpressionParams, IdentityParams, _grid_faces, make_frame_mesh
 from facegcn.errors import InvariantError, ParseError
 from facegcn.mesh_core import (
     TexturedMesh,
@@ -16,6 +17,7 @@ from facegcn.mesh_core import (
 )
 
 from edge_testutil import reference_edge_graph, undirected_edges
+from mesh_testutil import reference_validate_mesh, triples
 from ply_reference import read_ply_ascii, read_ply_binary
 
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
@@ -263,13 +265,160 @@ def test_validate_face_checks_match_loop_reference():
     faces[::7] = faces[::7][:, [0, 0, 1]]
     mesh = TexturedMesh.from_arrays(rng.normal(size=(12, 3)), faces)
     expect = []
-    for fi, face in enumerate(mesh.faces):
-        if (face < 0).any() or (face >= 12).any():
+    for fi, face in enumerate(mesh.faces.tolist()):
+        if min(face) < 0 or max(face) >= 12:
             expect.append(("face_index", f"faces[{fi}]", f"index out of range in {tuple(face)}"))
-        elif len(set(int(x) for x in face)) != 3:
+        elif len(set(face)) != 3:
             expect.append(("degenerate_face", f"faces[{fi}]", f"repeated vertex in {tuple(face)}"))
     assert len(expect) > 50
     assert [(v.kind, v.where, v.detail) for v in validate_mesh(mesh).violations] == expect
+
+
+@pytest.mark.parametrize("face, text", [
+    ("3 0 1 7", "face_index at faces[0]: index out of range in (0, 1, 7)"),
+    ("3 0 0 1", "degenerate_face at faces[0]: repeated vertex in (0, 0, 1)"),
+], ids=["face_index", "degenerate_face"])
+def test_load_mesh_face_violation_text_has_plain_ints(tmp_path, face, text):
+    p = tmp_path / "bad.ply"
+    p.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 1\nproperty list uchar int32 vertex_indices\n"
+        f"end_header\n0 0 0\n1 0 0\n0 1 0\n{face}\n"
+    )
+    with pytest.raises(InvariantError) as err:
+        load_mesh(p)
+    assert str(err.value) == f"{p}: {text}"
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_OVERFLOW = 3.4028235677973366e38  # the least double that rounds to float32 inf
+DBL_MAX = float(np.finfo(np.float64).max)
+HUGE = (1e308, -1e308, -1.7e308, 1.7e308, DBL_MAX, -DBL_MAX)
+
+
+def _reference_cases():
+    """(name, mesh) pairs for every boundary the whole-array predicates must keep."""
+    tri = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    cases = []
+    for value in (np.nan, np.inf, -np.inf, 1e39, -1e39, F32_MAX, -F32_MAX, F32_OVERFLOW,
+                  -F32_OVERFLOW, np.nextafter(F32_OVERFLOW, 0.0), 5e-324):
+        for coord in range(3):
+            verts = np.array(tri)
+            verts[1, coord] = value
+            cases.append((f"vertex-{value!r}-{coord}", TexturedMesh.from_arrays(verts, [[0, 1, 2]])))
+    # coincident endpoints far out, where a key whose weights sum to 1 or more overflows
+    for x in HUGE:
+        for y in HUGE:
+            for z in HUGE:
+                verts = [[x, y, z], [x, y, z], [0.0, 0.0, 0.0], [x, y, -z]]
+                cases.append((f"coincident-{x}-{y}-{z}",
+                              TexturedMesh.from_arrays(verts, [[0, 1, 2], [1, 2, 3]])))
+    signed = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, -0.0, -0.0]]
+    cases.append(("signed-zero", TexturedMesh.from_arrays(signed, [[0, 1, 2], [2, 1, 3]])))
+    tiny = [[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [0.0, 5e-324, 0.0], [0.0, 0.0, -5e-324]]
+    cases.append(("subnormal", TexturedMesh.from_arrays(tiny, [[0, 1, 2], [1, 2, 3], [0, 2, 3]])))
+    for name in ("colors", "uv"):
+        for value in (np.nan, np.inf, -1e-300, -0.5, 1.0000000000000002, 7.0, 0.0, -0.0, 1.0):
+            arr = np.full((3, 3 if name == "colors" else 2), 0.5)
+            arr[2, 1] = value
+            cases.append((f"{name}-{value!r}", triangle_mesh(**{name: arr})))
+        short = np.full((2, 3 if name == "colors" else 2), 0.5)
+        cases.append((f"{name}-length", triangle_mesh(**{name: short})))
+    cases.append(("uv-none", triangle_mesh(uv=None)))
+    cases.append(("face-index", TexturedMesh.from_arrays(tri, [[0, 1, 2], [-1, 1, 2], [0, 3, 1]])))
+    cases.append(("repeated", TexturedMesh.from_arrays(tri, [[0, 0, 1], [2, 1, 2], [1, 1, 1]])))
+    cases.append(("no-faces", TexturedMesh.from_arrays([[np.nan, 0, 0], [1e39, 0, 0]], np.zeros((0, 3)))))
+    cases.append(("no-vertices", TexturedMesh.from_arrays(np.zeros((0, 3)), [[0, 1, 2]])))
+    cases.append(("empty", TexturedMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3)))))
+    return cases
+
+
+@pytest.mark.parametrize("mesh", [pytest.param(mesh, id=name) for name, mesh in _reference_cases()])
+def test_validate_matches_per_row_reference_on_boundary_cases(mesh):
+    assert triples(validate_mesh(mesh)) == triples(reference_validate_mesh(mesh))
+
+
+def test_validate_boundary_cases_are_not_vacuous():
+    # the fixed cases reach every kind of violation, and some pass clean
+    kinds, clean = set(), 0
+    for _, mesh in _reference_cases():
+        got = triples(reference_validate_mesh(mesh))
+        kinds |= {kind for kind, _, _ in got}
+        clean += not got
+    assert kinds == {"nan", "range", "length", "face_index", "degenerate_face", "degenerate_edge"}
+    assert clean >= 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_per_row_reference_on_random_meshes(seed):
+    rng = np.random.default_rng(seed)
+    special = [np.nan, np.inf, -np.inf, 1e39, -1.7e308, 1e308, -0.0, 5e-324, F32_MAX, F32_OVERFLOW,
+               np.nextafter(F32_OVERFLOW, 0.0)]
+    for _ in range(150):
+        n = int(rng.integers(0, 12))
+        # few distinct positions, so many face edges have coincident endpoints
+        verts = rng.integers(-2, 3, size=(4, 3)).astype(np.float64)[rng.integers(0, 4, size=n)]
+        hit = rng.random(verts.shape) < 0.1
+        verts[hit] = rng.choice(special, size=int(hit.sum()))
+        faces = rng.integers(-1 if rng.random() < 0.3 else 0, max(n, 1) + (rng.random() < 0.3),
+                             size=(int(rng.integers(0, 15)), 3))
+        colors = rng.random((n, 3))
+        hit = rng.random(colors.shape) < 0.05
+        colors[hit] = rng.choice([np.nan, -0.1, 1.1, -0.0], size=int(hit.sum()))
+        uv = None if rng.random() < 0.3 else rng.uniform(-0.05, 1.05, size=(n + (rng.random() < 0.1), 2))
+        mesh = TexturedMesh.from_arrays(verts, faces, colors, uv)
+        assert triples(validate_mesh(mesh)) == triples(reference_validate_mesh(mesh))
+
+
+def _scan_grid_mesh(n=200):
+    """A valid n x n grid dome, the scan-ingest geometry (40 000 vertices, 79 202 faces)."""
+    lin = np.linspace(0.0, 1.0, n)
+    u, v = np.meshgrid(lin, lin, indexing="ij")
+    su, sv = 2 * u - 1, 2 * v - 1
+    z = 0.8 * np.sqrt(np.clip(1 - su**2 - sv**2, 0, None))
+    verts = np.stack([su, 1.3 * sv, z], -1).reshape(-1, 3).astype(np.float32)
+    uv = np.stack([u, v], -1).reshape(-1, 2).astype(np.float32)
+    return TexturedMesh.from_arrays(verts, _grid_faces(n), uv=uv)
+
+
+def _validate_peak_bytes(mesh):
+    tracemalloc.start()
+    try:
+        report = validate_mesh(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    return peak
+
+
+def test_validate_valid_scan_mesh_takes_the_fast_path(monkeypatch):
+    mesh = _scan_grid_mesh()
+    assert (mesh.n_vertices, mesh.n_faces) == (40000, 79202)
+    calls = []
+
+    def counted(faces):
+        calls.append(faces.shape[0])
+        return face_edges(faces)
+
+    face_edges = mesh_core._face_edges
+    monkeypatch.setattr(mesh_core, "_face_edges", counted)
+    assert validate_mesh(mesh).ok
+    assert calls == []
+    # the per-row validation peaked at 11.7 MB here (3F face-edge arrays);
+    # the key screen holds three F-length float64 gathers
+    assert _validate_peak_bytes(mesh) < 3_000_000
+
+
+def test_validate_bounds_are_inclusive_on_the_fast_path():
+    # a valid mesh touching +-float32 max and 0 and 1 needs no per-row scan,
+    # and the whole-array predicates allocate nothing
+    verts = np.zeros((40000, 3))
+    verts[7, 0], verts[9, 2] = F32_MAX, -F32_MAX
+    colors, uv = np.full((40000, 3), 0.25), np.full((40000, 2), 0.75)
+    colors[3], uv[5] = (0.0, 1.0, -0.0), (1.0, 0.0)
+    mesh = TexturedMesh.from_arrays(verts, np.zeros((0, 3)), colors, uv)
+    assert _validate_peak_bytes(mesh) < 20_000
 
 
 # ---------------------------------------------------------------------------
