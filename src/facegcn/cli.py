@@ -8,6 +8,7 @@ existing outputs unless --force is given.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import fcntl
 import json
@@ -306,18 +307,22 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
+        # a run killed from here on leaves no checkpoint that eval would trust;
+        # the log is read by no command and is replaced atomically at the end
+        for path in (cfg.checkpoint_path, best_path):
+            path.unlink(missing_ok=True)
         meta = {"k": k, "seed": cfg.seed, "epoch": 0}
 
         best_loss = np.inf
+        best: tuple[stgcn_net.Model, int] | None = None  # parameters and epoch of best_loss
         lines: list[str] = []
 
         def on_epoch(stats: stgcn_net.EpochStats):
-            nonlocal best_loss
+            nonlocal best_loss, best
             lines.append(stats.log_line())
             log.info("%s", stats.log_line())
             if stats.loss < best_loss:
-                best_loss = stats.loss
-                stgcn_net.save_checkpoint(best_path, model, {**meta, "epoch": stats.epoch})
+                best_loss, best = stats.loss, (copy.deepcopy(model), stats.epoch)
 
         stgcn_net.train_model(
             model,
@@ -333,6 +338,8 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
             on_epoch=on_epoch,
         )
         write_atomic(log_path, "".join(line + "\n" for line in lines).encode("ascii"))
+        if best is not None:
+            stgcn_net.save_checkpoint(best_path, best[0], {**meta, "epoch": best[1]})
         stgcn_net.save_checkpoint(
             cfg.checkpoint_path, model, {**meta, "epoch": max(cfg.train.epochs - 1, 0)}
         )

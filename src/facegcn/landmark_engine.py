@@ -183,7 +183,39 @@ def _stacked(graphs: Sequence[EdgeGraph]) -> EdgeGraph:
     )
 
 
-def _search(graph: EdgeGraph, stride: int, shift, sources, target_sets) -> np.ndarray:
+def _greedy_bounds(graph: EdgeGraph, points: np.ndarray, starts, ends) -> np.ndarray:
+    """(1 + 1e-9) x the length of a greedy walk from each starts[i] to ends[i], inf if it stalls.
+
+    All walks advance together. Each step moves to the neighbour nearest
+    ends[i] in straight-line distance, the first CSR entry on ties. A walk
+    stops where no neighbour is nearer than its vertex, so it never loops,
+    and it stalls if that vertex is not ends[i] (an isolated start stalls at
+    once). The length is summed edge by edge from the start, as _search
+    sums a path, so it is no shorter than the searched distance.
+    """
+    cur = np.array(starts, dtype=np.int64)
+    goal = points[ends]
+    gap = ((points[cur] - goal) ** 2).sum(axis=1)
+    length = np.zeros(cur.size)
+    walking = np.nonzero(graph.indptr[cur + 1] > graph.indptr[cur])[0]  # not an isolated start
+    while walking.size:
+        lo, hi = graph.indptr[cur[walking]], graph.indptr[cur[walking] + 1]
+        # each row's CSR entries, padded with its last: argmin keeps the first on ties
+        edges = lo[:, None] + np.minimum(np.arange((hi - lo).max()), (hi - lo - 1)[:, None])
+        sq = ((points[graph.targets[edges]] - goal[walking, None]) ** 2).sum(axis=2)
+        at = (np.arange(walking.size), sq.argmin(axis=1))
+        best, edge = sq[at], edges[at]
+        nearer = best < gap[walking]
+        walking, best, edge = walking[nearer], best[nearer], edge[nearer]
+        cur[walking] = graph.targets[edge]
+        gap[walking] = best
+        length[walking] += graph.weights_csr[edge]
+    length[cur != ends] = math.inf
+    return length * (1.0 + 1e-9)
+
+
+def _search(graph: EdgeGraph, stride: int, shift, sources, target_sets,
+            points: np.ndarray | None = None) -> np.ndarray:
     """Shortest-path distances from every source at once, in one flat array.
 
     Row r is the search from vertex sources[r] of ``graph``, which may stack
@@ -207,6 +239,36 @@ def _search(graph: EdgeGraph, stride: int, shift, sources, target_sets) -> np.nd
     d[v] = min_u fl(d[u] + w). That needs fl(d + w) > d on every relaxed
     edge, so an absorbed edge (d + w == d) raises InvariantError. Unreached
     vertices stay infinite.
+
+    Goal-directed bound (A*: Hart, Nilsson & Raphael, IEEE TSSC 1968).
+    ``points`` are the graph's vertex positions, whose distances its edge
+    weights are; None skips the bound. When the rows fill more than one
+    search pass (rows * stride > ``mesh_core.BATCH_ENTRIES``, which only a
+    lone scan-size frame does), every (source, target t) pair first gets an
+    upper bound U_t on d(t) from _greedy_bounds, and a frontier entry (v, d)
+    is kept only while some target t of its row has
+    d + (1 - 1e-9) |p_v - p_t| <= min(U_t, dist[t]) (1 + n 2^-52), n the
+    graph's vertex count. That implies d <= (1 + n 2^-52) times the
+    farthest target's current distance, so the plain bound is dropped.
+
+    The bound changes no result. Let x lie k edges before t on a shortest
+    path. Those k weights sum to at least |p_x - p_t| (triangle inequality;
+    weights and chord are norms rounded within a few ulps, which the 1e-9
+    margin covers), and the k rounded additions from d(x) to d(t) each lose
+    at most 2^-53 d(t). So the test's rounded left side is at most
+    d(t) (1 + (k + 2) 2^-53) with k < n, while d(t) <= U_t (the walk is a
+    path summed the same way) and d(t) <= dist[t] always. By induction
+    along the path, x receives d(x), enters the frontier with it and is
+    kept. So every vertex on a shortest path, and every tie predecessor
+    _walk_back can pick (it lies on a shortest path through the vertex it
+    precedes), gets the unbounded search's double. Any other neighbour u of
+    a chain vertex v fails _walk_back's test in both searches, as
+    dist[u] >= d(u) and fl(d(u) + w) == d(v) would make u a tie
+    predecessor. Chains, midpoints and skipped pairs are therefore
+    unchanged. A target in another component stalls its walk (U_t = inf),
+    and its row floods that component as before. The absorbed-edge check
+    sees only relaxed edges, now fewer, but they include every edge out of
+    a vertex on a shortest path.
     """
     shift = np.asarray(shift, dtype=np.int64)
     dist = np.full(shift.size * stride, np.inf)
@@ -214,15 +276,28 @@ def _search(graph: EdgeGraph, stride: int, shift, sources, target_sets) -> np.nd
     frontier = shift + np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0.0
     sizes = [len(t) for t in target_sets]
-    goals = np.array([t for ts in target_sets for t in ts], dtype=np.int64)
-    goals += np.repeat(shift, sizes)
+    ends = np.array([t for ts in target_sets for t in ts], dtype=np.int64)
+    goals = ends + np.repeat(shift, sizes)
     groups = np.cumsum(sizes) - sizes
+    bounded = points is not None and dist.size > mesh_core.BATCH_ENTRIES
+    if bounded:
+        # each row's targets padded to one width by repeating its last one
+        pad = groups[:, None] + np.minimum(np.arange(max(sizes)), np.array(sizes)[:, None] - 1)
+        upper = _greedy_bounds(graph, points, np.repeat(sources, sizes), ends)[pad]
+        goals, goal_points = goals[pad], points[ends[pad]]  # (rows, width), (rows, width, 3)
+        slack = 1.0 + graph.n_nodes * 2.0**-52
     while frontier.size:
-        bound = np.maximum.reduceat(dist[goals], groups)
         d = dist[frontier]
         row = frontier // stride
-        keep = d <= bound[row]
-        frontier, d, at = frontier[keep], d[keep], shift[row[keep]]
+        at = shift[row]
+        if bounded:
+            limit = np.minimum(upper, dist[goals]) * slack
+            delta = points[frontier - at][:, None] - goal_points[row]
+            chord = np.sqrt((delta * delta).sum(axis=2))
+            keep = (d[:, None] + (1.0 - 1e-9) * chord <= limit[row]).any(axis=1)
+        else:
+            keep = d <= np.maximum.reduceat(dist[goals], groups)[row]
+        frontier, d, at = frontier[keep], d[keep], at[keep]
         edges, counts = _csr_rows(graph, frontier - at)
         du = np.repeat(d, counts)
         nd = du + graph.weights_csr[edges]
@@ -376,7 +451,9 @@ def _augment_batch(
             sources.append(lo + at)
             target_sets.append([hi + at for hi in his])
     stacked = _stacked(graphs)
-    dist = _search(stacked, stride, shift, sources, target_sets)
+    # the goal-directed bound needs vertex positions; only a lone frame fills a search pass
+    points = batch[0][0].vertices if len(batch) == 1 else None
+    dist = _search(stacked, stride, shift, sources, target_sets, points)
     walks = [(r, hi) for r, his in enumerate(target_sets) for hi in his
              if dist[hi + shift[r]] < math.inf]
     found = _walk_back(stacked, dist, [shift[r] for r, _ in walks], [hi for _, hi in walks])
@@ -413,9 +490,11 @@ def augment_landmarks(
 ) -> AugmentationResult:
     """Append one geodesic-midpoint landmark per pair of base landmark ids.
 
-    Pairs whose endpoints lie in disconnected components are skipped and
-    reported. Output ids are densely renumbered: base ids stay 0..B-1,
-    augmented landmarks continue from B in pair order. This is the
+    ``graph`` is the mesh's edge graph (``build_edge_graph(mesh)``): on a
+    scan-size frame the search bounds take its weights to be the distances
+    between the mesh's vertices. Pairs whose endpoints lie in disconnected
+    components are skipped and reported. Output ids are densely renumbered:
+    base ids stay 0..B-1, augmented landmarks continue from B in pair order. This is the
     one-frame batch of augment_sequence (one search per smaller anchor, all
     run together), so both give the same landmarks and skipped pairs.
     """

@@ -452,7 +452,7 @@ def test_train_deterministic_rerun(synth_out, tmp_path_factory):
     p2.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(p2), "--force"]) == 0
     out = tmp_path / "out"
-    assert (out / "checkpoint_best.fgc").exists()  # written on loss improvement
+    assert (out / "checkpoint_best.fgc").exists()  # written once, before the final checkpoint
     first = (out / "checkpoint_final.fgc").read_bytes()
     first_log = (out / "train_log.txt").read_text()
     assert main(["train", "--config", str(p2), "--force"]) == 0
@@ -520,6 +520,64 @@ def test_train_golden_checkpoint_digest(synth_out, tmp_path):
     assert main(["train", "--config", str(p)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "checkpoint_final.fgc").read_bytes()).hexdigest()
     assert digest == GOLDEN_TRAIN_CHECKPOINT_SHA256
+
+
+def test_force_train_killed_after_epoch_0_leaves_no_checkpoint(synth_out, tmp_path, monkeypatch):
+    p = config_on_synth(synth_out, tmp_path, epochs=2)
+    assert main(["train", "--config", str(p)]) == 0
+    out = tmp_path / "out"
+    assert (out / "checkpoint_final.fgc").exists() and (out / "checkpoint_best.fgc").exists()
+    train = stgcn_net.train_model
+
+    def killed_after_epoch_0(*args, on_epoch, **kwargs):
+        def hook(stats):
+            on_epoch(stats)
+            raise RuntimeError("killed")
+
+        return train(*args, on_epoch=hook, **kwargs)
+
+    monkeypatch.setattr(stgcn_net, "train_model", killed_after_epoch_0)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["train", "--config", str(p), "--force"])
+    monkeypatch.undo()
+    assert not (out / "checkpoint_final.fgc").exists()
+    assert not (out / "checkpoint_best.fgc").exists()
+    assert main(["eval", "--config", str(p)]) == 2
+
+
+def test_best_checkpoint_written_once_from_the_best_epoch(synth_out, tmp_path, monkeypatch):
+    # at this learning rate the training loss falls after epochs 0 and 2, and rises after 3
+    p = config_on_synth(synth_out, tmp_path, epochs=4)
+    cfg = json.loads(p.read_text())
+    cfg["optim"] = {"base_lr": 0.05}
+    p.write_text(json.dumps(cfg))
+    seen = []  # (loss, epoch, parameter copies) after each epoch
+    train, save = stgcn_net.train_model, stgcn_net.save_checkpoint
+
+    def recording(model, *args, on_epoch, **kwargs):
+        def hook(stats):
+            seen.append((stats.loss, stats.epoch, [arr.copy() for _, arr in model.parameters()]))
+            on_epoch(stats)
+
+        return train(model, *args, on_epoch=hook, **kwargs)
+
+    saved = []
+    monkeypatch.setattr(stgcn_net, "train_model", recording)
+    monkeypatch.setattr(stgcn_net, "save_checkpoint", lambda *a: saved.append(a[0].name) or save(*a))
+    assert main(["train", "--config", str(p)]) == 0
+    monkeypatch.undo()
+    assert saved == ["checkpoint_best.fgc", "checkpoint_final.fgc"]
+
+    losses = [loss for loss, _, _ in seen]
+    assert sum(loss < min(losses[:i], default=np.inf) for i, loss in enumerate(losses)) > 1
+    _, epoch, params = min(seen, key=lambda s: s[0])  # the first epoch on ties
+    assert epoch < 3
+    out = tmp_path / "out"
+    model, meta = stgcn_net.load_checkpoint(out / "checkpoint_final.fgc")
+    for (_, arr), best in zip(model.parameters(), params, strict=True):
+        arr[...] = best
+    save(tmp_path / "want.fgc", model, {**meta, "epoch": epoch})
+    assert (out / "checkpoint_best.fgc").read_bytes() == (tmp_path / "want.fgc").read_bytes()
 
 
 def test_eval_residual_mismatch(synth_out, tmp_path):

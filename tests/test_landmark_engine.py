@@ -816,3 +816,161 @@ def test_augment_sequence_checks_each_frame_of_a_shared_run(monkeypatch, budget,
         build_edge_graph(frames[2][0])
     with pytest.raises(InvariantError, match=f"^{re.escape(str(want.value))}$"):
         augment_sequence(frames, SEQUENCE_PAIRS)
+
+
+# ---------------------------------------------------------------------------
+# scan-size frames: each search bounded by a greedy walk
+
+
+def height_field(z, copies=1):
+    """`copies` disconnected n x n grids of unit spacing at heights z, one diagonal per cell."""
+    n = z.shape[0]
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    grid = np.stack([i.ravel(), j.ravel(), z.ravel()], axis=1).astype(np.float64)
+    idx = np.arange(n * n).reshape(n, n)
+    a, b, c, d = (idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(),
+                  idx[:-1, 1:].ravel(), idx[1:, 1:].ravel())
+    faces = np.concatenate([np.stack([a, b, c], 1), np.stack([b, d, c], 1)])
+    return TexturedMesh.from_arrays(
+        np.concatenate([grid + [2.0 * n * k, 0.0, 0.0] for k in range(copies)]),
+        np.concatenate([faces + k * n * n for k in range(copies)]))
+
+
+def bumps(n, rng, amplitude=3.0):
+    """Seeded smooth heights on an n x n grid."""
+    u = np.arange(n) / n
+    z = np.zeros((n, n))
+    for _ in range(4):
+        fu, fv = rng.integers(1, 4, size=2)
+        pu, pv = rng.uniform(0, 6.28, size=2)
+        z += amplitude * np.outer(np.cos(2 * np.pi * fu * u + pu), np.cos(2 * np.pi * fv * u + pv))
+    return z
+
+
+def cells(*ij):
+    return [i * 100 + j for i, j in ij]
+
+
+def ridge_frame(rng):
+    # a wall 40 high across the grid: walks that meet it stall at its foot
+    z = bumps(100, rng)
+    z[48:50, :] += 40.0
+    return height_field(z), cells((20, 30), (80, 60), (30, 75), (75, 20), (10, 90), (60, 50))
+
+
+def ties_frame(rng):
+    # a flat unit grid: every path length is a sum of 1.0 and sqrt(2), with many ties
+    return height_field(np.zeros((100, 100))), cells((10, 10), (40, 70), (90, 20), (25, 95),
+                                                     (70, 70), (55, 5))
+
+
+def components_frame(rng):
+    # landmark 5 lies on a second copy of the grid (rows 100 on), out of reach of the others
+    return height_field(bumps(100, rng), copies=2), cells((20, 30), (80, 60), (30, 75), (75, 20),
+                                                          (50, 50), (150, 40))
+
+
+SCAN_PAIRS = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 0), (5, 0),
+              (4, 5)]
+
+
+def scan_case(make, seed):
+    mesh, anchors = make(np.random.default_rng(seed))
+    return mesh, snap_to_mesh(mesh, mesh.vertices[anchors])
+
+
+def walk_chains(mesh, base, pairs, points):
+    """Every _walk_back chain of one frame's _search, keyed by (source, target) vertex."""
+    graph = build_edge_graph(mesh)
+    plan = landmark_engine._plan(base, pairs)
+    sources = list(plan.targets)
+    targets = [plan.targets[s] for s in sources]
+    n = graph.n_nodes
+    shift = [r * n for r in range(len(sources))]
+    assert len(sources) * n > mesh_core.BATCH_ENTRIES  # one frame fills a search pass
+    dist = landmark_engine._search(graph, n, shift, sources, targets, points)
+    ends = [(r, t) for r, ts in enumerate(targets) for t in ts if dist[t + shift[r]] < math.inf]
+    walks = landmark_engine._walk_back(graph, dist, [shift[r] for r, _ in ends],
+                                       [t for _, t in ends])
+    return {(sources[r], t): walk for (r, t), walk in zip(ends, walks)}
+
+
+@pytest.mark.parametrize("make, stalls", [(ridge_frame, True), (ties_frame, False),
+                                          (components_frame, True)],
+                         ids=["ridge", "ties", "components"])
+def test_bounded_search_equals_unbounded_and_heap_reference(monkeypatch, make, stalls):
+    mesh, base = scan_case(make, 50)
+    bounds = []
+    greedy = landmark_engine._greedy_bounds
+    monkeypatch.setattr(landmark_engine, "_greedy_bounds",
+                        lambda *a: bounds.append(greedy(*a)) or bounds[-1])
+    got = augment_landmarks(mesh, build_edge_graph(mesh), base, SCAN_PAIRS)
+    chains = walk_chains(mesh, base, SCAN_PAIRS, mesh.vertices)
+    assert len(bounds) == 2  # one walk per bounded search
+    assert np.isinf(bounds[0]).any() == stalls
+    assert np.isfinite(bounds[0]).any()
+    monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", 1 << 40)
+    want = augment_landmarks(mesh, build_edge_graph(mesh), base, SCAN_PAIRS)
+    assert len(bounds) == 2  # the unbounded search does not walk
+    monkeypatch.undo()
+    assert_same_landmarks(got.landmarks, want.landmarks)
+    assert got.skipped == want.skipped
+    assert chains == walk_chains(mesh, base, SCAN_PAIRS, None)
+
+    graph = build_edge_graph(mesh)
+    mids, skipped = [], []
+    for a, b in SCAN_PAIRS:
+        va, vb = int(base.anchors[a]), int(base.anchors[b])
+        try:
+            path = reference_geodesic_path(graph, va, vb)
+        except Unreachable:
+            skipped.append((a, b))
+            continue
+        chain, _ = chains[min(va, vb), max(va, vb)]
+        assert chain[::-1] == path.vertices.tolist()[:: 1 if va < vb else -1]
+        mids.append(geodesic_midpoint(path)[0])
+    assert got.skipped == skipped
+    assert (make is components_frame) == bool(skipped)
+    assert got.landmarks.anchors[len(base):].tolist() == mids
+
+
+def test_bounded_search_from_isolated_anchors_skips_their_pairs(monkeypatch):
+    # vertices 0-3 are in no face, and every search starts at one: no walk can take a step
+    grid = height_field(bumps(100, np.random.default_rng(52)))
+    mesh = TexturedMesh.from_arrays(
+        np.concatenate([[[-5.0, -5.0, float(i)] for i in range(4)], grid.vertices]),
+        grid.faces + 4)
+    base = snap_to_mesh(mesh, mesh.vertices[[0, 1, 2, 3] + [4 + v for v in cells((20, 30),
+                                                                                  (80, 60))]])
+    pairs = [(i, j) for i in range(4) for j in (4, 5)]
+    got = augment_landmarks(mesh, build_edge_graph(mesh), base, pairs)
+    monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", 1 << 40)
+    want = augment_landmarks(mesh, build_edge_graph(mesh), base, pairs)
+    monkeypatch.undo()
+    assert got.skipped == want.skipped == pairs
+    assert_same_landmarks(got.landmarks, want.landmarks)
+    assert walk_chains(mesh, base, pairs, mesh.vertices) == {}
+
+
+def test_bounded_search_raises_on_an_absorbed_edge_of_a_shortest_path(monkeypatch):
+    # vertex 10000 sits 1e-30 above vertex (50, 50): d + 1e-30 == d on the way to it
+    z = bumps(100, np.random.default_rng(51))
+    z[50, 50] = 0.0
+    grid = height_field(z)
+    a, c = 50 * 100 + 50, 51 * 100 + 50
+    mesh = TexturedMesh.from_arrays(
+        np.concatenate([grid.vertices, [[50.0, 50.0, 1e-30]]]),
+        np.concatenate([grid.faces, [[a, 10000, c]]]))
+    base = snap_to_mesh(mesh, mesh.vertices[[10 * 100 + 10, 10000, 90 * 100 + 20, 30 * 100 + 80,
+                                             80 * 100 + 80]])
+    assert base.anchors[1] == 10000
+    pairs = [(0, 1), (0, 2), (2, 1), (3, 1), (3, 4), (1, 4)]
+    walked = []
+    greedy = landmark_engine._greedy_bounds
+    monkeypatch.setattr(landmark_engine, "_greedy_bounds", lambda *a: walked.append(a) or greedy(*a))
+    with pytest.raises(InvariantError, match="absorbed"):
+        augment_landmarks(mesh, build_edge_graph(mesh), base, pairs)
+    assert walked
+    monkeypatch.setattr(mesh_core, "BATCH_ENTRIES", 1 << 40)
+    with pytest.raises(InvariantError, match="absorbed"):
+        augment_landmarks(mesh, build_edge_graph(mesh), base, pairs)
