@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,16 @@ log = logging.getLogger("facegcn")
 
 
 @contextmanager
-def _output_lock(out_dir: Path):
+def _output_lock(out_dir: Path, tidy: bool = False):
     """Hold an exclusive flock on ``out_dir`` for the ``with`` body.
 
     The kernel drops the lock when its holder exits or is killed, so a
-    killed command leaves nothing behind that blocks a later one.
+    killed command leaves nothing behind that blocks a later one. With
+    ``tidy``, a directory made here is removed again if the body fails and
+    leaves it empty: train and eval read their inputs under the lock, and
+    one that fails on them leaves no directory behind.
     """
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
@@ -49,7 +53,13 @@ def _output_lock(out_dir: Path):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise ConfigError(f"{out_dir} is locked: another command is writing to this directory")
-        yield
+        try:
+            yield
+        except BaseException:
+            if made and tidy:
+                with suppress(OSError):  # not empty: kept
+                    out_dir.rmdir()
+            raise
     finally:
         os.close(fd)
 
@@ -290,26 +300,26 @@ def _model_arch(cfg: RunConfig, in_channels: int, num_classes: int) -> stgcn_net
 
 
 def cmd_train(cfg: RunConfig, force: bool) -> int:
-    k, samples, graph, labels = _load_manifest(cfg)
-    train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
-    classes = _class_mapping(samples)
-    adjacency = st_graph.normalize_adjacency(graph, labels)
-
-    in_channels = samples[0].tensor.C
-    model = stgcn_net.init_model(
-        _model_arch(cfg, in_channels, len(classes)), adjacency, seed=cfg.seed
-    )
-    train_data = [(s.tensor.values, classes[s.identity]) for s in train_side]
-
     out = cfg.output_dir
-    with _output_lock(out):
+    # inputs are read under the lock, so no synth --force can rewrite them mid-read
+    with _output_lock(out, tidy=True):
         log_path = out / "train_log.txt"
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
-        # a run killed from here on leaves no checkpoint that eval would trust;
-        # the log is read by no command and is replaced atomically at the end
-        for path in (cfg.checkpoint_path, best_path):
+        k, samples, graph, labels = _load_manifest(cfg)
+        train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
+        classes = _class_mapping(samples)
+        adjacency = st_graph.normalize_adjacency(graph, labels)
+
+        in_channels = samples[0].tensor.C
+        model = stgcn_net.init_model(
+            _model_arch(cfg, in_channels, len(classes)), adjacency, seed=cfg.seed
+        )
+        train_data = [(s.tensor.values, classes[s.identity]) for s in train_side]
+        # a run killed from here on leaves no checkpoint that eval would trust,
+        # and no log of a run whose checkpoints are gone
+        for path in (cfg.checkpoint_path, best_path, log_path):
             path.unlink(missing_ok=True)
         meta = {"k": k, "seed": cfg.seed, "epoch": 0}
 
@@ -348,6 +358,18 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
 
 
 def cmd_eval(cfg: RunConfig, force: bool) -> int:
+    out = cfg.output_dir
+    with _output_lock(out, tidy=True):
+        report_path = out / "eval_report.json"
+        _refuse_existing(report_path, force)
+        text = _evaluate_report(cfg)
+        write_atomic(report_path, text.encode("ascii"))
+    print(text, end="")
+    return 0
+
+
+def _evaluate_report(cfg: RunConfig) -> str:
+    """The JSON report of the checkpoint on the cross-emotion test side."""
     _, samples, graph, labels = _load_manifest(cfg)
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)
@@ -385,14 +407,7 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
         ],
         "checkpoint_epoch": meta.get("epoch"),
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = cfg.output_dir
-    with _output_lock(out):
-        report_path = out / "eval_report.json"
-        _refuse_existing(report_path, force)
-        write_atomic(report_path, text.encode("ascii"))
-    print(text, end="")
-    return 0
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

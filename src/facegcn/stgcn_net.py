@@ -299,22 +299,16 @@ def cross_entropy(logits: np.ndarray, label: int, tape: "GradientTape | None" = 
 
 
 @dataclass
-class _BlockCache:
-    f_in: np.ndarray
-    gconv_mask: np.ndarray
-    tconv_in: np.ndarray
-    out_mask: np.ndarray
-    used_residual: bool
-
-
-@dataclass
 class GradientTape:
-    """Forward record of one sequence, enough for exact reverse mode."""
+    """Forward record of one sequence, enough for exact reverse mode.
+
+    ``activations`` is [x_0, a_0, x_1, a_1, ..., x_L]: block b reads x_b,
+    a_b is its graph-conv ReLU output and x_{b+1} its output. backward
+    derives the ReLU masks, residual use and the pooled vector from them.
+    """
 
     model: Model | None = None
-    block_caches: list[_BlockCache] = field(default_factory=list)
-    pooled: np.ndarray | None = None
-    pool_shape: tuple[int, int] | None = None
+    activations: list[np.ndarray] = field(default_factory=list)
     probs: np.ndarray | None = None
     label: int | None = None
 
@@ -331,36 +325,21 @@ def forward(model: Model, features: np.ndarray, tape: GradientTape | None = None
         )
     if tape is not None:
         tape.model = model
-        tape.block_caches = []
+        tape.activations = [x]
 
     for block in model.blocks:
         f_in = x
         g_out = graph_conv(f_in, block.gconv, model.adjacency)
-        gmask = g_out > 0
-        a = g_out * gmask
+        a = g_out * (g_out > 0)
         tc = temporal_conv(a, block.tconv)
-        used_residual = block.residual and tc.shape == f_in.shape
-        z = tc + f_in if used_residual else tc
-        omask = z > 0
-        x = z * omask
+        z = tc + f_in if block.residual and tc.shape == f_in.shape else tc
+        x = z * (z > 0)
         if tape is not None:
-            tape.block_caches.append(
-                _BlockCache(
-                    f_in=f_in,
-                    gconv_mask=gmask,
-                    tconv_in=a,
-                    out_mask=omask,
-                    used_residual=used_residual,
-                )
-            )
+            tape.activations += [a, x]
 
-    pooled = x.mean(axis=(1, 2))
-    logits = model.classifier_w @ pooled + model.classifier_b
+    logits = model.classifier_w @ x.mean(axis=(1, 2)) + model.classifier_b
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits")
-    if tape is not None:
-        tape.pooled = pooled
-        tape.pool_shape = (x.shape[1], x.shape[2])
     return logits
 
 
@@ -369,6 +348,11 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
 
     Returns a dict mapping each parameter name to its gradient, in
     Model.parameters() order. Block 0's input gradient is never formed.
+
+    The masks are read off the activations: a = g*[g > 0] is > 0 exactly
+    where g > 0 (NaN*0 is NaN, which is not > 0), and likewise for x and z,
+    so each derived mask equals the one forward used, bit for bit; the
+    pooled vector is forward's own mean of the same array.
     """
     if tape.model is None or tape.probs is None or tape.label is None:
         raise TapeIncomplete("forward pass and cross_entropy must be recorded first")
@@ -380,11 +364,12 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
     if loss_scale != 1.0:
         dlogits *= model.dtype.type(loss_scale)
 
-    grads["classifier.weight"] = np.outer(dlogits, tape.pooled)
+    acts = tape.activations
+    grads["classifier.weight"] = np.outer(dlogits, acts[-1].mean(axis=(1, 2)))
     grads["classifier.bias"] = dlogits
     dpooled = model.classifier_w.T @ dlogits
 
-    j_count, t_count = tape.pool_shape
+    _, j_count, t_count = acts[-1].shape
     dx = np.broadcast_to(
         dpooled[:, None, None] / (j_count * t_count),
         (dpooled.shape[0], j_count, t_count),
@@ -392,18 +377,18 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
 
     for bi in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[bi]
-        cache = tape.block_caches[bi]
-        dz = dx * cache.out_mask
-        dres = dz if cache.used_residual else None
-        da, dk = _temporal_conv_backward(dz, cache.tconv_in, block.tconv)
+        f_in, a, x_out = acts[2 * bi : 2 * bi + 3]
+        dz = dx * (x_out > 0)
+        dres = dz if block.residual and x_out.shape == f_in.shape else None
+        da, dk = _temporal_conv_backward(dz, a, block.tconv)
         grads[f"block{bi}.tconv.kernel"] = dk
         # every sample train_model has in flight holds what is alive here, so
         # da and dg go once used (0.4 MB less per sample at the defaults); da
         # is a transposed view, and dg is formed C-contiguous so that the
         # node-mix matmul sees the layout its bytes were pinned with
-        dg = np.multiply(da, cache.gconv_mask, order="C")
+        dg = np.multiply(da, a > 0, order="C")
         del da
-        d_in, dw, db = _graph_conv_backward(dg, cache.f_in, block.gconv, model.adjacency,
+        d_in, dw, db = _graph_conv_backward(dg, f_in, block.gconv, model.adjacency,
                                             input_grad=bi > 0)
         del dg
         grads[f"block{bi}.gconv.weight"] = dw
@@ -457,6 +442,10 @@ def lr_schedule(epoch: int, base_lr: float, decay_epochs, gamma: float) -> float
 # lengths, then raw little-endian float32 payload in declaration order
 
 _FGC1_TENSORS_SENTINEL = "end_header"
+# every header line save_checkpoint writes before the tensor lines, each once
+_FGC1_KEYS = frozenset({"version", "in_channels", "block_channels", "strides", "kernel_size",
+                        "num_classes", "graph_conv_bias", "residual", "J", "P",
+                        "k", "seed", "epoch"})
 
 
 def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
@@ -514,8 +503,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             if any(name == seen for seen, _ in tensor_specs):
                 raise ParseError(f"duplicate tensor {name}", path=path)
             tensor_specs.append((name, nbytes))
+        elif tok[0] in keys:
+            raise ParseError(f"duplicate header key {tok[0]}", path=path)
         else:
             keys[tok[0]] = " ".join(tok[1:])
+    if keys.keys() != _FGC1_KEYS:
+        missing, unknown = sorted(_FGC1_KEYS - keys.keys()), sorted(keys.keys() - _FGC1_KEYS)
+        raise ParseError(f"header keys missing {missing}, unknown {unknown}", path=path)
+    if keys["version"] != "1":
+        raise ParseError(f"unsupported FGC1 version {keys['version']!r}", path=path)
 
     try:
         arch = ModelArch(
@@ -528,8 +524,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             residual=bool(int(keys["residual"])),
         )
         j_count, p_count = int(keys["J"]), int(keys["P"])
-        meta = {key: int(keys.get(key, 0)) for key in ("k", "seed", "epoch")}
-    except (KeyError, ValueError) as exc:
+        meta = {key: int(keys[key]) for key in ("k", "seed", "epoch")}
+    except ValueError as exc:
         raise ParseError(f"bad checkpoint metadata: {exc}", path=path)
     if j_count < 1 or p_count < 1:
         raise ParseError(f"J={j_count} and P={p_count} must both be positive", path=path)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import facegcn
 from facegcn import fileio, mesh_core, stgcn_net
 from facegcn.cli import _output_lock, main
 from facegcn.config import RunConfig, config_from_dict, load_config, serialize_config
@@ -22,6 +24,7 @@ from facegcn.patch_features import FeatureTensor, load_tensor, save_tensor
 from facegcn.st_graph import SpatialGraph, partition, save_graph
 
 from test_fileio import HalfWriteFile
+from test_stgcn_net import CHECKPOINT_HEADER_TAMPERS, tamper_checkpoint
 
 
 def small_config(tmp_path, **over):
@@ -542,6 +545,7 @@ def test_force_train_killed_after_epoch_0_leaves_no_checkpoint(synth_out, tmp_pa
     monkeypatch.undo()
     assert not (out / "checkpoint_final.fgc").exists()
     assert not (out / "checkpoint_best.fgc").exists()
+    assert not (out / "train_log.txt").exists()
     assert main(["eval", "--config", str(p)]) == 2
 
 
@@ -626,7 +630,10 @@ def test_failed_report_write_keeps_previous_file(synth_out, tmp_path, monkeypatc
     monkeypatch.setattr(fileio, "open", failing_open, raising=False)
     assert main([command, "--config", str(p), "--force"]) == 2
     monkeypatch.undo()
-    assert (out / artifact).read_bytes() == before
+    if command == "train":  # train --force removes the previous log before its first epoch
+        assert not (out / artifact).exists()
+    else:
+        assert (out / artifact).read_bytes() == before
     assert not [q.name for q in out.iterdir() if q.name.endswith(".tmp")]
 
 
@@ -779,6 +786,28 @@ def test_output_dir_lock_blocks_concurrent_commands(tmp_path, capsys):
     assert main(["synth", "--config", str(p)]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_read_inputs_only_under_the_lock(tmp_path, capsys, monkeypatch, command):
+    p = small_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir(parents=True)
+    reads = []
+
+    def load_manifest(cfg):
+        reads.append(cfg)
+        raise ConfigError("read without the lock")
+
+    monkeypatch.setattr("facegcn.cli._load_manifest", load_manifest)
+    holder = os.open(out, os.O_RDONLY | os.O_DIRECTORY)  # a live holder
+    try:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main([command, "--config", str(p)]) == 2
+        assert "another command" in capsys.readouterr().err
+    finally:
+        os.close(holder)
+    assert reads == []
+
+
 def test_killed_holder_does_not_block(tmp_path):
     child = subprocess.Popen(
         [sys.executable, "-c",
@@ -786,7 +815,7 @@ def test_killed_holder_does_not_block(tmp_path):
          "with _output_lock(Path(sys.argv[1])):\n"
          "    print('held', flush=True); time.sleep(60)",
          str(tmp_path)],
-        stdout=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, text=True, env=child_env(),
     )
     try:
         assert child.stdout.readline() == "held\n"
@@ -811,13 +840,85 @@ def test_leftover_lock_file_does_not_block(tmp_path, content):
     assert lock.read_text() == content
 
 
+def child_env():
+    """os.environ with the imported facegcn package's directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(facegcn.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_installed_cli_entry_point(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "facegcn.cli", "synth", "--print-config"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["optim"]["momentum"] == 0.95
+
+
+# runs synth --force, then train --force, with every module's write_atomic
+# binding replaced by one that SIGKILLs this process on entering its n-th call
+# (n = 0: never); prints each command as it starts, then the number of calls
+KILL_AT_WRITE = """
+import os, signal, sys
+from facegcn import cli, fileio
+
+n, config, seed = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+real = fileio.write_atomic
+calls = 0
+
+
+def write_atomic(*args, **kwargs):
+    global calls
+    calls += 1
+    if calls == n:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+
+
+for module in list(sys.modules.values()):
+    if getattr(module, "write_atomic", None) is real:
+        module.write_atomic = write_atomic
+for command in ("synth", "train"):
+    print(command, flush=True)
+    if cli.main([command, "--config", config, "--force", "--seed", seed]) != 0:
+        sys.exit(1)
+print(calls)
+"""
+
+
+def test_killed_at_any_write_leaves_no_mixed_state(tmp_path):
+    # a seed-2 run over a complete seed-1 run, SIGKILLed on entering each
+    # artifact write in turn: the next consumer (train after a killed synth,
+    # eval after a killed train) exits 2, or reads exactly the files an
+    # uninterrupted seed-2 run leaves
+    def run(n, where, seed):
+        where.mkdir(exist_ok=True)
+        p = small_config(where, synth={"n_identities": 2}, train={"epochs": 1})
+        r = subprocess.run([sys.executable, "-c", KILL_AT_WRITE, str(n), str(p), str(seed)],
+                           capture_output=True, text=True, env=child_env())
+        return r, p
+
+    r, _ = run(0, tmp_path / "start", 1)
+    assert r.returncode == 0, r.stderr
+    r, _ = run(0, tmp_path / "ref", 2)
+    assert r.returncode == 0, r.stderr
+    calls = int(r.stdout.split()[-1])
+    ref = tmp_path / "ref" / "out"
+    dataset = sorted(q.name for q in ref.iterdir() if q.suffix in (".fgt", ".fgg", ".json"))
+    assert calls == len(dataset) + 3  # and the log and two checkpoints
+    inputs = {"synth": ("train", dataset), "train": ("eval", dataset + ["checkpoint_final.fgc"])}
+    for n in range(1, calls + 1):
+        case = tmp_path / f"kill{n}"
+        shutil.copytree(tmp_path / "start", case)
+        r, p = run(n, case, 2)
+        assert r.returncode == -signal.SIGKILL, r.stderr
+        consumer, names = inputs[r.stdout.split()[-1]]
+        code = main([consumer, "--config", str(p), "--force"])
+        assert code in (0, 2)
+        if code == 0:
+            for name in names:
+                assert (case / "out" / name).read_bytes() == (ref / name).read_bytes(), (n, name)
 
 
 # ---------------------------------------------------------------------------
@@ -931,3 +1032,12 @@ def test_malformed_content_exit_code_2(tmp_path, trained_out, capsys, case):
     p = command_case(command, tmp_path, trained_out, **over)
     message = tamper(tmp_path)
     assert message in assert_one_error_line([command, "--config", str(p)], capsys)
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_HEADER_TAMPERS))
+def test_eval_checkpoint_header_exit_code_2(tmp_path, trained_out, capsys, case):
+    p = command_case("eval", tmp_path, trained_out)
+    checkpoint = tmp_path / "out" / "checkpoint_final.fgc"
+    tamper_checkpoint(checkpoint, CHECKPOINT_HEADER_TAMPERS[case][0])
+    error = assert_one_error_line(["eval", "--config", str(p), "--force"], capsys)
+    assert error.startswith(f"facegcn: error: {checkpoint}: ")
