@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +47,7 @@ def _output_lock(out_dir: Path, tidy: bool = False):
     """
     made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise ConfigError(f"{out_dir} is locked: another command is writing to this directory")
+    with _dir_lock(out_dir, fcntl.LOCK_EX):
         try:
             yield
         except BaseException:
@@ -60,6 +55,31 @@ def _output_lock(out_dir: Path, tidy: bool = False):
                 with suppress(OSError):  # not empty: kept
                     out_dir.rmdir()
             raise
+
+
+def _input_lock(cfg: RunConfig):
+    """A shared flock on the manifest's directory, held for a ``with`` body.
+
+    A synth or preprocess writing there holds it exclusively, so train and
+    eval read no dataset that is being rewritten, while any number of them
+    may read one at once. Taken only when that directory exists and is not
+    the output directory, which the command has locked already.
+    """
+    root = cfg.manifest_path.parent
+    if not root.is_dir() or root.samefile(cfg.output_dir):
+        return nullcontext()
+    return _dir_lock(root, fcntl.LOCK_SH)
+
+
+@contextmanager
+def _dir_lock(path: Path, operation: int):
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        try:
+            fcntl.flock(fd, operation | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{path} is locked: another command is writing to this directory")
+        yield
     finally:
         os.close(fd)
 
@@ -307,7 +327,8 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
-        k, samples, graph, labels = _load_manifest(cfg)
+        with _input_lock(cfg):
+            k, samples, graph, labels = _load_manifest(cfg)
         train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
         classes = _class_mapping(samples)
         adjacency = st_graph.normalize_adjacency(graph, labels)
@@ -370,7 +391,8 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
 
 def _evaluate_report(cfg: RunConfig) -> str:
     """The JSON report of the checkpoint on the cross-emotion test side."""
-    _, samples, graph, labels = _load_manifest(cfg)
+    with _input_lock(cfg):
+        _, samples, graph, labels = _load_manifest(cfg)
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)
 

@@ -17,7 +17,9 @@ makes write/load round trips bit-exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -423,18 +425,24 @@ _PLY_VERTEX_PROPS = {
 }
 _PLY_TYPE_ALIAS = {"float": "float32", "uchar": "uint8"}
 _PLY_FACE_DTYPE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
+_ASCII_FACE_DTYPE = np.dtype([("n", "<i8"), ("i", "<i8", (3,))])
+# the header ends at the first line that is exactly end_header
+_END_HEADER = re.compile(rb"^end_header\r?\n", re.MULTILINE)
+# bytes of ascii body decoded at a time (rounded up to a line end)
+_ASCII_BLOCK = 1 << 16
+_NEWLINE = re.compile(rb"\n")
 
 
 def _load_ply(path: Path) -> TexturedMesh:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    # header is ascii regardless of body encoding
-    end = data.find(b"end_header\n")
-    if end < 0:
+    # header is ascii regardless of body encoding; the body is not copied
+    end = _END_HEADER.search(data)
+    if end is None:
         raise ParseError("missing end_header", path=path)
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
-    body = data[end + len(b"end_header\n"):]
+    header_lines = data[:end.start()].decode("ascii", errors="replace").splitlines()
+    body = memoryview(data)[end.end():]
 
     if not header_lines or header_lines[0].strip() != "ply":
         raise ParseError("not a PLY file", path=path)
@@ -532,21 +540,49 @@ def _vertex_arrays(table: np.ndarray, vprops):
     return stack(("x", "y", "z")), None if cols is None else cols / 255.0, stack(("u", "v"))
 
 
-def _ascii_records(lines, dtype: np.dtype) -> np.ndarray | None:
-    """One record per line, or None if any line is not exactly one record.
+def _body_lines(body: memoryview):
+    """The lines of ``str(body, "ascii", "replace").splitlines()``, in order.
+
+    The body is decoded and split one block of about ``_ASCII_BLOCK`` bytes
+    at a time. Each block ends just after a ``\\n`` (or at the end of the
+    body), so no line and no ``\\r\\n`` is cut, and the blocks' lines
+    chained are the whole body's lines.
+    """
+    def blocks():
+        start = 0
+        while start < len(body):
+            cut = _NEWLINE.search(body, min(start + _ASCII_BLOCK, len(body)) - 1)
+            stop = len(body) if cut is None else cut.end()
+            yield str(body[start:stop], "ascii", "replace")
+            start = stop
+
+    # chain hands out the lines in C: the generator resumes once a block, not once a line
+    return chain.from_iterable(map(str.splitlines, blocks()))
+
+
+def _ascii_records(lines, count: int, dtype: np.dtype) -> np.ndarray | None:
+    """``count`` records, one per line taken from the iterable ``lines``, or
+    None if ``lines`` runs out first or a line is not exactly one record.
 
     loadtxt skips blank lines, so a short result also means a bad line (and
     a leading blank one is rejected before loadtxt can find no data at all).
     """
-    if not lines:
+    if count == 0:
         return np.zeros(0, dtype=dtype)
-    if not lines[0].split():
+    lines = islice(lines, count)
+    first = next(lines, "")
+    if not first.split():
         return None
     try:
-        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        rows = np.loadtxt(chain((first,), lines), dtype=dtype, comments=None, ndmin=1)
     except ValueError:
         return None
-    return rows if rows.shape[0] == len(lines) else None
+    return rows if rows.shape[0] == count else None
+
+
+def _face_records(lines, count: int) -> np.ndarray | None:
+    rows = _ascii_records(lines, count, _ASCII_FACE_DTYPE)
+    return rows if rows is not None and (rows["n"] == 3).all() else None
 
 
 def _first_bad_line(lines, good) -> int:
@@ -565,43 +601,50 @@ def _first_bad_line(lines, good) -> int:
     return lo
 
 
-def _read_ply_ascii(path, body: bytes, n_vertices, n_faces, vprops, line0=1):
-    lines = body.decode("ascii", errors="replace").splitlines()
+def _read_ply_ascii(path, body: memoryview, n_vertices, n_faces, vprops, line0=1):
+    """Vertex then face records from the body's line stream (``_body_lines``).
+
+    Only when that parse fails is the whole body split into one list of
+    lines, to raise the error of its first bad line (``_ascii_body_error``).
+    """
+    vdtype = _vertex_dtype(vprops, binary=False)
+    lines = _body_lines(body)
+    table = _ascii_records(lines, n_vertices, vdtype)
+    frows = None if table is None else _face_records(lines, n_faces)
+    if frows is None:
+        raise _ascii_body_error(path, body, n_vertices, n_faces, vdtype, line0)
+    return (*_vertex_arrays(table, vprops), frows["i"])
+
+
+def _ascii_body_error(path, body, n_vertices, n_faces, vdtype, line0) -> ParseError:
+    """The ParseError of the first bad line of a body whose records do not parse."""
+    lines = str(body, "ascii", "replace").splitlines()
     if len(lines) < n_vertices + n_faces:
-        raise ParseError(
+        return ParseError(
             f"expected {n_vertices + n_faces} body lines, found {len(lines)}", path=path
         )
 
     vlines = lines[:n_vertices]
-    vdtype = _vertex_dtype(vprops, binary=False)
-    table = _ascii_records(vlines, vdtype)
-    if table is None:
-        i = _first_bad_line(vlines, lambda block: _ascii_records(block, vdtype) is not None)
+    if _ascii_records(vlines, n_vertices, vdtype) is None:
+        i = _first_bad_line(
+            vlines, lambda block: _ascii_records(block, len(block), vdtype) is not None
+        )
         nfields = len(vlines[i].split())
-        if nfields != len(vprops):
-            raise ParseError(f"vertex record has {nfields} fields, expected {len(vprops)}",
-                             path=path, line=line0 + i)
-        raise ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
+        if nfields != len(vdtype):
+            return ParseError(f"vertex record has {nfields} fields, expected {len(vdtype)}",
+                              path=path, line=line0 + i)
+        return ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
 
     flines = lines[n_vertices:n_vertices + n_faces]
-    fdtype = np.dtype([("n", "<i8"), ("i", "<i8", (3,))])
-
-    def faces_of(block):
-        rows = _ascii_records(block, fdtype)
-        return rows if rows is not None and (rows["n"] == 3).all() else None
-
-    frows = faces_of(flines)
-    if frows is None:
-        i = _first_bad_line(flines, lambda block: faces_of(block) is not None)
-        tok = flines[i].split()
-        message = "bad face index"
-        if not tok or tok[0] != "3" or len(tok) != 4:
-            message = "face record must be `3 i j k`"
-        raise ParseError(message, path=path, line=line0 + n_vertices + i)
-    return (*_vertex_arrays(table, vprops), frows["i"])
+    i = _first_bad_line(flines, lambda block: _face_records(block, len(block)) is not None)
+    tok = flines[i].split()
+    message = "bad face index"
+    if not tok or tok[0] != "3" or len(tok) != 4:
+        message = "face record must be `3 i j k`"
+    return ParseError(message, path=path, line=line0 + n_vertices + i)
 
 
-def _read_ply_binary(path, body: bytes, n_vertices, n_faces, vprops):
+def _read_ply_binary(path, body: memoryview, n_vertices, n_faces, vprops):
     vdtype = _vertex_dtype(vprops, binary=True)
     need = vdtype.itemsize * n_vertices
     if len(body) < need:

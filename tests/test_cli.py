@@ -808,6 +808,28 @@ def test_train_and_eval_read_inputs_only_under_the_lock(tmp_path, capsys, monkey
     assert reads == []
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_exit_2_while_their_manifest_directory_is_written(tmp_path, capsys,
+                                                                          command):
+    data = tmp_path / "data"
+    synth = small_config(tmp_path, synth={"n_identities": 2}, paths={"output_dir": str(data)})
+    assert main(["synth", "--config", str(synth)]) == 0
+    (tmp_path / "run").mkdir()
+    p = small_config(tmp_path / "run", synth={"n_identities": 2},
+                     paths={"manifest": str(data / "manifest.json")})
+    assert main(["train", "--config", str(p)]) == 0
+    holder = os.open(data, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(holder, fcntl.LOCK_SH | fcntl.LOCK_NB)  # another reader
+        assert main([command, "--config", str(p), "--force"]) == 0
+        capsys.readouterr()
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)  # as a running synth holds it
+        assert main([command, "--config", str(p), "--force"]) == 2
+        assert f"{data} is locked: another command" in capsys.readouterr().err
+    finally:
+        os.close(holder)
+
+
 def test_killed_holder_does_not_block(tmp_path):
     child = subprocess.Popen(
         [sys.executable, "-c",
@@ -856,14 +878,15 @@ def test_installed_cli_entry_point(tmp_path):
     assert json.loads(r.stdout)["optim"]["momentum"] == 0.95
 
 
-# runs synth --force, then train --force, with every module's write_atomic
-# binding replaced by one that SIGKILLs this process on entering its n-th call
-# (n = 0: never); prints each command as it starts, then the number of calls
+# runs each given command (its name and flags in one argument) with --config
+# and --force, with every module's write_atomic binding replaced by one that
+# SIGKILLs this process on entering its n-th call (n = 0: never); prints each
+# command's name as it starts, then the number of calls
 KILL_AT_WRITE = """
 import os, signal, sys
 from facegcn import cli, fileio
 
-n, config, seed = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+n, config, commands = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
 real = fileio.write_atomic
 calls = 0
 
@@ -879,12 +902,17 @@ def write_atomic(*args, **kwargs):
 for module in list(sys.modules.values()):
     if getattr(module, "write_atomic", None) is real:
         module.write_atomic = write_atomic
-for command in ("synth", "train"):
-    print(command, flush=True)
-    if cli.main([command, "--config", config, "--force", "--seed", seed]) != 0:
+for command in commands:
+    print(command.split()[0], flush=True)
+    if cli.main([*command.split(), "--config", config, "--force"]) != 0:
         sys.exit(1)
 print(calls)
 """
+
+
+def run_killed_at_write(n, config, *commands):
+    return subprocess.run([sys.executable, "-c", KILL_AT_WRITE, str(n), str(config), *commands],
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_killed_at_any_write_leaves_no_mixed_state(tmp_path):
@@ -895,9 +923,7 @@ def test_killed_at_any_write_leaves_no_mixed_state(tmp_path):
     def run(n, where, seed):
         where.mkdir(exist_ok=True)
         p = small_config(where, synth={"n_identities": 2}, train={"epochs": 1})
-        r = subprocess.run([sys.executable, "-c", KILL_AT_WRITE, str(n), str(p), str(seed)],
-                           capture_output=True, text=True, env=child_env())
-        return r, p
+        return run_killed_at_write(n, p, f"synth --seed {seed}", f"train --seed {seed}"), p
 
     r, _ = run(0, tmp_path / "start", 1)
     assert r.returncode == 0, r.stderr
@@ -919,6 +945,48 @@ def test_killed_at_any_write_leaves_no_mixed_state(tmp_path):
         if code == 0:
             for name in names:
                 assert (case / "out" / name).read_bytes() == (ref / name).read_bytes(), (n, name)
+
+
+def test_killed_preprocess_at_any_write_leaves_no_mixed_state(tmp_path):
+    # preprocess --force of new PLY frames over a complete dataset of other
+    # frames, SIGKILLed on entering each artifact write in turn: the next
+    # train exits 2, or reads exactly the files an uninterrupted run leaves
+    def raw(seed):
+        root = tmp_path / f"raw{seed}"
+        # (identity, emotion): every identity on the train and on the test side
+        labels = {"seq_a": (0, 0), "seq_b": (1, 0), "seq_c": (0, 4), "seq_d": (1, 4)}
+        for i, name in enumerate(labels):
+            write_sequence_dir(root, n_frames=2, n_landmarks=10, grid=8, seed=seed + i, name=name)
+        (root / "labels.json").write_text(json.dumps(
+            {name: {"identity": a, "emotion": b} for name, (a, b) in labels.items()}))
+        return root
+
+    def config(where, frames):
+        where.mkdir(exist_ok=True)
+        return small_config(where, paths={"input_dir": str(frames)},
+                            features={"augmentation_pairs": [[0, 9], [1, 8]]})
+
+    frames = raw(40)
+    start, ref = config(tmp_path / "start", raw(30)), config(tmp_path / "ref", frames)
+    assert main(["preprocess", "--config", str(start)]) == 0
+    r = run_killed_at_write(0, ref, "preprocess")
+    assert r.returncode == 0, r.stderr
+    calls = int(r.stdout.split()[-1])
+    out = tmp_path / "ref" / "out"
+    dataset = sorted(q.name for q in out.iterdir() if q.suffix in (".fgt", ".fgg", ".json"))
+    assert calls == len(dataset) == 6  # four tensors, the graph and the manifest
+    assert main(["train", "--config", str(ref)]) == 0
+    for n in range(1, calls + 1):
+        case = tmp_path / f"kill{n}"
+        shutil.copytree(tmp_path / "start", case)
+        p = config(case, frames)
+        r = run_killed_at_write(n, p, "preprocess")
+        assert r.returncode == -signal.SIGKILL, r.stderr
+        code = main(["train", "--config", str(p), "--force"])
+        assert code in (0, 2)
+        if code == 0:
+            for name in dataset:
+                assert (case / "out" / name).read_bytes() == (out / name).read_bytes(), (n, name)
 
 
 # ---------------------------------------------------------------------------

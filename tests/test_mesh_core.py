@@ -892,3 +892,118 @@ def test_ply_ascii_crlf_body_loads(tmp_path):
     assert mesh.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
     assert mesh.vertices[3].tolist() == [1.0, 1.0, 0.0]
     assert mesh.colors[0].tolist() == [10 / 255.0, 20 / 255.0, 30 / 255.0]
+
+
+def pinned_ply_bytes(header_eol="\n", body_eol="\n", header=PINNED_PLY[:12]):
+    return (header_eol.join(header) + header_eol + body_eol.join(PINNED_PLY[12:]) + body_eol
+            ).encode("ascii")
+
+
+def test_ply_header_ends_at_crlf_end_header_line(tmp_path):
+    p = tmp_path / "crlf.ply"
+    p.write_bytes(pinned_ply_bytes())
+    want = load_mesh(p)
+    p.write_bytes(pinned_ply_bytes("\r\n", "\r\n"))
+    assert_same_mesh(load_mesh(p), want)
+
+
+def test_ply_header_ends_only_at_a_whole_end_header_line(tmp_path):
+    p = tmp_path / "m.ply"
+    p.write_bytes(pinned_ply_bytes())
+    want = load_mesh(p)
+    header = PINNED_PLY[:2] + ["comment x end_header", "comment end_header"] + PINNED_PLY[2:12]
+    p.write_bytes(pinned_ply_bytes(header=header))
+    assert_same_mesh(load_mesh(p), want)
+    for last in ("end_headerx", " end_header", "comment end_header"):
+        p.write_bytes(pinned_ply_bytes(header=PINNED_PLY[:11] + [last]))
+        with pytest.raises(ParseError, match="missing end_header"):
+            load_mesh(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_body_lines_equal_whole_body_splitlines_at_every_block_size(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    alphabet = np.frombuffer(b"ab 1\t\n\n\r\x0b\x0c\x1c\x1d\x1e\x85\xff", dtype=np.uint8)
+    body = rng.choice(alphabet, size=int(rng.integers(0, 60))).tobytes()
+    want = body.decode("ascii", errors="replace").splitlines()
+    for block in range(1, len(body) + 2):
+        monkeypatch.setattr(mesh_core, "_ASCII_BLOCK", block)
+        assert list(mesh_core._body_lines(memoryview(body))) == want, block
+
+
+def assert_loads_like_reference(p, data, props, n, nf, line0):
+    """load_mesh gives the per-record reference's mesh, or its ParseError; True on an error."""
+    p.write_bytes(data)
+    try:
+        want = reference_mesh(read_ply_ascii, data, props, n, nf, line0)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_mesh(p)
+        assert str(got.value) == str(exc).replace("m.ply", str(p))
+        assert got.value.line == exc.line
+        return True
+    assert_same_mesh(load_mesh(p), want)
+    return False
+
+
+# np.loadtxt reads these as whitespace inside a line; str.splitlines ends a line at each
+LINE_BREAKING_WHITESPACE = b"\x0b\x0c\x1c\x1d\x1e"
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_ply_ascii_line_breaking_whitespace_matches_reference(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(mesh_core, "_ASCII_BLOCK", block)
+    rng = np.random.default_rng(411)
+    p = tmp_path / "m.ply"
+    errors = 0
+    for _ in range(60):
+        data, props, n, nf, line0 = random_ply(rng, binary=False)
+        start = data.find(b"end_header\n") + len(b"end_header\n")
+        bad = bytearray(data)
+        for _ in range(int(rng.integers(1, 3))):
+            at = int(rng.integers(start, len(bad) + 1))
+            if rng.random() < 0.3:
+                at = len(bad) - 1  # before the last line end: an extra line after the records
+            sep = LINE_BREAKING_WHITESPACE[int(rng.integers(0, 5))]
+            if at < len(bad) and bad[at] in b" \t" and rng.random() < 0.7:
+                bad[at] = sep  # one field separator becomes a line break
+            else:
+                bad[at:at] = bytes([sep])
+        errors += assert_loads_like_reference(p, bytes(bad), props, n, nf, line0)
+    assert 10 < errors < 60
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_ply_ascii_mixed_line_ends_match_reference(tmp_path, monkeypatch, block):
+    # lone \r, \r\n and \n mixed line by line, and a last line with no line end
+    monkeypatch.setattr(mesh_core, "_ASCII_BLOCK", block)
+    rng = np.random.default_rng(412)
+    p = tmp_path / "m.ply"
+    for case in range(40):
+        data, props, n, nf, line0 = random_ply(rng, binary=False)
+        head, _, body = data.partition(b"end_header\n")
+        lines = body.splitlines()
+        ends = rng.choice([b"\n", b"\r\n", b"\r"], size=len(lines))
+        if case % 2:
+            ends[-1] = b""
+        body = b"".join(line + end for line, end in zip(lines, ends))
+        assert not assert_loads_like_reference(p, head + b"end_header\n" + body, props, n, nf,
+                                               line0)
+
+
+def test_ply_ascii_load_holds_the_file_bytes_and_the_arrays(tmp_path):
+    # a scan-size frame; one list of every body line would take about 6.6x the file size
+    p = tmp_path / "scan.ply"
+    write_mesh(_scan_grid_mesh(), p)
+    size = p.stat().st_size
+    load_mesh(p)
+    tracemalloc.start()
+    try:
+        mesh = load_mesh(p)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (mesh.vertices, mesh.faces, mesh.colors, mesh.uv))
+    assert mesh.n_vertices == 40000 and size > 3_000_000
+    assert peak <= 4 * size
+    assert arrays <= current < arrays + 16_384
