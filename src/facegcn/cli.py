@@ -57,18 +57,22 @@ def _output_lock(out_dir: Path, tidy: bool = False):
             raise
 
 
-def _input_lock(cfg: RunConfig):
-    """A shared flock on the manifest's directory, held for a ``with`` body.
+def _dataset_lock(cfg: RunConfig, operation: int):
+    """A flock on the manifest's directory, held for a ``with`` body.
 
-    A synth or preprocess writing there holds it exclusively, so train and
-    eval read no dataset that is being rewritten, while any number of them
-    may read one at once. Taken only when that directory exists and is not
-    the output directory, which the command has locked already.
+    synth and preprocess hold it exclusively (``LOCK_EX``) while they write
+    the dataset, making the directory first; train and eval hold it shared
+    (``LOCK_SH``) while they read it. So no dataset is read while it is
+    rewritten, and any number of readers may read one at once. Taken only
+    when that directory exists and is not the output directory, which the
+    command has locked already.
     """
     root = cfg.manifest_path.parent
+    if operation == fcntl.LOCK_EX:
+        root.mkdir(parents=True, exist_ok=True)
     if not root.is_dir() or root.samefile(cfg.output_dir):
         return nullcontext()
-    return _dir_lock(root, fcntl.LOCK_SH)
+    return _dir_lock(root, operation)
 
 
 @contextmanager
@@ -110,13 +114,12 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
     The manifest is what marks a complete dataset, so any previous one is
     removed before the first write and the new one is written last; on any
     failure every file this call wrote is removed again. The manifest names
-    each file relative to its own directory (created if missing), which
-    need not be the output directory.
+    each file relative to its own directory (made by ``_dataset_lock``),
+    which need not be the output directory.
     """
     out = cfg.output_dir
     graph, labels = _build_spatial(cfg, landmarks)
     root = cfg.manifest_path.parent
-    root.mkdir(parents=True, exist_ok=True)
     cfg.manifest_path.unlink(missing_ok=True)
     written: list[Path] = []
     try:
@@ -153,7 +156,7 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
 
 
 def cmd_synth(cfg: RunConfig, force: bool) -> int:
-    with _output_lock(cfg.output_dir):
+    with _output_lock(cfg.output_dir), _dataset_lock(cfg, fcntl.LOCK_EX):
         _refuse_existing(cfg.manifest_path, force)
         s = cfg.synth
         synth_cfg = dataset_synth.SynthConfig(
@@ -248,7 +251,7 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
                               "integer identity and emotion")
         targets.append((seq_dir, entry["identity"], entry["emotion"]))
 
-    with _output_lock(cfg.output_dir):
+    with _output_lock(cfg.output_dir), _dataset_lock(cfg, fcntl.LOCK_EX):
         _refuse_existing(cfg.manifest_path, force)
         named = []
         for seq_dir, identity, emotion in targets:
@@ -285,7 +288,8 @@ def _load_manifest(cfg: RunConfig):
         return value
 
     try:
-        k, graph_path = integer(manifest["k"], "k"), root / str(manifest["graph"])
+        k, j_count = integer(manifest["k"], "k"), integer(manifest["J"], "J")
+        graph_path = root / str(manifest["graph"])
         entries = [
             (root / str(e["tensor"]), integer(e["identity"], f"samples[{i}].identity"),
              integer(e["emotion"], f"samples[{i}].emotion"), e.get("provenance", {}))
@@ -303,6 +307,8 @@ def _load_manifest(cfg: RunConfig):
             raise InconsistentLandmarks(f"{tensor_path} disagrees with {entries[0][0]} on "
                                         f"landmark count or ordering (J={t.J} vs {first.J})")
         samples.append(dataset_synth.SequenceSample(t, identity, emotion, provenance))
+    if first.J != j_count:
+        raise InconsistentLandmarks(f"tensors have J={first.J}, but {path} says J={j_count}")
     graph, labels = st_graph.load_graph(graph_path)
     if first.J != graph.J:
         raise InconsistentLandmarks(f"tensors have J={first.J}, but {graph_path} has J={graph.J}")
@@ -327,7 +333,7 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
-        with _input_lock(cfg):
+        with _dataset_lock(cfg, fcntl.LOCK_SH):
             k, samples, graph, labels = _load_manifest(cfg)
         train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
         classes = _class_mapping(samples)
@@ -342,6 +348,7 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         # and no log of a run whose checkpoints are gone
         for path in (cfg.checkpoint_path, best_path, log_path):
             path.unlink(missing_ok=True)
+        cfg.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         meta = {"k": k, "seed": cfg.seed, "epoch": 0}
 
         best_loss = np.inf
@@ -391,7 +398,7 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
 
 def _evaluate_report(cfg: RunConfig) -> str:
     """The JSON report of the checkpoint on the cross-emotion test side."""
-    with _input_lock(cfg):
+    with _dataset_lock(cfg, fcntl.LOCK_SH):
         _, samples, graph, labels = _load_manifest(cfg)
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)

@@ -13,12 +13,14 @@ replays it exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -441,119 +443,90 @@ def lr_schedule(epoch: int, base_lr: float, decay_epochs, gamma: float) -> float
 # checkpoint (FGC1): text header with architecture and per-tensor byte
 # lengths, then raw little-endian float32 payload in declaration order
 
-_FGC1_TENSORS_SENTINEL = "end_header"
-# every header line save_checkpoint writes before the tensor lines, each once
-_FGC1_KEYS = frozenset({"version", "in_channels", "block_channels", "strides", "kernel_size",
-                        "num_classes", "graph_conv_bias", "residual", "J", "P",
-                        "k", "seed", "epoch"})
+_END_HEADER = b"\nend_header\n"
+# a header value read back as the ModelArch field type that rendered it
+_ARCH_VALUE = {"int": int, "bool": lambda text: bool(int(text)),
+               "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(","))}
+
+
+def _tensor_shapes(arch: ModelArch, j_count: int, p_count: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of each saved tensor in payload order: adjacency, then parameters."""
+    layout = [(name, shape) for name, shape, _, _ in _layout(arch, p_count)]
+    return [("adjacency", (p_count, j_count, j_count))] + layout
+
+
+def _header(arch: ModelArch, j_count: int, p_count: int, meta: dict) -> list[str]:
+    """The header lines save_checkpoint writes, `FGC1` through `end_header`."""
+    lines = ["FGC1", "version 1"] + [
+        f"{name} " + ",".join(str(int(v)) for v in (value if isinstance(value, tuple) else [value]))
+        for name, value in asdict(arch).items()
+    ]
+    lines += [f"J {j_count}", f"P {p_count}"]
+    lines += [f"{key} {int(meta.get(key, 0))}" for key in ("k", "seed", "epoch")]
+    lines += [f"tensor {name} {4 * math.prod(shape)}"
+              for name, shape in _tensor_shapes(arch, j_count, p_count)]
+    return lines + ["end_header"]
 
 
 def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
-    meta = dict(meta or {})
-    lines = ["FGC1", "version 1"]
-    lines.append(f"in_channels {model.arch.in_channels}")
-    lines.append("block_channels " + ",".join(str(c) for c in model.arch.block_channels))
-    lines.append("strides " + ",".join(str(s) for s in model.arch.strides))
-    lines.append(f"kernel_size {model.arch.kernel_size}")
-    lines.append(f"num_classes {model.arch.num_classes}")
-    lines.append(f"graph_conv_bias {int(model.arch.graph_conv_bias)}")
-    lines.append(f"residual {int(model.arch.residual)}")
-    lines.append(f"J {model.J}")
-    lines.append(f"P {model.P}")
-    for key in ("k", "seed", "epoch"):
-        lines.append(f"{key} {int(meta.get(key, 0))}")
-
-    tensors = [("adjacency", model.adjacency)] + list(model.parameters())
-    payload = []
-    for name, arr in tensors:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        lines.append(f"tensor {name} {len(raw)}")
-        payload.append(raw)
-    lines.append(_FGC1_TENSORS_SENTINEL)
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii") + b"".join(payload))
+    header = _header(model.arch, model.J, model.P, meta or {})
+    tensors = [model.adjacency] + [arr for _, arr in model.parameters()]
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in tensors)
+    write_atomic(path, ("\n".join(header) + "\n").encode("ascii") + payload)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
+    """Read an FGC1 file whose header is exactly the one save_checkpoint writes.
+
+    The header is rendered again from the first line of each key, and the
+    first line that differs is a ParseError naming the line expected there.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    end = data.find(_FGC1_TENSORS_SENTINEL.encode("ascii") + b"\n")
+    end = data.find(_END_HEADER)
     if end < 0 or not data.startswith(b"FGC1\n"):
         raise ParseError("not an FGC1 checkpoint", path=path)
     try:
-        header = data[:end].decode("ascii").splitlines()[1:]
+        found = data[:end].decode("ascii").split("\n") + ["end_header"]
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte in header at offset {exc.start}", path=path)
-    body = data[end + len(_FGC1_TENSORS_SENTINEL) + 1 :]
+    values = dict(line.partition(" ")[::2] for line in reversed(found))  # first line wins
 
-    keys: dict[str, str] = {}
-    tensor_specs: list[tuple[str, int]] = []
-    for line in header:
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "tensor":
-            try:
-                name, nbytes = tok[1], int(tok[2])
-            except (IndexError, ValueError):
-                raise ParseError(f"malformed tensor line {line!r}", path=path)
-            if nbytes < 0 or nbytes % 4:
-                raise ParseError(f"tensor {name} byte length {nbytes} is not a multiple of 4",
-                                 path=path)
-            if any(name == seen for seen, _ in tensor_specs):
-                raise ParseError(f"duplicate tensor {name}", path=path)
-            tensor_specs.append((name, nbytes))
-        elif tok[0] in keys:
-            raise ParseError(f"duplicate header key {tok[0]}", path=path)
-        else:
-            keys[tok[0]] = " ".join(tok[1:])
-    if keys.keys() != _FGC1_KEYS:
-        missing, unknown = sorted(_FGC1_KEYS - keys.keys()), sorted(keys.keys() - _FGC1_KEYS)
-        raise ParseError(f"header keys missing {missing}, unknown {unknown}", path=path)
-    if keys["version"] != "1":
-        raise ParseError(f"unsupported FGC1 version {keys['version']!r}", path=path)
+    def value(key, parse=int):
+        if key not in values:
+            raise ParseError(f"header has no `{key}` line", path=path)
+        try:
+            return parse(values[key])
+        except ValueError:
+            raise ParseError(f"bad checkpoint metadata: `{key} {values[key]}`", path=path)
 
-    try:
-        arch = ModelArch(
-            in_channels=int(keys["in_channels"]),
-            block_channels=tuple(int(c) for c in keys["block_channels"].split(",")),
-            strides=tuple(int(s) for s in keys["strides"].split(",")),
-            kernel_size=int(keys["kernel_size"]),
-            num_classes=int(keys["num_classes"]),
-            graph_conv_bias=bool(int(keys["graph_conv_bias"])),
-            residual=bool(int(keys["residual"])),
-        )
-        j_count, p_count = int(keys["J"]), int(keys["P"])
-        meta = {key: int(keys[key]) for key in ("k", "seed", "epoch")}
-    except ValueError as exc:
-        raise ParseError(f"bad checkpoint metadata: {exc}", path=path)
+    if value("version", str) != "1":
+        raise ParseError(f"unsupported FGC1 version {values['version']!r}", path=path)
+    arch = ModelArch(**{f.name: value(f.name, _ARCH_VALUE[f.type]) for f in fields(ModelArch)})
+    j_count, p_count = value("J"), value("P")
+    meta = {key: value(key) for key in ("k", "seed", "epoch")}
     if j_count < 1 or p_count < 1:
         raise ParseError(f"J={j_count} and P={p_count} must both be positive", path=path)
+    shapes = _tensor_shapes(arch, j_count, p_count)
+    if any(d < 0 for _, shape in shapes for d in shape):
+        raise ParseError(f"negative tensor dimension in {arch}", path=path)
+    for n, (got, want) in enumerate(zip(found, _header(arch, j_count, p_count, meta)), 1):
+        if got != want:
+            raise ParseError(f"header line {n} is `{got}`, but save_checkpoint writes `{want}`",
+                             path=path)
 
-    arrays: dict[str, np.ndarray] = {}
-    off = 0
-    for name, nbytes in tensor_specs:
-        if off + nbytes > len(body):
-            raise ParseError(f"truncated payload at tensor {name}", path=path)
-        arrays[name] = np.frombuffer(body, dtype="<f4", count=nbytes // 4, offset=off).astype(
-            np.float32
-        )
-        off += nbytes
-    if off != len(body):
-        raise ParseError(f"{len(body) - off} trailing payload bytes", path=path)
-
-    def take(name, shape):
-        if name not in arrays:
-            raise ParseError(f"checkpoint missing tensor {name}", path=path)
-        arr = arrays[name]
-        if arr.size != int(np.prod(shape)):
-            raise ParseError(f"tensor {name} has wrong size", path=path)
-        return arr.reshape(shape)
-
-    adjacency = take("adjacency", (p_count, j_count, j_count))
-    adjacency.flags.writeable = False
-    params = {name: take(name, shape) for name, shape, _, _ in _layout(arch, p_count)}
-    return _build_model(arch, adjacency, params, np.dtype(np.float32)), meta
+    body = memoryview(data)[end + len(_END_HEADER):]
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if len(body) < 4 * sum(sizes):
+        raise ParseError(f"truncated payload: {len(body)} of {4 * sum(sizes)} bytes", path=path)
+    if len(body) > 4 * sum(sizes):
+        raise ParseError(f"{len(body) - 4 * sum(sizes)} trailing payload bytes", path=path)
+    flat = np.frombuffer(body, dtype="<f4").astype(np.float32)
+    arrays = {name: part.reshape(shape)
+              for part, (name, shape) in zip(np.split(flat, list(accumulate(sizes))[:-1]), shapes)}
+    arrays["adjacency"].flags.writeable = False
+    return _build_model(arch, arrays["adjacency"], arrays, np.dtype(np.float32)), meta
 
 
 # ---------------------------------------------------------------------------

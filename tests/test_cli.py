@@ -660,10 +660,10 @@ def _manifest_with_other_k(data):
 
 
 def _manifest_with(field, value):
-    """Tamper: set ``field`` of the manifest's first sample (or the manifest's own k)."""
+    """Tamper: set ``field`` of the manifest's first sample (or the manifest's own k or J)."""
     def tamper(data):
         manifest = json.loads((data / "manifest.json").read_text())
-        (manifest if field == "k" else manifest["samples"][0])[field] = value
+        (manifest if field in ("k", "J") else manifest["samples"][0])[field] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
     return tamper
 
@@ -673,6 +673,7 @@ MANIFEST_DISAGREEMENTS = {
     "tensor-landmark-count": (_tensor_with_fewer_landmarks, "landmark count or ordering"),
     "graph-J": (_smaller_graph, "graph.fgg has J=3"),
     "manifest-k": (_manifest_with_other_k, "says k=5"),
+    "manifest-J": (_manifest_with("J", 99), "manifest.json says J=99"),
     # JSON integers only, as in labels.json
     "manifest-float-identity": (_manifest_with("identity", 1.7),
                                 "manifest.json: samples[0].identity must be an integer, got 1.7"),
@@ -747,7 +748,7 @@ def test_zero_size_dataset_exit_code_2(tmp_path, capsys):
         samples.append({"tensor": f"s{i}.fgt", "identity": identity, "emotion": emotion})
     (out / "graph.fgg").write_text("FGG1 0 2 distance\n")
     (out / "manifest.json").write_text(json.dumps({
-        "kind": "facegcn-manifest", "k": 0, "graph": "graph.fgg", "samples": samples,
+        "kind": "facegcn-manifest", "k": 0, "J": 0, "graph": "graph.fgg", "samples": samples,
     }))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -828,6 +829,40 @@ def test_train_and_eval_exit_2_while_their_manifest_directory_is_written(tmp_pat
         assert f"{data} is locked: another command" in capsys.readouterr().err
     finally:
         os.close(holder)
+
+
+def test_synth_exits_2_while_its_manifest_directory_is_read(tmp_path, capsys):
+    meta, out = tmp_path / "meta", tmp_path / "out"
+    p = small_config(tmp_path, synth={"n_identities": 2},
+                     paths={"manifest": str(meta / "manifest.json")})
+    assert main(["synth", "--config", str(p)]) == 0
+
+    def files():
+        return {q: q.read_bytes() for d in (meta, out) for q in d.rglob("*") if q.is_file()}
+
+    before = files()
+    holder = os.open(meta, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(holder, fcntl.LOCK_SH | fcntl.LOCK_NB)  # as a reading train holds it
+        assert main(["synth", "--config", str(p), "--force"]) == 2
+        assert f"{meta} is locked: another command" in capsys.readouterr().err
+    finally:
+        os.close(holder)
+    assert files() == before
+
+
+def test_train_makes_the_checkpoint_directory(tmp_path, monkeypatch):
+    checkpoint = tmp_path / "ckdir" / "model.fgc"
+    p = small_config(tmp_path, synth={"n_identities": 2}, train={"epochs": 1},
+                     paths={"checkpoint": str(checkpoint)})
+    assert main(["synth", "--config", str(p)]) == 0
+    assert main(["train", "--config", str(p)]) == 0
+    loaded = []
+    load = stgcn_net.load_checkpoint
+    monkeypatch.setattr(stgcn_net, "load_checkpoint", lambda path: loaded.append(path) or load(path))
+    assert main(["eval", "--config", str(p)]) == 0
+    assert loaded == [checkpoint]
+    assert not (tmp_path / "out" / "checkpoint_final.fgc").exists()
 
 
 def test_killed_holder_does_not_block(tmp_path):

@@ -699,7 +699,8 @@ def test_checkpoint_byte_length_not_multiple_of_4_is_parse_error(tmp_path):
         return header
 
     tamper_checkpoint(p, edit)
-    with pytest.raises(ParseError, match="multiple of 4"):
+    with pytest.raises(ParseError, match=re.escape("is `tensor adjacency 126`, but save_checkpoint "
+                                                   "writes `tensor adjacency 128`")):
         load_checkpoint(p)
 
 
@@ -709,7 +710,31 @@ def test_checkpoint_duplicate_tensor_is_parse_error(tmp_path):
     save_checkpoint(p, model)
     bias = np.asarray(model.classifier_b, dtype="<f4").tobytes()
     tamper_checkpoint(p, lambda h: h + [f"tensor classifier.bias {len(bias)}"], extra=bias)
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match=re.escape("is `tensor classifier.bias 12`, but "
+                                                   "save_checkpoint writes `end_header`")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_extra_tensor_with_its_payload_is_parse_error(tmp_path):
+    model, _ = toy_model_and_input(dtype=np.float32)
+    p = tmp_path / "m.fgc"
+    save_checkpoint(p, model)
+    tamper_checkpoint(p, lambda h: h + ["tensor bogus 8"], extra=b"\x00" * 8)
+    with pytest.raises(ParseError, match=re.escape("is `tensor bogus 8`, but save_checkpoint "
+                                                   "writes `end_header`")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_negative_dimension_is_parse_error(tmp_path):
+    # the header agrees with itself and the payload has its total length,
+    # but the (2, -5, -3) weight and the (-5,) bias are no shapes to cut
+    arch = ModelArch(in_channels=-3, block_channels=(-5,), strides=(1,), kernel_size=3,
+                     num_classes=2)
+    header = stgcn_net._header(arch, 4, 2, {})
+    total = sum(int(line.split()[2]) for line in header if line.startswith("tensor "))
+    p = tmp_path / "m.fgc"
+    p.write_bytes(("\n".join(header) + "\n").encode("ascii") + bytes(total))
+    with pytest.raises(ParseError, match="negative tensor dimension"):
         load_checkpoint(p)
 
 
@@ -746,10 +771,21 @@ def test_checkpoint_bad_meta_value_is_parse_error(tmp_path):
 CHECKPOINT_HEADER_TAMPERS = {
     "version-7": (lambda h: ["version 7" if ln == "version 1" else ln for ln in h],
                   "unsupported FGC1 version '7'"),
-    "no-version": (lambda h: [ln for ln in h if ln != "version 1"], "missing ['version']"),
-    "no-k": (lambda h: [ln for ln in h if not ln.startswith("k ")], "missing ['k']"),
-    "extra-key": (lambda h: h + ["bogus 5"], "unknown ['bogus']"),
-    "epoch-twice": (lambda h: h + ["epoch 9"], "duplicate header key epoch"),
+    "no-version": (lambda h: [ln for ln in h if ln != "version 1"],
+                   "header has no `version` line"),
+    "no-k": (lambda h: [ln for ln in h if not ln.startswith("k ")], "header has no `k` line"),
+    "extra-key": (lambda h: h + ["bogus 5"],
+                  "is `bogus 5`, but save_checkpoint writes `end_header`"),
+    "epoch-twice": (lambda h: h + ["epoch 9"],
+                    "is `epoch 9`, but save_checkpoint writes `end_header`"),
+    "bias-7": (lambda h: ["graph_conv_bias 7" if ln.startswith("graph_conv_bias ") else ln
+                          for ln in h],
+               "is `graph_conv_bias 7`, but save_checkpoint writes `graph_conv_bias 1`"),
+    "J-leading-zero": (lambda h: ["J 0" + ln[2:] if ln.startswith("J ") else ln for ln in h],
+                       "is `J 04`, but save_checkpoint writes `J 4`"),
+    "version-after-in_channels": (lambda h: [h[0], h[2], h[1]] + h[3:],
+                                  "header line 2 is `in_channels 3`, but save_checkpoint "
+                                  "writes `version 1`"),
 }
 
 
