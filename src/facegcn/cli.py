@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, preprocess, train, eval.
 
 Exit codes: 0 success, 2 config/input error, 3 runtime numerical error.
-Commands lock their output directory while running and refuse to overwrite
-existing outputs unless --force is given.
+Each command locks the directories it writes and reads for its whole run
+and refuses to overwrite existing outputs unless --force is given.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -36,43 +36,36 @@ log = logging.getLogger("facegcn")
 
 
 @contextmanager
-def _output_lock(out_dir: Path, tidy: bool = False):
-    """Hold an exclusive flock on ``out_dir`` for the ``with`` body.
+def _run_lock(*targets: tuple[Path, int]):
+    """Hold a flock on each ``(directory, operation)`` for the ``with`` body.
 
-    The kernel drops the lock when its holder exits or is killed, so a
-    killed command leaves nothing behind that blocks a later one. With
-    ``tidy``, a directory made here is removed again if the body fails and
-    leaves it empty: train and eval read their inputs under the lock, and
-    one that fails on them leaves no directory behind.
+    A command enters this once and holds it for its whole run: ``LOCK_EX`` on
+    each directory it writes, made first, and ``LOCK_SH`` on each it only
+    reads, which is skipped when it does not exist. A directory named twice
+    (matched with ``samefile``) is locked once, as first named, so the write
+    locks come first. The kernel drops every lock when its holder exits or is
+    killed, so a killed command leaves nothing behind that blocks a later
+    one. Each directory made here, parents too, is removed again if the body
+    fails and leaves it empty.
     """
-    made = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _dir_lock(out_dir, fcntl.LOCK_EX):
+    made: list[Path] = []
+    held: list[Path] = []
+    with ExitStack() as locks:
         try:
+            for path, operation in targets:
+                if operation == fcntl.LOCK_EX:
+                    made += reversed([d for d in (path, *path.parents) if not d.exists()])
+                    path.mkdir(parents=True, exist_ok=True)
+                if not path.is_dir() or any(path.samefile(h) for h in held):
+                    continue
+                locks.enter_context(_dir_lock(path, operation))
+                held.append(path)
             yield
         except BaseException:
-            if made and tidy:
+            for path in reversed(made):
                 with suppress(OSError):  # not empty: kept
-                    out_dir.rmdir()
+                    path.rmdir()
             raise
-
-
-def _dataset_lock(cfg: RunConfig, operation: int):
-    """A flock on the manifest's directory, held for a ``with`` body.
-
-    synth and preprocess hold it exclusively (``LOCK_EX``) while they write
-    the dataset, making the directory first; train and eval hold it shared
-    (``LOCK_SH``) while they read it. So no dataset is read while it is
-    rewritten, and any number of readers may read one at once. Taken only
-    when that directory exists and is not the output directory, which the
-    command has locked already.
-    """
-    root = cfg.manifest_path.parent
-    if operation == fcntl.LOCK_EX:
-        root.mkdir(parents=True, exist_ok=True)
-    if not root.is_dir() or root.samefile(cfg.output_dir):
-        return nullcontext()
-    return _dir_lock(root, operation)
 
 
 @contextmanager
@@ -114,7 +107,7 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
     The manifest is what marks a complete dataset, so any previous one is
     removed before the first write and the new one is written last; on any
     failure every file this call wrote is removed again. The manifest names
-    each file relative to its own directory (made by ``_dataset_lock``),
+    each file relative to its own directory (made by ``_run_lock``),
     which need not be the output directory.
     """
     out = cfg.output_dir
@@ -156,7 +149,7 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
 
 
 def cmd_synth(cfg: RunConfig, force: bool) -> int:
-    with _output_lock(cfg.output_dir), _dataset_lock(cfg, fcntl.LOCK_EX):
+    with _run_lock((cfg.output_dir, fcntl.LOCK_EX), (cfg.manifest_path.parent, fcntl.LOCK_EX)):
         _refuse_existing(cfg.manifest_path, force)
         s = cfg.synth
         synth_cfg = dataset_synth.SynthConfig(
@@ -226,7 +219,8 @@ def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
     return tensor, frames[0][1]
 
 
-def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
+def _sequence_targets(cfg: RunConfig) -> list[tuple[Path, int, int]]:
+    """(directory, identity, emotion) of each sequence under ``paths.input_dir``."""
     if not cfg.paths.input_dir:
         raise ConfigError("paths.input_dir is required for preprocess")
     input_dir = Path(cfg.paths.input_dir)
@@ -250,8 +244,12 @@ def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
             raise ConfigError(f"{labels_path}: sequence {seq_dir.name!r} needs an entry with "
                               "integer identity and emotion")
         targets.append((seq_dir, entry["identity"], entry["emotion"]))
+    return targets
 
-    with _output_lock(cfg.output_dir), _dataset_lock(cfg, fcntl.LOCK_EX):
+
+def cmd_preprocess(cfg: RunConfig, force: bool) -> int:
+    with _run_lock((cfg.output_dir, fcntl.LOCK_EX), (cfg.manifest_path.parent, fcntl.LOCK_EX)):
+        targets = _sequence_targets(cfg)
         _refuse_existing(cfg.manifest_path, force)
         named = []
         for seq_dir, identity, emotion in targets:
@@ -327,14 +325,13 @@ def _model_arch(cfg: RunConfig, in_channels: int, num_classes: int) -> stgcn_net
 
 def cmd_train(cfg: RunConfig, force: bool) -> int:
     out = cfg.output_dir
-    # inputs are read under the lock, so no synth --force can rewrite them mid-read
-    with _output_lock(out, tidy=True):
+    with _run_lock((out, fcntl.LOCK_EX), (cfg.checkpoint_path.parent, fcntl.LOCK_EX),
+                   (cfg.manifest_path.parent, fcntl.LOCK_SH)):
         log_path = out / "train_log.txt"
         best_path = out / "checkpoint_best.fgc"
         _refuse_existing(cfg.checkpoint_path, force)
         _refuse_existing(log_path, force)
-        with _dataset_lock(cfg, fcntl.LOCK_SH):
-            k, samples, graph, labels = _load_manifest(cfg)
+        k, samples, graph, labels = _load_manifest(cfg)
         train_side, _ = dataset_synth.cross_emotion_split(samples, cfg.train.train_emotions)
         classes = _class_mapping(samples)
         adjacency = st_graph.normalize_adjacency(graph, labels)
@@ -348,7 +345,6 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
         # and no log of a run whose checkpoints are gone
         for path in (cfg.checkpoint_path, best_path, log_path):
             path.unlink(missing_ok=True)
-        cfg.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         meta = {"k": k, "seed": cfg.seed, "epoch": 0}
 
         best_loss = np.inf
@@ -387,7 +383,8 @@ def cmd_train(cfg: RunConfig, force: bool) -> int:
 
 def cmd_eval(cfg: RunConfig, force: bool) -> int:
     out = cfg.output_dir
-    with _output_lock(out, tidy=True):
+    with _run_lock((out, fcntl.LOCK_EX), (cfg.manifest_path.parent, fcntl.LOCK_SH),
+                   (cfg.checkpoint_path.parent, fcntl.LOCK_SH)):
         report_path = out / "eval_report.json"
         _refuse_existing(report_path, force)
         text = _evaluate_report(cfg)
@@ -398,8 +395,7 @@ def cmd_eval(cfg: RunConfig, force: bool) -> int:
 
 def _evaluate_report(cfg: RunConfig) -> str:
     """The JSON report of the checkpoint on the cross-emotion test side."""
-    with _dataset_lock(cfg, fcntl.LOCK_SH):
-        _, samples, graph, labels = _load_manifest(cfg)
+    _, samples, graph, labels = _load_manifest(cfg)
     model, meta = stgcn_net.load_checkpoint(cfg.checkpoint_path)
     classes = _class_mapping(samples)
 
@@ -487,7 +483,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"facegcn: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (FaceGcnError, FileNotFoundError, OSError) as exc:
+    except (FaceGcnError, OSError) as exc:
         print(f"facegcn: error: {exc}", file=sys.stderr)
         return 2
 

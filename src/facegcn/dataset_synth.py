@@ -11,6 +11,7 @@ the held-out ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -241,9 +242,7 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
         raise ConfigError("need at least 2 identities")
     if not cfg.emotions:
         raise ConfigError("need at least 1 emotion")
-    for e in cfg.emotions:
-        if not (0 <= e < N_EMOTIONS):
-            raise ConfigError(f"emotion {e} outside 0..{N_EMOTIONS - 1}")
+    expressions = {e: cfg.expression_params(e) for e in cfg.emotions}
     augment_pairs = default_augment_pairs(cfg.lm_grid)
 
     samples: list[SequenceSample] = []
@@ -253,8 +252,7 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
     for i in range(cfg.n_identities):
         ident = cfg.identity_params(i)
         for e in cfg.emotions:
-            expr = cfg.expression_params(e)
-            anchors, meshes = _sequence(ident, expr, cfg.T, cfg.lm_grid)
+            anchors, meshes = _sequence(ident, expressions[e], cfg.T, cfg.lm_grid)
             # copies: a frame's vertices are a view of the whole sequence's block
             neutral_frames.setdefault(i, meshes[0].vertices.copy())
             peak_frames[(i, e)] = meshes[len(meshes) // 2].vertices.copy()
@@ -309,18 +307,10 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
 
 def _separability(neutral, peak, cfg: SynthConfig) -> tuple[float, float]:
     ids = sorted(neutral)
-    inter_vals = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            d = np.linalg.norm(neutral[ids[a]] - neutral[ids[b]], axis=1).mean()
-            inter_vals.append(d)
-    intra_vals = []
-    emos = sorted(cfg.emotions)
-    for i in ids:
-        for a in range(len(emos)):
-            for b in range(a + 1, len(emos)):
-                d = np.linalg.norm(peak[(i, emos[a])] - peak[(i, emos[b])], axis=1).mean()
-                intra_vals.append(d)
+    inter_vals = [np.linalg.norm(neutral[a] - neutral[b], axis=1).mean()
+                  for a, b in combinations(ids, 2)]
+    intra_vals = [np.linalg.norm(peak[(i, a)] - peak[(i, b)], axis=1).mean()
+                  for i in ids for a, b in combinations(sorted(cfg.emotions), 2)]
     inter = float(np.mean(inter_vals)) if inter_vals else np.inf
     intra = float(np.mean(intra_vals)) if intra_vals else 0.0
     return inter, intra

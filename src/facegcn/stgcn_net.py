@@ -508,7 +508,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     meta = {key: value(key) for key in ("k", "seed", "epoch")}
     if j_count < 1 or p_count < 1:
         raise ParseError(f"J={j_count} and P={p_count} must both be positive", path=path)
-    shapes = _tensor_shapes(arch, j_count, p_count)
+    try:  # a header that agrees with itself may still name no buildable model
+        shapes = _tensor_shapes(arch, j_count, p_count)
+    except ShapeMismatch as exc:
+        raise ParseError(str(exc), path=path)
     if any(d < 0 for _, shape in shapes for d in shape):
         raise ParseError(f"negative tensor dimension in {arch}", path=path)
     for n, (got, want) in enumerate(zip(found, _header(arch, j_count, p_count, meta)), 1):
@@ -526,7 +529,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     arrays = {name: part.reshape(shape)
               for part, (name, shape) in zip(np.split(flat, list(accumulate(sizes))[:-1]), shapes)}
     arrays["adjacency"].flags.writeable = False
-    return _build_model(arch, arrays["adjacency"], arrays, np.dtype(np.float32)), meta
+    try:
+        return _build_model(arch, arrays["adjacency"], arrays, np.dtype(np.float32)), meta
+    except ShapeMismatch as exc:
+        raise ParseError(str(exc), path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 import facegcn
 from facegcn import fileio, mesh_core, stgcn_net
-from facegcn.cli import _output_lock, main
+from facegcn.cli import _dir_lock, main
 from facegcn.config import RunConfig, config_from_dict, load_config, serialize_config
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import ConfigError
@@ -224,7 +224,10 @@ def test_failed_synth_write_removes_what_it_wrote(tmp_path, monkeypatch, rerun):
     assert main(["synth", "--config", str(p)] + ["--force"] * rerun) == 2
     monkeypatch.undo()
     written = {"id000_emo0.fgt", "id000_emo1.fgt", "id000_emo2.fgt"}
-    assert {q.name for q in out.iterdir()} == before - written - {"manifest.json"}
+    if rerun:
+        assert {q.name for q in out.iterdir()} == before - written - {"manifest.json"}
+    else:  # nor the output directory it made
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ def test_preprocess_failed_second_sequence_leaves_no_tensor(tmp_path, capsys):
     (seq_b / "frame_0001.lm2").unlink()
     assert main(["preprocess", "--config", str(preprocess_config(tmp_path, raw))]) == 2
     assert "frame_0001" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_force_preprocess_keeps_previous_dataset(tmp_path):
@@ -421,7 +424,7 @@ def test_preprocess_inconsistent_landmarks_exit_code_2(tmp_path, capsys):
     assert main(["preprocess", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "seq_b" in err and "landmark count or ordering" in err and "Traceback" not in err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -773,20 +776,6 @@ def test_numerical_error_exit_code_3(synth_out):
     assert main(["eval", "--config", str(p), "--force"]) == 3
 
 
-def test_output_dir_lock_blocks_concurrent_commands(tmp_path, capsys):
-    p = small_config(tmp_path)
-    out = tmp_path / "out"
-    out.mkdir(parents=True)
-    holder = os.open(out, os.O_RDONLY | os.O_DIRECTORY)  # a live holder
-    try:
-        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        assert main(["synth", "--config", str(p)]) == 2
-        assert "another command" in capsys.readouterr().err
-    finally:
-        os.close(holder)
-    assert main(["synth", "--config", str(p)]) == 0
-
-
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_train_and_eval_read_inputs_only_under_the_lock(tmp_path, capsys, monkeypatch, command):
     p = small_config(tmp_path)
@@ -851,6 +840,48 @@ def test_synth_exits_2_while_its_manifest_directory_is_read(tmp_path, capsys):
     assert files() == before
 
 
+@pytest.mark.parametrize("inner", ["synth", "train"])
+def test_train_holds_its_locks_for_the_whole_run(tmp_path, capsys, monkeypatch, inner):
+    # from inside a running train, a synth --force into its manifest directory,
+    # or a second train onto its checkpoint from another output directory, exits 2
+    data, checkpoint = tmp_path / "data", tmp_path / "ck" / "model.fgc"
+    synth = small_config(tmp_path, synth={"n_identities": 2}, paths={"output_dir": str(data)})
+    assert main(["synth", "--config", str(synth)]) == 0
+    runs = []
+    for name in ("run", "second"):
+        (tmp_path / name).mkdir()
+        runs.append(small_config(tmp_path / name, synth={"n_identities": 2}, paths={
+            "manifest": str(data / "manifest.json"), "checkpoint": str(checkpoint)}))
+    argv = {"synth": ["synth", "--config", str(synth), "--force"],
+            "train": ["train", "--config", str(runs[1]), "--seed", "5"]}[inner]
+    locked = data if inner == "synth" else checkpoint.parent
+    before = {q: q.read_bytes() for q in data.iterdir()}
+    codes = []
+    train_model = stgcn_net.train_model
+
+    def train_model_running_another(*args, **kwargs):
+        if not codes:
+            codes.append(None)  # before the call: a train started here starts no third
+            codes[0] = main(argv)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(stgcn_net, "train_model", train_model_running_another)
+    assert main(["train", "--config", str(runs[0])]) == 0
+    assert codes == [2]
+    assert f"{locked} is locked: another command" in capsys.readouterr().err
+    assert {q: q.read_bytes() for q in data.iterdir()} == before
+    assert sorted(q.name for q in checkpoint.parent.iterdir()) == ["model.fgc"]
+    assert not (tmp_path / "second" / "out").exists()
+
+
+def test_failed_train_removes_the_directories_it_made(tmp_path, capsys):
+    p = small_config(tmp_path, paths={"output_dir": str(tmp_path / "out" / "run"),
+                                      "checkpoint": str(tmp_path / "ck" / "model.fgc")})
+    assert main(["train", "--config", str(p)]) == 2
+    assert "manifest not found" in capsys.readouterr().err
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_train_makes_the_checkpoint_directory(tmp_path, monkeypatch):
     checkpoint = tmp_path / "ckdir" / "model.fgc"
     p = small_config(tmp_path, synth={"n_identities": 2}, train={"epochs": 1},
@@ -868,8 +899,8 @@ def test_train_makes_the_checkpoint_directory(tmp_path, monkeypatch):
 def test_killed_holder_does_not_block(tmp_path):
     child = subprocess.Popen(
         [sys.executable, "-c",
-         "import sys, time; from pathlib import Path; from facegcn.cli import _output_lock\n"
-         "with _output_lock(Path(sys.argv[1])):\n"
+         "import fcntl, sys, time; from pathlib import Path; from facegcn.cli import _dir_lock\n"
+         "with _dir_lock(Path(sys.argv[1]), fcntl.LOCK_EX):\n"
          "    print('held', flush=True); time.sleep(60)",
          str(tmp_path)],
         stdout=subprocess.PIPE, text=True, env=child_env(),
@@ -877,13 +908,13 @@ def test_killed_holder_does_not_block(tmp_path):
     try:
         assert child.stdout.readline() == "held\n"
         with pytest.raises(ConfigError, match="another command"):
-            with _output_lock(tmp_path):
+            with _dir_lock(tmp_path, fcntl.LOCK_EX):
                 pass
     finally:
         child.kill()  # SIGKILL: the child runs no cleanup
         child.wait()
         child.stdout.close()
-    with _output_lock(tmp_path):
+    with _dir_lock(tmp_path, fcntl.LOCK_EX):
         pass
 
 
@@ -892,7 +923,7 @@ def test_leftover_lock_file_does_not_block(tmp_path, content):
     # a .facegcn.lock pid file from an earlier version; one killed mid-write is empty
     lock = tmp_path / ".facegcn.lock"
     lock.write_text(content)
-    with _output_lock(tmp_path):
+    with _dir_lock(tmp_path, fcntl.LOCK_EX):
         pass
     assert lock.read_text() == content
 
@@ -1083,6 +1114,27 @@ def assert_one_error_line(argv, capsys):
 def test_command_case_succeeds_unmodified(tmp_path, trained_out, command):
     p = command_case(command, tmp_path, trained_out)
     assert all((tmp_path / name).is_file() for name in COMMAND_INPUTS[command])
+    assert main([command, "--config", str(p), "--force"]) == 0
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_output_dir_lock_blocks_concurrent_commands(tmp_path, trained_out, capsys, command):
+    p = command_case(command, tmp_path, trained_out)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+
+    def files():
+        return {q: q.read_bytes() for q in out.rglob("*") if q.is_file()}
+
+    before = files()
+    holder = os.open(out, os.O_RDONLY | os.O_DIRECTORY)  # a live holder
+    try:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main([command, "--config", str(p), "--force"]) == 2
+        assert f"{out} is locked: another command" in capsys.readouterr().err
+    finally:
+        os.close(holder)
+    assert files() == before
     assert main([command, "--config", str(p), "--force"]) == 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -786,6 +787,12 @@ CHECKPOINT_HEADER_TAMPERS = {
     "version-after-in_channels": (lambda h: [h[0], h[2], h[1]] + h[3:],
                                   "header line 2 is `in_channels 3`, but save_checkpoint "
                                   "writes `version 1`"),
+    # headers that agree with themselves, but name an architecture no model has
+    "stride-0": (lambda h: [ln.replace("strides 1", "strides 0", 1) for ln in h],
+                 "stride must be >= 1"),
+    "block_channels-over-strides": (lambda h: [ln + ",5" if ln.startswith("block_channels ")
+                                               else ln for ln in h],
+                                    "block_channels and strides must have equal length"),
 }
 
 
@@ -797,6 +804,19 @@ def test_checkpoint_header_other_than_saved_is_parse_error(tmp_path, case):
     save_checkpoint(p, model)
     tamper_checkpoint(p, edit)
     with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        load_checkpoint(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+def test_checkpoint_even_kernel_is_parse_error(tmp_path):
+    # the header and payload save_checkpoint would write for kernel_size 4
+    model, _ = toy_model_and_input(dtype=np.float32)
+    arch = dataclasses.replace(model.arch, kernel_size=4)
+    header = stgcn_net._header(arch, model.J, model.P, {})
+    size = sum(math.prod(shape) for _, shape in stgcn_net._tensor_shapes(arch, model.J, model.P))
+    p = tmp_path / "m.fgc"
+    p.write_bytes(("\n".join(header) + "\n").encode("ascii") + bytes(4 * size))
+    with pytest.raises(ParseError, match="temporal kernel size 4 must be odd") as exc:
         load_checkpoint(p)
     assert str(exc.value).startswith(f"{p}: ")
 
