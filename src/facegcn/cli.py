@@ -75,7 +75,7 @@ def _dir_lock(path: Path, operation: int):
         try:
             fcntl.flock(fd, operation | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise ConfigError(f"{path} is locked: another command is writing to this directory")
+            raise ConfigError(f"{path} is locked: another command is using this directory")
         yield
     finally:
         os.close(fd)

@@ -10,7 +10,9 @@ sequence of frames becomes one float32 tensor of shape (6k, J, T).
 
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -268,7 +270,9 @@ def build_sequence_tensor(
 # FGT1 tensor cache: magic, u32 C/J/T/k, u64 ordering hash, C*J*T f32 LE
 
 _FGT1_MAGIC = b"FGT1"
-_FGT1_HEADER = struct.Struct("<4sIIIIQ")
+_FGT1_HEADER = struct.Struct("<4sIIIIQ")  # 28 bytes: the payload stays 4-byte aligned
+# Python 3.13+ can map a file without keeping a duplicate of its descriptor
+_MMAP_UNTRACKED = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
 def save_tensor(tensor: FeatureTensor, path) -> None:
@@ -281,9 +285,19 @@ def save_tensor(tensor: FeatureTensor, path) -> None:
 
 
 def load_tensor(path) -> FeatureTensor:
+    """The tensor in an FGT1 file, as a read-only float32 view of its mapping.
+
+    The file is mapped read-only and checked whole before this returns
+    (header, magic, payload size, ``FeatureTensor.validate``); then the
+    mapping's pages are released, so a payload counts against the process
+    only once a caller reads it. Writing to ``values`` raises ValueError.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
-        data = fh.read()
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, **_MMAP_UNTRACKED)
+        except ValueError:  # an empty file cannot be mapped
+            data = b""
     if len(data) < _FGT1_HEADER.size:
         raise ParseError("truncated FGT1 header", path=path)
     magic, c, j, t, k, lm_hash = _FGT1_HEADER.unpack_from(data, 0)
@@ -293,9 +307,10 @@ def load_tensor(path) -> FeatureTensor:
     if len(data) != need:
         raise ParseError(f"payload size {len(data)} != expected {need}", path=path)
     values = np.frombuffer(data, dtype="<f4", offset=_FGT1_HEADER.size).reshape(c, j, t)
-    tensor = FeatureTensor(values=values.astype(np.float32), k=k, landmark_hash=lm_hash)
+    tensor = FeatureTensor(values=values, k=k, landmark_hash=lm_hash)
     try:
         tensor.validate()
     except InvariantError as exc:
         raise ParseError(str(exc), path=path) from None
+    data.madvise(mmap.MADV_DONTNEED)
     return tensor

@@ -834,7 +834,9 @@ def test_synth_exits_2_while_its_manifest_directory_is_read(tmp_path, capsys):
     try:
         fcntl.flock(holder, fcntl.LOCK_SH | fcntl.LOCK_NB)  # as a reading train holds it
         assert main(["synth", "--config", str(p), "--force"]) == 2
-        assert f"{meta} is locked: another command" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{meta} is locked: another command" in err
+        assert "writing" not in err  # the holder only reads
     finally:
         os.close(holder)
     assert files() == before
@@ -933,6 +935,45 @@ def child_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(facegcn.__file__)))
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# runs one facegcn command in a child process; prints that child's maximum RSS in KB
+CHILD_MAX_RSS = """
+import resource, subprocess, sys
+
+r = subprocess.run([sys.executable, "-m", "facegcn.cli", *sys.argv[1:]], capture_output=True)
+if r.returncode:
+    sys.exit(r.stderr.decode())
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_eval_memory_does_not_grow_with_the_unused_train_side(tmp_path):
+    p = small_config(tmp_path, features={"k": 16}, synth={"n_identities": 2, "frames": 400})
+    assert main(["synth", "--config", str(p)]) == 0
+    assert main(["train", "--config", str(p)]) == 0
+    out = tmp_path / "out"
+
+    def eval_max_rss():
+        r = subprocess.run([sys.executable, "-c", CHILD_MAX_RSS, "eval", "--config", str(p),
+                            "--force"], capture_output=True, text=True, env=child_env())
+        assert r.returncode == 0, r.stderr
+        return int(r.stdout) * 1024, (out / "eval_report.json").read_bytes()
+
+    before, report = eval_max_rss()
+    manifest = json.loads((out / "manifest.json").read_text())
+    train_side = [e for e in manifest["samples"] if e["emotion"] in (0, 1, 2)]
+    for n in range(3):  # the train side, four times over
+        for e in train_side:
+            shutil.copyfile(out / e["tensor"], out / f"copy{n}_{e['tensor']}")
+            manifest["samples"].append({**e, "tensor": f"copy{n}_{e['tensor']}"})
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    added = 3 * sum((out / e["tensor"]).stat().st_size for e in train_side)
+    assert added > 15 * 2**20  # eval holding them would show
+    after, report_after = eval_max_rss()
+    assert report_after == report
+    assert abs(after - before) < 2 * 2**20
 
 
 def test_installed_cli_entry_point(tmp_path):

@@ -1,4 +1,8 @@
+import os
+import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +22,8 @@ from facegcn.patch_features import (
     load_tensor,
     save_tensor,
 )
+
+from test_cli import child_env
 
 
 def synth_mesh(grid=10, seed=4, t=1):
@@ -577,6 +583,70 @@ def test_fgt1_rejects_corruption(tmp_path):
         load_tensor(p)
 
 
+def test_fgt1_load_is_a_read_only_view_of_the_saved_bytes(tmp_path):
+    mesh = synth_mesh()
+    t = build_sequence_tensor([(mesh, landmark_pair(mesh))] * 3, 4)
+    p = tmp_path / "t.fgt"
+    save_tensor(t, p)
+    values = load_tensor(p).values
+    assert values.dtype == np.float32 and values.flags.c_contiguous
+    assert values.tobytes() == p.read_bytes()[28:]  # after the 28-byte header
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        values.flags.writeable = True
+
+
+def test_fgt1_loaded_tensor_outlives_a_replaced_file(tmp_path):
+    mesh = synth_mesh()
+    old = build_sequence_tensor([(mesh, landmark_pair(mesh))] * 3, 4)
+    new = FeatureTensor(old.values + 1, old.k, old.landmark_hash)
+    p = tmp_path / "t.fgt"
+    save_tensor(old, p)
+    loaded = load_tensor(p)
+    save_tensor(new, p)  # renames a new file over the mapped one
+    assert np.array_equal(loaded.values, old.values)
+    assert np.array_equal(load_tensor(p).values, new.values)
+
+
+# loads every FGT1 file named on the command line, then reads every value of
+# the first 16; prints VmRSS in bytes before loading, after it and after reading
+RESIDENT_AFTER_LOAD = """
+import sys
+from facegcn.patch_features import load_tensor
+
+
+def vm_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+
+base = vm_rss()
+tensors = [load_tensor(p) for p in sys.argv[1:]]
+loaded = vm_rss()
+for t in tensors[:16]:
+    t.values.sum()
+print(base, loaded, vm_rss())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_fgt1_payload_is_resident_only_once_read(tmp_path):
+    values = np.random.default_rng(5).standard_normal((24, 28, 780)).astype(np.float32)
+    size = values.nbytes  # about 2 MB
+    paths = [tmp_path / f"t{i:02d}.fgt" for i in range(32)]
+    save_tensor(FeatureTensor(values, 4, 7), paths[0])
+    for p in paths[1:]:
+        shutil.copyfile(paths[0], p)
+    r = subprocess.run([sys.executable, "-c", RESIDENT_AFTER_LOAD, *map(str, paths)],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    base, loaded, read = map(int, r.stdout.split())
+    assert loaded - base < 2 * size
+    assert 14 * size < read - base < 18 * size
+
+
 def fgt1_bytes(c, j, t, k, values=None):
     """An FGT1 file with the given header counts and C*J*T float32 values (zeros by default)."""
     if values is None:
@@ -592,7 +662,8 @@ def fgt1_bytes(c, j, t, k, values=None):
     (fgt1_bytes(12, 1, 1, 1), "C=12 != 6\\*k"),
     (fgt1_bytes(6, 1, 1, 1, [0, 0, np.nan, 0, 0, 0]), "non-finite"),
     (fgt1_bytes(6, 1, 1, 1, [0, np.inf, 0, 0, 0, 0]), "non-finite"),
-], ids=["all-zero", "k-zero", "J-zero", "T-zero", "C-not-6k", "nan", "inf"])
+    (b"", "truncated FGT1 header"),  # mmap refuses an empty file
+], ids=["all-zero", "k-zero", "J-zero", "T-zero", "C-not-6k", "nan", "inf", "empty"])
 def test_fgt1_invalid_tensor_is_parse_error_naming_file(tmp_path, data, message):
     p = tmp_path / "bad.fgt"
     p.write_bytes(data)
