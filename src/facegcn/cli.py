@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset_synth, landmark_engine, mesh_core, patch_features, st_graph, stgcn_net
-from .config import RunConfig, _is_int, load_config, serialize_config
+from .config import RunConfig, _field_value, _is_int, load_config, serialize_config
 from .errors import (
     ArchitectureMismatch,
     ConfigError,
@@ -281,9 +281,7 @@ def _load_manifest(cfg: RunConfig):
     root = path.parent
 
     def integer(value, where):
-        if not _is_int(value):
-            raise ConfigError(f"{path}: {where} must be an integer, got {value!r}")
-        return value
+        return _field_value(f"{path}: {where}", "int", value)
 
     try:
         k, j_count = integer(manifest["k"], "k"), integer(manifest["J"], "J")

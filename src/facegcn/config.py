@@ -152,75 +152,62 @@ class RunConfig:
             raise ConfigError("synth.emotions must be a non-empty subset of 0..5")
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "features": FeatureConfig,
-    "graph": GraphConfig,
-    "model": ModelConfig,
-    "optim": OptimConfig,
-    "train": TrainConfig,
-    "synth": SynthSection,
-}
-
-_PAIR_FIELDS = {"augmentation_pairs", "template_pairs"}
-_TUPLE_FIELDS = {"block_channels", "strides", "decay_epochs", "train_emotions", "emotions"}
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _field_value(where: str, name: str, default, v):
-    """``v`` converted to the field's type; ConfigError if it has another type.
+def _is_ints(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_int(x) for x in v)
 
-    The type is that of the field's default; a None default means an
-    optional string.
-    """
-    if name in _PAIR_FIELDS:
-        if isinstance(v, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) for x in p) for p in v
-        ):
-            return tuple((a, b) for a, b in v)
-        raise ConfigError(f"{where} must be a list of [int, int] pairs, got {v!r}")
-    if name in _TUPLE_FIELDS:
-        if isinstance(v, (list, tuple)) and all(_is_int(x) for x in v):
-            return tuple(v)
-        raise ConfigError(f"{where} must be a list of integers, got {v!r}")
-    if isinstance(default, bool):
-        ok, kind = isinstance(v, bool), "a boolean"
-    elif isinstance(default, int):
-        ok, kind = _is_int(v), "an integer"
-    elif isinstance(default, float):
-        ok, kind = _is_int(v) or isinstance(v, float), "a number"
-    else:  # str, or None for an optional path
-        ok = isinstance(v, str) or (default is None and v is None)
-        kind = "a string" if default is not None else "a string or null"
-    if not ok:
+
+# the check and wording of a JSON value, by the annotation of the field it fills
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (_is_ints, "a list of integers"),
+    "tuple[tuple[int, int], ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(_is_ints(p) and len(p) == 2 for p in v),
+        "a list of [int, int] pairs"),
+}
+
+
+def _tuples(v):
+    return tuple(map(_tuples, v)) if isinstance(v, (list, tuple)) else v
+
+
+def _field_value(where: str, annotation: str, v):
+    """``v``, its lists made tuples; ConfigError unless it has the ``annotation`` type."""
+    ok, kind = _FIELD_TYPES[annotation]
+    if not ok(v):
         raise ConfigError(f"{where} must be {kind}, got {v!r}")
-    return v
+    return _tuples(v)
+
+
+def _from_dict(cls, data: dict, prefix: str = ""):
+    """``cls`` from ``data``; a field with a default factory is a nested section."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        f = fields.get(key)
+        if f is None:
+            raise ConfigError(f"unknown key {prefix}{key}" if prefix
+                              else f"unknown config section {key!r}")
+        if f.default_factory is dataclasses.MISSING:
+            kwargs[key] = _field_value(prefix + key, f.type, value)
+        elif isinstance(value, dict):
+            kwargs[key] = _from_dict(f.default_factory, value, f"{prefix}{key}.")
+        else:
+            raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    kwargs = {}
-    for key, value in data.items():
-        if key == "seed":
-            kwargs["seed"] = _field_value("seed", key, RunConfig.seed, value)
-            continue
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown config section {key!r}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
-        cls = _SECTIONS[key]
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        section_kwargs = {}
-        for k, v in value.items():
-            if k not in defaults:
-                raise ConfigError(f"unknown key {key}.{k}")
-            section_kwargs[k] = _field_value(f"{key}.{k}", k, defaults[k], v)
-        kwargs[key] = cls(**section_kwargs)
-    return RunConfig(**kwargs)
+    return _from_dict(RunConfig, data)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -601,7 +601,7 @@ def _first_bad_line(lines, good) -> int:
     return lo
 
 
-def _read_ply_ascii(path, body: memoryview, n_vertices, n_faces, vprops, line0=1):
+def _read_ply_ascii(path, body: memoryview, n_vertices, n_faces, vprops, line0):
     """Vertex then face records from the body's line stream (``_body_lines``).
 
     Only when that parse fails is the whole body split into one list of

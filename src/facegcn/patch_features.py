@@ -172,8 +172,6 @@ def _rank(d2: np.ndarray, k: int, point) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_kd_index(mesh: TexturedMesh) -> KdIndex:
-    if mesh.n_vertices == 0:
-        raise EmptyMesh("mesh has no vertices")
     return KdIndex(mesh.vertices)
 
 
@@ -298,6 +296,9 @@ def load_tensor(path) -> FeatureTensor:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, **_MMAP_UNTRACKED)
         except ValueError:  # an empty file cannot be mapped
             data = b""
+        except OSError as exc:  # e.g. EMFILE, which names no file
+            exc.filename = str(path)
+            raise
     if len(data) < _FGT1_HEADER.size:
         raise ParseError("truncated FGT1 header", path=path)
     magic, c, j, t, k, lm_hash = _FGT1_HEADER.unpack_from(data, 0)

@@ -418,7 +418,7 @@ def sgd_step(param, grad, velocity, lr, momentum=0.0, weight_decay=0.0):
 class SGD:
     """Momentum SGD over a model's parameter set, deterministic and in place."""
 
-    def __init__(self, momentum: float = 0.9, weight_decay: float = 0.0):
+    def __init__(self, momentum: float, weight_decay: float):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}

@@ -82,6 +82,65 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(p)
 
 
+# (wording, JSON values of other types, a JSON value and what it parses to), by
+# the annotation of the config field the value fills
+CONFIG_VALUE_TYPES = {
+    "int": ("an integer", ["25", 2.0, True, None, [1]], 3, 3),
+    "float": ("a number", ["0.1", True, None, {}], 2, 2),
+    "bool": ("a boolean", [1, "true", None, 0.0], False, False),
+    "str": ("a string", [None, 3, ["a"], False], "x", "x"),
+    "str | None": ("a string or null", [3, False, {}, ["a"]], None, None),
+    "tuple[int, ...]": ("a list of integers", [5, "12", [1, 2.5], [True], [[1]], {}],
+                        [4, 1], (4, 1)),
+    "tuple[tuple[int, int], ...]": ("a list of [int, int] pairs",
+                                    [7, [1, 2], [[1, 2, 3]], [[1, "2"]], [[True, 2]], [[1]]],
+                                    [[1, 2], [3, 4]], ((1, 2), (3, 4))),
+}
+
+
+def config_keys():
+    """(section or None, key, annotation) of every key a config file may set."""
+    for f in dataclasses.fields(RunConfig):
+        if f.default_factory is dataclasses.MISSING:
+            yield None, f.name, f.type
+        else:
+            yield from ((f.name, g.name, g.type) for g in dataclasses.fields(f.default_factory))
+
+
+CONFIG_KEYS = {key if section is None else f"{section}.{key}": (section, key, annotation)
+               for section, key, annotation in config_keys()}
+
+
+@pytest.mark.parametrize("where", list(CONFIG_KEYS))
+def test_config_value_of_another_type_names_the_key(where):
+    section, key, annotation = CONFIG_KEYS[where]
+    kind, bad_values, good, parsed = CONFIG_VALUE_TYPES[annotation]
+    for bad in bad_values:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({key: bad} if section is None else {section: {key: bad}})
+        assert str(info.value) == f"{where} must be {kind}, got {bad!r}"
+    cfg = config_from_dict({key: good} if section is None else {section: {key: good}})
+    value = getattr(cfg if section is None else getattr(cfg, section), key)
+    assert value == parsed and type(value) is type(parsed)
+    if isinstance(parsed, tuple):
+        assert all(type(v) is type(p) for v, p in zip(value, parsed))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"wat": {}}, "unknown config section 'wat'"),
+    ({"features": {"bogus": 1}}, "unknown key features.bogus"),
+    ({"features": 5}, "config section 'features' must be an object, got 5"),
+    ({"paths": ["out"]}, "config section 'paths' must be an object, got ['out']"),
+    ([], "config root must be an object"),
+    ("x", "config root must be an object"),
+], ids=["unknown-section", "unknown-key", "int-section", "list-section", "list-root",
+        "string-root"])
+def test_config_shape_error_messages(data, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == message
+
+
 def test_config_validation_errors():
     cfg = RunConfig()
     cfg.features.k = 0
@@ -974,6 +1033,37 @@ def test_eval_memory_does_not_grow_with_the_unused_train_side(tmp_path):
     after, report_after = eval_max_rss()
     assert report_after == report
     assert abs(after - before) < 2 * 2**20
+
+
+# runs facegcn with the arguments given, its soft descriptor limit 8 above the
+# number of descriptors open when it starts
+FEW_DESCRIPTORS = """
+import os, resource, sys
+from facegcn.cli import main
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) + 8, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="mmap duplicates no descriptor")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_eval_out_of_descriptors_names_the_tensor_file(synth_out, tmp_path):
+    synth_tmp, _ = synth_out
+    cfg = json.loads((synth_tmp / "config.json").read_text())
+    cfg["paths"] = {"output_dir": str(tmp_path / "out"),
+                    "manifest": str(synth_tmp / "out" / "manifest.json")}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    r = subprocess.run([sys.executable, "-c", FEW_DESCRIPTORS, "eval", "--config", str(p)],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 2, r.stderr
+    last = r.stderr.splitlines()[-1]
+    prefix = "facegcn: error: [Errno 24] Too many open files: '"
+    assert last.startswith(prefix) and last.endswith(".fgt'"), r.stderr
+    named = last[len(prefix):-1]
+    assert os.path.dirname(named) == str(synth_tmp / "out") and os.path.isfile(named)
 
 
 def test_installed_cli_entry_point(tmp_path):

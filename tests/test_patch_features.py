@@ -1,3 +1,5 @@
+import errno
+import mmap
 import os
 import shutil
 import struct
@@ -608,6 +610,20 @@ def test_fgt1_loaded_tensor_outlives_a_replaced_file(tmp_path):
     save_tensor(new, p)  # renames a new file over the mapped one
     assert np.array_equal(loaded.values, old.values)
     assert np.array_equal(load_tensor(p).values, new.values)
+
+
+def test_fgt1_out_of_descriptors_names_the_file(tmp_path, monkeypatch):
+    p = tmp_path / "t.fgt"
+    save_tensor(FeatureTensor(np.zeros((6, 1, 1), np.float32), 1, 7), p)
+
+    def no_descriptor_left(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(mmap, "mmap", no_descriptor_left)
+    with pytest.raises(OSError) as info:
+        load_tensor(p)
+    assert info.value.errno == errno.EMFILE and info.value.filename == str(p)
+    assert str(info.value) == f"[Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}: {str(p)!r}"
 
 
 # loads every FGT1 file named on the command line, then reads every value of
