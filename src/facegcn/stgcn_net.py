@@ -185,8 +185,22 @@ def init_model(
 # functional ops
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray | None:
+    """m's diagonal if no entry off it is nonzero, else None."""
+    d = np.diagonal(m)
+    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
+
+
 def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) -> np.ndarray:
-    """Matrix-form spatial graph convolution: sum_p M_p (W_p f_in)."""
+    """Matrix-form spatial graph convolution: sum_p M_p (W_p f_in).
+
+    Each partition's mix is added, in partition order, into a zeroed
+    (C_out, J, T) output, then the bias is added in place. A diagonal M_p
+    (the distance partition's root subset) scales the nodes of W_p f_in; any
+    other M_p is the (J, J) @ (J, C_out*T) GEMM of tensordot(m, tmp, ([1], [1])).
+    A diagonal row's product is that GEMM's one nonzero term, and the sum
+    starts from +0 either way, so both give the bytes of the tensordot form.
+    """
     if matrices.shape[0] != params.P:
         raise PartitionMismatch(
             f"{matrices.shape[0]} adjacency matrices for {params.P} weight matrices"
@@ -199,26 +213,33 @@ def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) 
         )
     c_out = params.c_out
     flat = f_in.reshape(c_in, j_count * t_count)
-    # node mixes in (J, C_out*T) layout, each the (J, J) @ (J, C_out*T) GEMM
-    # of tensordot(m, tmp, ([1], [1])), added from zeros in partition order
-    mixed = np.zeros((j_count, c_out * t_count), dtype=f_in.dtype)
+    out = np.zeros((c_out, j_count, t_count), dtype=f_in.dtype)
     for p in range(params.P):
         tmp = (params.weights[p] @ flat).reshape(c_out, j_count, t_count)
-        mixed += np.dot(matrices[p], tmp.transpose(1, 0, 2).reshape(j_count, c_out * t_count))
-    out = mixed.reshape(j_count, c_out, t_count).transpose(1, 0, 2)
-    if params.bias is None:
-        return np.ascontiguousarray(out)
-    return np.add(out, params.bias[:, None, None], order="C")
+        diag = _diagonal(matrices[p])
+        if diag is not None:
+            tmp *= diag[:, None]
+            out += tmp
+        else:
+            mixed = np.dot(matrices[p], tmp.transpose(1, 0, 2).reshape(j_count, c_out * t_count))
+            out += mixed.reshape(j_count, c_out, t_count).transpose(1, 0, 2)
+    if params.bias is not None:
+        out += params.bias[:, None, None]
+    return out
 
 
 def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad):
-    """(d_in, dw, db); d_in is None when input_grad is false."""
+    """(d_in, dw, db); d_in is None when input_grad is false.
+
+    A diagonal M_p scales the nodes of g, as in graph_conv.
+    """
     c_in, j_count, t_count = f_in.shape
     flat_in = f_in.reshape(c_in, j_count * t_count)
     d_in_flat = np.zeros_like(flat_in) if input_grad else None
     dw = np.zeros_like(params.weights)
     for p in range(params.P):
-        dtmp = np.matmul(matrices[p].T, g)
+        diag = _diagonal(matrices[p])
+        dtmp = g * diag[:, None] if diag is not None else np.matmul(matrices[p].T, g)
         dtmp_flat = dtmp.reshape(params.c_out, j_count * t_count)
         dw[p] = dtmp_flat @ flat_in.T
         if input_grad:
@@ -229,15 +250,26 @@ def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad)
 
 
 def _unfold_time(f: np.ndarray, kernel_size: int, stride: int):
-    """Zero-pad along T and gather the K taps: (C*K, J*T_out) column matrix."""
+    """Gather the K taps along T: (C*K, J*T_out) column matrix.
+
+    Output step o of tap k reads time o*stride + k - K//2. Each tap copies
+    its in-range steps straight from f and zeroes the steps that fall in
+    the K//2 zero padding on either side.
+    """
     c_in, j_count, t_count = f.shape
     pad = kernel_size // 2
     t_out = (t_count - 1) // stride + 1
-    xp = np.zeros((c_in, j_count, t_count + 2 * pad), dtype=f.dtype)
-    xp[:, :, pad : pad + t_count] = f
     cols = np.empty((c_in, kernel_size, j_count, t_out), dtype=f.dtype)
     for tap in range(kernel_size):
-        cols[:, tap] = xp[:, :, tap : tap + stride * (t_out - 1) + 1 : stride]
+        shift = tap - pad
+        # in-range steps o_lo <= o < o_hi: 0 <= o*stride + shift < t_count
+        o_lo = min(-(shift // stride), t_out) if shift < 0 else 0
+        o_hi = max(min(-((shift - t_count) // stride), t_out), o_lo)
+        cols[:, tap, :, :o_lo] = 0
+        cols[:, tap, :, o_hi:] = 0
+        if o_hi > o_lo:
+            t0 = o_lo * stride + shift
+            cols[:, tap, :, o_lo:o_hi] = f[:, :, t0 : t0 + stride * (o_hi - o_lo - 1) + 1 : stride]
     return cols.reshape(c_in * kernel_size, j_count * t_out), t_out
 
 
@@ -330,12 +362,16 @@ def forward(model: Model, features: np.ndarray, tape: GradientTape | None = None
         tape.activations = [x]
 
     for block in model.blocks:
-        f_in = x
-        g_out = graph_conv(f_in, block.gconv, model.adjacency)
-        a = g_out * (g_out > 0)
-        tc = temporal_conv(a, block.tconv)
-        z = tc + f_in if block.residual and tc.shape == f_in.shape else tc
-        x = z * (z > 0)
+        # graph_conv and temporal_conv return new arrays, so the ReLUs and
+        # the residual add run in place on them; x, maybe the caller's
+        # features, is only read
+        a = graph_conv(x, block.gconv, model.adjacency)
+        a *= a > 0
+        z = temporal_conv(a, block.tconv)
+        if block.residual and z.shape == x.shape:
+            z += x
+        z *= z > 0
+        x = z
         if tape is not None:
             tape.activations += [a, x]
 

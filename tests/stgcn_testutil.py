@@ -3,7 +3,8 @@
 Also holds the per-vertex oracles of the spatial graph convolution (Eq. 1),
 which only tests use: neighborhood B_i, partition label lookup, subset
 cardinalities Z and the summation form the matrix form is checked against;
-the tensordot matrix form that graph_conv must equal byte for byte; and the
+the tensordot matrix form that graph_conv must equal byte for byte; the
+padded time unfold that the library's must equal byte for byte; and the
 im2col temporal-convolution backward that the library's must equal byte for
 byte.
 """
@@ -80,6 +81,19 @@ def graph_conv_tensordot_reference(f_in, params, matrices):
     return out
 
 
+def unfold_time_reference(f, kernel_size, stride):
+    """Zero-pad along T and gather the K taps: (C*K, J*T_out) column matrix."""
+    c_in, j_count, t_count = f.shape
+    pad = kernel_size // 2
+    t_out = (t_count - 1) // stride + 1
+    xp = np.zeros((c_in, j_count, t_count + 2 * pad), dtype=f.dtype)
+    xp[:, :, pad : pad + t_count] = f
+    cols = np.empty((c_in, kernel_size, j_count, t_out), dtype=f.dtype)
+    for tap in range(kernel_size):
+        cols[:, tap] = xp[:, :, tap : tap + stride * (t_out - 1) + 1 : stride]
+    return cols.reshape(c_in * kernel_size, j_count * t_out), t_out
+
+
 def temporal_conv_backward_reference(g, f, params):
     """(dx, dk) from the full (C*K, J*T_out) column block and its transpose product."""
     c_in, j_count, t_count = f.shape
@@ -89,7 +103,7 @@ def temporal_conv_backward_reference(g, f, params):
     c_out = params.kernel.shape[0]
     g_flat = g.reshape(c_out, j_count * t_out)
 
-    cols, _ = stgcn_net._unfold_time(f, params.K, s)
+    cols, _ = unfold_time_reference(f, params.K, s)
     dk = (g_flat @ cols.T).reshape(params.kernel.shape)
 
     dcols = (params.kernel.reshape(c_out, c_in * params.K).T @ g_flat).reshape(

@@ -45,6 +45,7 @@ from stgcn_testutil import (
     random_regular_graph,
     temporal_conv_backward_reference,
     toy_model_and_input,
+    unfold_time_reference,
 )
 
 
@@ -156,21 +157,45 @@ def test_graph_conv_linearity():
     assert np.max(np.abs(lhs - rhs)) <= 1e-5
 
 
+def graph_adjacency(kind, j, rng):
+    """The normalized stack of a 3-regular graph on j nodes under the distance
+    or uniform partition, or of the j-node graph with no edges."""
+    if kind == "edgeless":
+        g = SpatialGraph(adjacency=np.zeros((j, j), dtype=np.int8))
+        return normalize_adjacency(g, partition(g, "distance"))
+    g = random_regular_graph(j, 3, rng)
+    return normalize_adjacency(g, partition(g, kind))
+
+
+# which partitions graph_conv applies as a node scale: the distance root
+# subset, and an edgeless graph's all-zero neighbor subset as well
+DIAGONAL_PARTITIONS = {"distance": [True, False], "uniform": [False],
+                       "edgeless": [True, True]}
+
+
 # (C_in, C_out, J, T): the shipped blocks' graph convs (k = 25, J = 28, T = 24)
 # and those of the golden checkpoint's small config (k = 4, J = 6, T = 2)
+@pytest.mark.parametrize("zeros", [False, True], ids=["normal", "zeros"])
+@pytest.mark.parametrize("kind", list(DIAGONAL_PARTITIONS))
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("c_in, c_out, j, t", [
     (150, 64, 28, 24), (64, 128, 28, 24), (128, 256, 28, 12),
     (24, 64, 6, 2), (64, 128, 6, 2), (128, 256, 6, 1),
 ])
-def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias):
+def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias, kind, zeros):
     rng = np.random.default_rng(c_in * 1000 + j * 10 + t)
-    g = random_regular_graph(j, 3, rng)
-    norm = normalize_adjacency(g, partition(g, "distance")).astype(dtype)
-    params = GraphConvParams(weights=rng.normal(size=(2, c_out, c_in)).astype(dtype),
+    norm = graph_adjacency(kind, j, rng).astype(dtype)
+    assert [stgcn_net._diagonal(m) is not None for m in norm] == DIAGONAL_PARTITIONS[kind]
+    params = GraphConvParams(weights=rng.normal(size=(norm.shape[0], c_out, c_in)).astype(dtype),
                              bias=rng.normal(size=c_out).astype(dtype) if bias else None)
     f = rng.normal(size=(c_in, j, t)).astype(dtype)
+    if zeros:
+        # exact +0.0 and -0.0 entries, and node 0 all zero
+        signs = rng.integers(0, 10, size=f.shape)
+        f[signs == 0] = 0.0
+        f[signs == 1] = -0.0
+        f[:, 0] = 0.0
     got = graph_conv(f, params, norm)
     want = graph_conv_tensordot_reference(f, params, norm)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -218,6 +243,23 @@ def test_temporal_stride_shape():
 def test_temporal_rejects_even_kernel():
     with pytest.raises(ShapeMismatch):
         TemporalConvParams(kernel=np.zeros((1, 1, 4)), stride=1)
+
+
+# every clamped tap range for K up to 5: T <= K//2 (some taps read only
+# padding), T = 2 (the golden config's last block) and T > K
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride, t", [
+    (k, stride, t) for k in (1, 3, 5) for stride in (1, 2) for t in range(1, k + 2)
+])
+def test_unfold_time_equals_padded_reference(k, stride, t, dtype):
+    rng = np.random.default_rng(k * 100 + stride * 10 + t)
+    f = rng.normal(size=(3, 4, t)).astype(dtype)
+    f[1, :, ::2] = -0.0
+    got, got_t = stgcn_net._unfold_time(f, k, stride)
+    want, want_t = unfold_time_reference(f, k, stride)
+    assert got_t == want_t
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # (C, J, T, K, stride): the shipped blocks' temporal convs (J = 28, T = 24),
@@ -434,6 +476,22 @@ def test_training_step_gradients_equal_backward_without_input_gradient(make):
     for name in want:
         assert got[name].dtype == want[name].dtype
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("make", [
+    toy_model_and_input, residual_block0_model_and_input, shipped_model_and_input,
+], ids=["toy", "residual-block0", "shipped"])
+def test_forward_and_backward_leave_the_input_unchanged(make):
+    # forward and backward write in place on arrays they allocate; the
+    # caller's features are taped as they are and only read
+    model, x = make()
+    assert x.flags.writeable and x.flags.c_contiguous and x.dtype == model.dtype
+    before = x.tobytes()
+    tape = GradientTape()
+    cross_entropy(forward(model, x, tape=tape), 1, tape=tape)
+    assert tape.activations[0] is x
+    backward(tape)
+    assert x.tobytes() == before
 
 
 def test_training_step_traced_peak_at_shipped_defaults():
