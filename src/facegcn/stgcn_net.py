@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
-from collections import deque
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +33,6 @@ from .errors import (
     TapeIncomplete,
 )
 from .fileio import write_atomic
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 # Tensor3 = float array of shape (C, J, T); plain np.ndarray throughout.
 
@@ -194,6 +189,9 @@ def _diagonal(m: np.ndarray) -> np.ndarray | None:
 def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) -> np.ndarray:
     """Matrix-form spatial graph convolution: sum_p M_p (W_p f_in).
 
+    All P channel products W_p f_in are one (P*C_out, C_in) @ (C_in, J*T)
+    GEMM over the stacked weights; each of its rows has the bytes of the
+    same row of W_p @ f_in alone, as the tensordot reference test checks.
     Each partition's mix is added, in partition order, into a zeroed
     (C_out, J, T) output, then the bias is added in place. A diagonal M_p
     (the distance partition's root subset) scales the nodes of W_p f_in; any
@@ -213,9 +211,11 @@ def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) 
         )
     c_out = params.c_out
     flat = f_in.reshape(c_in, j_count * t_count)
+    stacked = (params.weights.reshape(params.P * c_out, c_in) @ flat).reshape(
+        params.P, c_out, j_count, t_count
+    )
     out = np.zeros((c_out, j_count, t_count), dtype=f_in.dtype)
-    for p in range(params.P):
-        tmp = (params.weights[p] @ flat).reshape(c_out, j_count, t_count)
+    for p, tmp in enumerate(stacked):
         diag = _diagonal(matrices[p])
         if diag is not None:
             tmp *= diag[:, None]
@@ -231,22 +231,33 @@ def graph_conv(f_in: np.ndarray, params: GraphConvParams, matrices: np.ndarray) 
 def _graph_conv_backward(g, f_in, params: GraphConvParams, matrices, input_grad):
     """(d_in, dw, db); d_in is None when input_grad is false.
 
-    A diagonal M_p scales the nodes of g, as in graph_conv.
+    Each partition's M_p.T g is written into one (P, C_out, J*T) stack; a
+    diagonal M_p scales the nodes of g, as in graph_conv. dw is one GEMM of
+    that stack with f_in; it has the bytes of P per-partition products in
+    float32, and in float64 on one BLAS thread (a multi-threaded OpenBLAS
+    dgemm may round the two differently, as it rounds each differently from
+    its one-thread result). d_in adds W_p.T (M_p.T g), partition by
+    partition, into zeros.
     """
     c_in, j_count, t_count = f_in.shape
+    c_out = params.c_out
     flat_in = f_in.reshape(c_in, j_count * t_count)
-    d_in_flat = np.zeros_like(flat_in) if input_grad else None
-    dw = np.zeros_like(params.weights)
-    for p in range(params.P):
+    dtmp = np.empty((params.P, c_out, j_count, t_count), dtype=g.dtype)
+    for p, out in enumerate(dtmp):
         diag = _diagonal(matrices[p])
-        dtmp = g * diag[:, None] if diag is not None else np.matmul(matrices[p].T, g)
-        dtmp_flat = dtmp.reshape(params.c_out, j_count * t_count)
-        dw[p] = dtmp_flat @ flat_in.T
-        if input_grad:
-            d_in_flat += params.weights[p].T @ dtmp_flat
+        if diag is not None:
+            np.multiply(g, diag[:, None], out=out)
+        else:
+            np.matmul(matrices[p].T, g, out=out)
+    dtmp = dtmp.reshape(params.P, c_out, j_count * t_count)
+    dw = (dtmp.reshape(-1, j_count * t_count) @ flat_in.T).reshape(params.weights.shape)
     db = g.sum(axis=(1, 2)) if params.bias is not None else None
-    d_in = d_in_flat.reshape(f_in.shape) if input_grad else None
-    return d_in, dw, db
+    if not input_grad:
+        return None, dw, db
+    d_in_flat = np.zeros_like(flat_in)
+    for p in range(params.P):
+        d_in_flat += params.weights[p].T @ dtmp[p]
+    return d_in_flat.reshape(f_in.shape), dw, db
 
 
 def _unfold_time(f: np.ndarray, kernel_size: int, stride: int):
@@ -416,9 +427,11 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
     for bi in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[bi]
         f_in, a, x_out = acts[2 * bi : 2 * bi + 3]
-        dz = dx * (x_out > 0)
+        dz = dx
+        dz *= x_out > 0  # dx is not read again, so dz takes its place
         dres = dz if block.residual and x_out.shape == f_in.shape else None
         da, dk = _temporal_conv_backward(dz, a, block.tconv)
+        del dx, dz  # dres keeps dz when the residual needs it
         grads[f"block{bi}.tconv.kernel"] = dk
         # every sample train_model has in flight holds what is alive here, so
         # da and dg go once used (0.4 MB less per sample at the defaults); da
@@ -442,13 +455,17 @@ def backward(tape: GradientTape, loss_scale: float = 1.0):
 # optimizer
 
 
-def sgd_step(param, grad, velocity, lr, momentum=0.0, weight_decay=0.0):
-    """v <- mu v + g + lambda theta; theta <- theta - lr v. In place."""
+def sgd_step(param, grad, velocity, scratch, lr, momentum=0.0, weight_decay=0.0):
+    """v <- mu v + g + lambda theta; theta <- theta - lr v. In place.
+
+    ``scratch``, shaped like param, holds lambda theta and then lr v, so the
+    step allocates nothing.
+    """
     np.multiply(velocity, momentum, out=velocity)
     velocity += grad
     if weight_decay:
-        velocity += weight_decay * param
-    param -= lr * velocity
+        velocity += np.multiply(param, weight_decay, out=scratch)
+    param -= np.multiply(velocity, lr, out=scratch)
 
 
 class SGD:
@@ -457,16 +474,16 @@ class SGD:
     def __init__(self, momentum: float, weight_decay: float):
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
+        self._state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, model: Model, grads: dict[str, np.ndarray], lr: float) -> None:
         if lr <= 0:
             raise ValueError("lr must be > 0")
         for name, param in model.parameters():
-            vel = self._velocity.get(name)
-            if vel is None:
-                vel = self._velocity[name] = np.zeros_like(param)
-            sgd_step(param, grads[name], vel, lr, self.momentum, self.weight_decay)
+            state = self._state.get(name)
+            if state is None:
+                state = self._state[name] = (np.zeros_like(param), np.empty_like(param))
+            sgd_step(param, grads[name], *state, lr, self.momentum, self.weight_decay)
 
 
 def lr_schedule(epoch: int, base_lr: float, decay_epochs, gamma: float) -> float:
@@ -613,11 +630,11 @@ def _usable_cpus() -> int:
 def _sample_step(model: Model, loss_scale: float, epoch: int, tape: GradientTape, sample):
     """(loss, hit, grads) of one (features, label) pair; grads are scaled by loss_scale.
 
-    ``tape`` is the one the sample before used, so its arrays are freed
-    just as this forward allocates them again. Freed before the gradients
-    are added up, they let the allocator hand the heap top back to the OS
-    and fault it in again for every sample: 5x the page faults and 1.5 ms
-    more per sample at the defaults.
+    ``tape`` is the one this thread's previous sample used, so its arrays
+    are freed just as this forward allocates them again. Freed before the
+    gradients are added up, they let the allocator hand the heap top back to
+    the OS and fault it in again for every sample: 5x the page faults and
+    1.5 ms more per sample at the defaults.
     """
     features, label = sample
     logits = forward(model, features, tape=tape)
@@ -628,19 +645,105 @@ def _sample_step(model: Model, loss_scale: float, epoch: int, tape: GradientTape
     return loss, int(np.argmax(logits) == label), grads
 
 
-def _in_order(pool: ThreadPoolExecutor | None, tapes: list[GradientTape], step, items):
-    """Yield step(tape, item) for each item in order, in groups of len(tapes).
+class _InOrder:
+    """Runs each batch's samples on ``threads`` threads and adds their results in batch order.
 
-    The first item of a group runs on the calling thread while ``pool`` runs
-    the others, each with its own tape. A step's error is raised when its
-    turn comes, after the results of every earlier item.
+    The calling thread is one of them; the others start on entry and end on
+    exit. Each thread takes the batch's next sample as soon as it is free and
+    steps it with its own tape. Once every earlier sample of the batch is
+    added, it adds that sample's loss to ``loss``, its hit to ``correct`` and
+    its gradients to ``acc``, which the batch's first sample zeroes, so every
+    sum has batch order for any thread count. ``run`` returns when the whole
+    batch is added; a sample's error is raised there once every earlier
+    sample is added, and no sample of the batch starts after it.
     """
-    for lo in range(0, len(items), len(tapes)):
-        group = list(zip(tapes, items[lo : lo + len(tapes)]))
-        others = deque(pool.submit(step, *slot) for slot in group[1:])
-        yield step(*group[0])
-        while others:
-            yield others.popleft().result()
+
+    def __init__(self, acc: dict[str, np.ndarray], threads: int):
+        self.acc = acc
+        self.loss = 0.0
+        self.correct = 0
+        self._tape = GradientTape()
+        self._cond = threading.Condition()
+        self._step = None
+        self._items: list = []
+        self._taken = self._added = 0
+        self._error: BaseException | None = None
+        self._closed = False
+        self._workers = [
+            threading.Thread(target=self._work, name=f"facegcn-train-{k}")
+            for k in range(1, threads)
+        ]
+
+    def __enter__(self):
+        for worker in self._workers:
+            worker.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        for worker in self._workers:
+            worker.join()
+
+    def run(self, step, items: list) -> None:
+        """Add step(tape, item) for every item, in order."""
+        with self._cond:
+            self._step, self._items = step, items
+            self._taken = self._added = 0
+            self._cond.notify_all()
+        self._take(self._tape)
+        with self._cond:
+            self._cond.wait_for(lambda: self._added == len(items) or self._error is not None)
+            if self._error is not None:
+                raise self._error
+
+    def _work(self) -> None:
+        """A worker thread: take samples from each batch until exit."""
+        tape = GradientTape()
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._closed or self._taken < len(self._items))
+                if self._closed:
+                    return
+            self._take(tape)
+
+    def _take(self, tape: GradientTape) -> None:
+        """Step and add the batch's next sample until none is left to take."""
+        cond = self._cond
+        while True:
+            with cond:
+                if self._closed or self._taken == len(self._items):
+                    return
+                i, step, item = self._taken, self._step, self._items[self._taken]
+                self._taken += 1
+            try:
+                loss, hit, grads = step(tape, item)
+                error = None
+            except BaseException as exc:  # raised in the caller, in batch order
+                error = exc
+            with cond:
+                cond.wait_for(lambda: self._added == i or self._error is not None or self._closed)
+                if self._added != i:
+                    continue  # an earlier sample failed, or training is over
+                if error is not None:
+                    self._error = error
+                    self._taken = len(self._items)
+                    cond.notify_all()
+                    continue
+            # this sample's turn: no other thread adds until _added moves on
+            self.loss += loss
+            self.correct += hit
+            for name, g in grads.items():
+                if i == 0:
+                    self.acc[name].fill(0)
+                self.acc[name] += g
+            # held, these gradients would stay alive through the next
+            # sample's forward and backward (+2 MB peak RSS at the defaults)
+            del grads
+            with cond:
+                self._added += 1
+                cond.notify_all()
 
 
 def train_model(
@@ -660,52 +763,37 @@ def train_model(
     """SGD training over (features, label) pairs; deterministic given the seed.
 
     The epoch shuffle is drawn from default_rng([seed, epoch]). The samples
-    of a mini-batch run concurrently on threads, one per usable CPU (at most
-    batch_size); each reads the same parameters. Their gradients are added
-    in batch-index order, and losses, hits and the first error are taken in
-    that order too, so parameters, losses and stats are byte-identical for
-    any CPU count; with one CPU the samples run inline. Every thread ends
-    before this returns or raises, an error from on_epoch included.
+    of a mini-batch run on min(batch_size, usable CPUs) threads, the calling
+    one included; each thread takes the next sample as soon as it is free,
+    and all read the same parameters. A thread adds its sample's gradients,
+    loss and hit once every earlier sample's are added, and the first error
+    is raised in that order too, so parameters, losses and stats are
+    byte-identical for any CPU count; with one CPU the calling thread runs
+    the same loop alone. The gradients accumulate in buffers reused for
+    every batch. Every thread ends before this returns or raises, an error
+    from on_epoch included.
     """
     if base_lr <= 0:
         raise ValueError("base_lr must be > 0")
     opt = SGD(momentum=momentum, weight_decay=weight_decay)
     history: list[EpochStats] = []
     n = len(train_samples)
-    in_flight = min(batch_size, _usable_cpus())
-    tapes = [GradientTape() for _ in range(in_flight)]
-    pool = None
-    if in_flight > 1:
-        # imported only to train on more than one CPU: at module level it
-        # adds 0.7 MB of RSS to every process that imports facegcn
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(in_flight - 1, thread_name_prefix="facegcn-train")
-    with pool or nullcontext():
+    acc = {name: np.empty_like(arr) for name, arr in model.parameters()}
+    with _InOrder(acc, min(batch_size, _usable_cpus())) as batches:
         for epoch in range(epochs):
             t0 = time.perf_counter()
             lr = lr_schedule(epoch, base_lr, decay_epochs, gamma)
             order = np.random.default_rng([seed, epoch]).permutation(n)
-            total_loss = 0.0
-            correct = 0
+            batches.loss, batches.correct = 0.0, 0
             for start in range(0, n, batch_size):
                 batch = [train_samples[int(idx)] for idx in order[start : start + batch_size]]
-                step = partial(_sample_step, model, 1.0 / len(batch), epoch)
-                acc = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-                for loss, hit, grads in _in_order(pool, tapes, step, batch):
-                    total_loss += loss
-                    correct += hit
-                    for name, g in grads.items():
-                        acc[name] += g
-                    # held, these gradients would stay alive through the next
-                    # sample's forward and backward (+2 MB peak RSS at the defaults)
-                    del grads
+                batches.run(partial(_sample_step, model, 1.0 / len(batch), epoch), batch)
                 opt.step(model, acc, lr)
             stats = EpochStats(
                 epoch=epoch,
                 lr=lr,
-                loss=total_loss / max(n, 1),
-                train_acc=correct / max(n, 1),
+                loss=batches.loss / max(n, 1),
+                train_acc=batches.correct / max(n, 1),
                 seconds=time.perf_counter() - t0,
             )
             history.append(stats)

@@ -81,6 +81,29 @@ def graph_conv_tensordot_reference(f_in, params, matrices):
     return out
 
 
+def node_mix_grad_reference(g, m):
+    """M.T g over the nodes of g (C, J, T): a node scale when m is diagonal."""
+    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        return g * np.diagonal(m)[:, None]
+    return np.matmul(m.T, g)
+
+
+def graph_conv_backward_reference(g, f_in, params, matrices, input_grad):
+    """(d_in, dw, db) partition by partition: dw[p] and W_p.T (M_p.T g) from one M_p.T g at a time."""
+    c_in, j_count, t_count = f_in.shape
+    flat_in = f_in.reshape(c_in, j_count * t_count)
+    d_in_flat = np.zeros_like(flat_in) if input_grad else None
+    dw = np.zeros_like(params.weights)
+    for p in range(params.P):
+        dtmp_flat = node_mix_grad_reference(g, matrices[p]).reshape(params.c_out, -1)
+        dw[p] = dtmp_flat @ flat_in.T
+        if input_grad:
+            d_in_flat += params.weights[p].T @ dtmp_flat
+    db = g.sum(axis=(1, 2)) if params.bias is not None else None
+    d_in = d_in_flat.reshape(f_in.shape) if input_grad else None
+    return d_in, dw, db
+
+
 def unfold_time_reference(f, kernel_size, stride):
     """Zero-pad along T and gather the K taps: (C*K, J*T_out) column matrix."""
     c_in, j_count, t_count = f.shape

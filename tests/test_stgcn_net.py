@@ -40,8 +40,10 @@ from facegcn.stgcn_net import (
 from stgcn_testutil import (
     cardinalities,
     finite_difference_check,
+    graph_conv_backward_reference,
     graph_conv_reference,
     graph_conv_tensordot_reference,
+    node_mix_grad_reference,
     random_regular_graph,
     temporal_conv_backward_reference,
     toy_model_and_input,
@@ -173,17 +175,27 @@ DIAGONAL_PARTITIONS = {"distance": [True, False], "uniform": [False],
                        "edgeless": [True, True]}
 
 
-# (C_in, C_out, J, T): the shipped blocks' graph convs (k = 25, J = 28, T = 24)
-# and those of the golden checkpoint's small config (k = 4, J = 6, T = 2)
-@pytest.mark.parametrize("zeros", [False, True], ids=["normal", "zeros"])
-@pytest.mark.parametrize("kind", list(DIAGONAL_PARTITIONS))
-@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("c_in, c_out, j, t", [
-    (150, 64, 28, 24), (64, 128, 28, 24), (128, 256, 28, 12),
-    (24, 64, 6, 2), (64, 128, 6, 2), (128, 256, 6, 1),
-])
-def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias, kind, zeros):
+def graph_conv_cases(test):
+    """Parametrize ``test`` over the graph-conv cases: (C_in, C_out, J, T) of
+    the shipped blocks (k = 25, J = 28, T = 24) and of the golden
+    checkpoint's small config (k = 4, J = 6, T = 2), both dtypes, with and
+    without bias, every partition kind, and inputs with and without zeros."""
+    for mark in [
+        pytest.mark.parametrize("c_in, c_out, j, t", [
+            (150, 64, 28, 24), (64, 128, 28, 24), (128, 256, 28, 12),
+            (24, 64, 6, 2), (64, 128, 6, 2), (128, 256, 6, 1),
+        ]),
+        pytest.mark.parametrize("dtype", [np.float32, np.float64]),
+        pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"]),
+        pytest.mark.parametrize("kind", list(DIAGONAL_PARTITIONS)),
+        pytest.mark.parametrize("zeros", [False, True], ids=["normal", "zeros"]),
+    ]:
+        test = mark(test)
+    return test
+
+
+def graph_conv_case(c_in, c_out, j, t, dtype, bias, kind, zeros):
+    """(norm, params, f, rng) of one graph_conv_cases case."""
     rng = np.random.default_rng(c_in * 1000 + j * 10 + t)
     norm = graph_adjacency(kind, j, rng).astype(dtype)
     assert [stgcn_net._diagonal(m) is not None for m in norm] == DIAGONAL_PARTITIONS[kind]
@@ -191,16 +203,53 @@ def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias, k
                              bias=rng.normal(size=c_out).astype(dtype) if bias else None)
     f = rng.normal(size=(c_in, j, t)).astype(dtype)
     if zeros:
-        # exact +0.0 and -0.0 entries, and node 0 all zero
-        signs = rng.integers(0, 10, size=f.shape)
-        f[signs == 0] = 0.0
-        f[signs == 1] = -0.0
-        f[:, 0] = 0.0
+        with_zeros(f, rng)
+    return norm, params, f, rng
+
+
+def with_zeros(x, rng):
+    """Put exact +0.0 and -0.0 entries in x, and make node 0 all zero."""
+    signs = rng.integers(0, 10, size=x.shape)
+    x[signs == 0] = 0.0
+    x[signs == 1] = -0.0
+    x[:, 0] = 0.0
+
+
+@graph_conv_cases
+def test_graph_conv_equals_tensordot_reference(c_in, c_out, j, t, dtype, bias, kind, zeros):
+    norm, params, f, _ = graph_conv_case(c_in, c_out, j, t, dtype, bias, kind, zeros)
     got = graph_conv(f, params, norm)
     want = graph_conv_tensordot_reference(f, params, norm)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["input-grad", "no-input-grad"])
+@graph_conv_cases
+def test_graph_conv_backward_equals_per_partition_reference(c_in, c_out, j, t, dtype, bias,
+                                                            kind, zeros, input_grad):
+    norm, params, f, rng = graph_conv_case(c_in, c_out, j, t, dtype, bias, kind, zeros)
+    g = rng.normal(size=(c_out, j, t)).astype(dtype)
+    if zeros:
+        with_zeros(g, rng)
+    got = stgcn_net._graph_conv_backward(g, f, params, norm, input_grad)
+    want = graph_conv_backward_reference(g, f, params, norm, input_grad)
+    for name, got_x, want_x in zip(["d_in", "dw", "db"], got, want):
+        if want_x is None:
+            assert got_x is None, name
+            continue
+        assert got_x.shape == want_x.shape and got_x.dtype == want_x.dtype, name
+        if name == "dw" and dtype is np.float64:
+            # a multi-threaded OpenBLAS dgemm may round the stacked product and
+            # the per-partition ones differently (either also differs from its
+            # one-thread result), so float64 dw is held to the error bound of
+            # a J*T-term dot product, 2 * J*T * eps * sum |M_p.T g| |f|
+            terms = np.stack([np.abs(node_mix_grad_reference(g, m)).reshape(c_out, -1)
+                              @ np.abs(f.reshape(c_in, -1)).T for m in norm])
+            assert np.all(np.abs(got_x - want_x) <= 2 * j * t * np.finfo(dtype).eps * terms)
+        else:
+            assert got_x.tobytes() == want_x.tobytes(), name
 
 
 def test_graph_conv_partition_mismatch():
@@ -470,8 +519,9 @@ def test_training_step_gradients_equal_backward_without_input_gradient(make):
         in_full = len(products) - in_step
     finally:
         gconv.weights = weights
-    # the forward's W_p f_in only: neither path forms block 0's input gradient
-    assert in_step == model.P and in_full == model.P
+    # the forward's one stacked W f_in only: neither path forms block 0's
+    # input gradient, which would add a W_p.T product per partition
+    assert in_step == 1 and in_full == 1
     assert list(got) == list(want)
     for name in want:
         assert got[name].dtype == want[name].dtype
@@ -495,9 +545,9 @@ def test_forward_and_backward_leave_the_input_unchanged(make):
 
 
 def test_training_step_traced_peak_at_shipped_defaults():
-    # every sample train_model has in flight holds this peak at once (4.96 MB
-    # measured; 5.14 MB while the tape also kept the ReLU masks and the pooled
-    # vector)
+    # every sample train_model has in flight holds this peak at once (4.91 MB
+    # measured; 4.96 MB while backward kept dx beside its masked copy dz, and
+    # 5.14 MB while the tape also kept the ReLU masks and the pooled vector)
     model, x = shipped_model_and_input()
     stgcn_net._sample_step(model, 0.125, 0, GradientTape(), (x, 3))
     tracemalloc.start()
@@ -517,14 +567,14 @@ def test_sgd_plain_step():
     p = np.array([1.0, 2.0])
     g = np.array([0.5, -1.0])
     v = np.zeros(2)
-    sgd_step(p, g, v, lr=0.1)
+    sgd_step(p, g, v, np.empty(2), lr=0.1)
     assert np.allclose(p, [0.95, 2.1])
 
 
 def test_sgd_zero_grad_no_motion():
     p = np.array([1.0, 2.0])
     v = np.zeros(2)
-    sgd_step(p, np.zeros(2), v, lr=0.1)
+    sgd_step(p, np.zeros(2), v, np.empty(2), lr=0.1)
     assert np.array_equal(p, [1.0, 2.0])
 
 
@@ -533,15 +583,15 @@ def test_sgd_momentum_two_steps():
     p = np.array([0.0])
     g = np.array([1.0])
     v = np.zeros(1)
-    sgd_step(p, g, v, lr=0.1, momentum=0.9)
-    sgd_step(p, g, v, lr=0.1, momentum=0.9)
+    sgd_step(p, g, v, np.empty(1), lr=0.1, momentum=0.9)
+    sgd_step(p, g, v, np.empty(1), lr=0.1, momentum=0.9)
     assert np.allclose(p, [-2.9 * 0.1])
 
 
 def test_sgd_weight_decay():
     p = np.array([2.0])
     v = np.zeros(1)
-    sgd_step(p, np.zeros(1), v, lr=0.1, weight_decay=0.5)
+    sgd_step(p, np.zeros(1), v, np.empty(1), lr=0.1, weight_decay=0.5)
     assert np.allclose(p, [2.0 - 0.1 * 0.5 * 2.0])
 
 
@@ -714,6 +764,84 @@ def test_training_threads_end_when_on_epoch_raises(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(Stop):
         train_with_cpus(monkeypatch, 2, data, batch_size=4, on_epoch=stop)
+    assert threading.active_count() == threads
+
+
+class FirstSampleLast:
+    """A _sample_step whose batches finish out of order.
+
+    With ``hold_first``, each batch's position-0 sample, once stepped, waits
+    until position 1 has finished. The positions in ``fail`` of epoch 0's
+    second batch raise NumericalError instead of stepping. ``finished``
+    records (epoch, batch, position, thread) in finishing order. The batch
+    positions are those train_with_cpus's seed gives over three epochs.
+    """
+
+    def __init__(self, data, batch_size, hold_first, fail=()):
+        self._step = stgcn_net._sample_step
+        self.hold_first = hold_first
+        self.fail = fail
+        self.where = {}
+        for epoch in range(3):
+            order = np.random.default_rng([5, epoch]).permutation(len(data))
+            for k, idx in enumerate(order):
+                self.where[epoch, id(data[idx][0])] = (k // batch_size, k % batch_size)
+        assert len(data) % batch_size != 1  # every batch has a position 1
+        self.second_done = {(epoch, batch): threading.Event()
+                            for (epoch, _), (batch, _) in self.where.items()}
+        self.finished = []
+
+    def __call__(self, model, loss_scale, epoch, tape, sample):
+        batch, pos = self.where[epoch, id(sample[0])]
+        try:
+            if epoch == 0 and batch == 1 and pos in self.fail:
+                raise NumericalError(f"position {pos} of epoch 0's second batch")
+            return self._step(model, loss_scale, epoch, tape, sample)
+        finally:
+            if pos == 0 and self.hold_first:
+                assert self.second_done[epoch, batch].wait(timeout=30)
+            self.finished.append((epoch, batch, pos, threading.get_ident()))
+            if pos == 1:
+                self.second_done[epoch, batch].set()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_training_adds_in_batch_order_when_the_first_sample_finishes_last(monkeypatch, cpus):
+    _, _, data = tiny_training_setup(n=10)
+    threads = threading.active_count()
+    model_1, stats_1 = train_with_cpus(monkeypatch, 1, data, batch_size=4)
+    steps = FirstSampleLast(data, batch_size=4, hold_first=True)
+    monkeypatch.setattr(stgcn_net, "_sample_step", steps)
+    model_n, stats_n = train_with_cpus(monkeypatch, cpus, data, batch_size=4)
+    assert stats_n == stats_1  # bit-identical losses and accuracies
+    assert parameter_bytes(model_n) == parameter_bytes(model_1)
+    finish_order = [(epoch, batch, pos) for epoch, batch, pos, _ in steps.finished]
+    for epoch, batch in steps.second_done:
+        assert finish_order.index((epoch, batch, 0)) > finish_order.index((epoch, batch, 1))
+    assert 1 < len({thread for *_, thread in steps.finished}) <= min(cpus, 4)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("first_fails", [False, True], ids=["later-fails", "both-fail"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_training_raises_the_first_error_in_batch_order(monkeypatch, cpus, first_fails):
+    # position 1 of epoch 0's second batch fails while position 0 still runs;
+    # position 0 then returns, or fails too
+    _, _, data = tiny_training_setup(n=10)
+    fail = (0, 1) if first_fails else (1,)
+    threads = threading.active_count()
+    steps_1 = FirstSampleLast(data, batch_size=4, hold_first=False, fail=fail)
+    steps = FirstSampleLast(data, batch_size=4, hold_first=True, fail=fail)
+    monkeypatch.setattr(stgcn_net, "_sample_step", steps_1)
+    model_1, err_1 = train_with_cpus(monkeypatch, 1, data, batch_size=4)
+    monkeypatch.setattr(stgcn_net, "_sample_step", steps)
+    model_n, err_n = train_with_cpus(monkeypatch, cpus, data, batch_size=4)
+    assert isinstance(err_1, NumericalError) and type(err_n) is type(err_1)
+    assert str(err_n) == str(err_1) == f"position {fail[0]} of epoch 0's second batch"
+    assert parameter_bytes(model_n) == parameter_bytes(model_1)  # the first batch's step
+    finish_order = [(epoch, batch, pos) for epoch, batch, pos, _ in steps.finished]
+    assert finish_order.index((0, 1, 0)) > finish_order.index((0, 1, 1))
+    assert len({thread for *_, thread in steps.finished}) <= min(cpus, 4)
     assert threading.active_count() == threads
 
 
