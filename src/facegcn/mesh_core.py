@@ -17,9 +17,10 @@ makes write/load round trips bit-exact.
 
 from __future__ import annotations
 
+import os
 import re
+import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -174,13 +175,17 @@ def _unique_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, n
     Indices must lie in [0, n); each pair is keyed as lo * n + hi, whose 1-D
     order is the lexicographic order. Sorting and dropping repeats of the
     previous key gives what ``np.unique`` would, without its extra passes.
+    The keys are uint32 when every one fits (n * n <= 2**32), which sorts
+    faster; the pairs come back as int64 either way.
     """
+    if n * n <= 1 << 32:
+        lo, hi = lo.astype(np.uint32), hi.astype(np.uint32)
     keys = np.sort(lo * n + hi)
     keep = np.empty(keys.shape[0], dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys[keep]
-    return keys // n, keys % n
+    lo, hi = np.divmod(keys[keep], n)
+    return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -428,15 +433,17 @@ _PLY_FACE_DTYPE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 _ASCII_FACE_DTYPE = np.dtype([("n", "<i8"), ("i", "<i8", (3,))])
 # the header ends at the first line that is exactly end_header
 _END_HEADER = re.compile(rb"^end_header\r?\n", re.MULTILINE)
-# bytes of ascii body decoded at a time (rounded up to a line end)
-_ASCII_BLOCK = 1 << 16
-_NEWLINE = re.compile(rb"\n")
 
 
 def _load_ply(path: Path) -> TexturedMesh:
+    # the file stays open until the parse ends, so a file that replaces it
+    # cannot take its inode number (see _plain_ascii_records)
     with open(path, "rb") as fh:
-        data = fh.read()
+        opened = os.fstat(fh.fileno())
+        return _parse_ply(path, fh.read(), opened)
 
+
+def _parse_ply(path: Path, data: bytes, opened: os.stat_result) -> TexturedMesh:
     # header is ascii regardless of body encoding; the body is not copied
     end = _END_HEADER.search(data)
     if end is None:
@@ -508,7 +515,7 @@ def _load_ply(path: Path) -> TexturedMesh:
     else:
         body_line0 = len(header_lines) + 2  # first body line, 1-based
         verts, cols, uv, faces = _read_ply_ascii(
-            path, body, n_vertices, n_faces, vprops, body_line0
+            path, data, opened, body, n_vertices, n_faces, vprops, body_line0
         )
 
     return TexturedMesh.from_arrays(verts, faces, cols, uv)
@@ -540,48 +547,25 @@ def _vertex_arrays(table: np.ndarray, vprops):
     return stack(("x", "y", "z")), None if cols is None else cols / 255.0, stack(("u", "v"))
 
 
-def _body_lines(body: memoryview):
-    """The lines of ``str(body, "ascii", "replace").splitlines()``, in order.
-
-    The body is decoded and split one block of about ``_ASCII_BLOCK`` bytes
-    at a time. Each block ends just after a ``\\n`` (or at the end of the
-    body), so no line and no ``\\r\\n`` is cut, and the blocks' lines
-    chained are the whole body's lines.
-    """
-    def blocks():
-        start = 0
-        while start < len(body):
-            cut = _NEWLINE.search(body, min(start + _ASCII_BLOCK, len(body)) - 1)
-            stop = len(body) if cut is None else cut.end()
-            yield str(body[start:stop], "ascii", "replace")
-            start = stop
-
-    # chain hands out the lines in C: the generator resumes once a block, not once a line
-    return chain.from_iterable(map(str.splitlines, blocks()))
-
-
-def _ascii_records(lines, count: int, dtype: np.dtype) -> np.ndarray | None:
-    """``count`` records, one per line taken from the iterable ``lines``, or
-    None if ``lines`` runs out first or a line is not exactly one record.
+def _ascii_records(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """One record per line of ``lines``, or None if a line is not exactly one record.
 
     loadtxt skips blank lines, so a short result also means a bad line (and
     a leading blank one is rejected before loadtxt can find no data at all).
     """
-    if count == 0:
+    if not lines:
         return np.zeros(0, dtype=dtype)
-    lines = islice(lines, count)
-    first = next(lines, "")
-    if not first.split():
+    if not lines[0].split():
         return None
     try:
-        rows = np.loadtxt(chain((first,), lines), dtype=dtype, comments=None, ndmin=1)
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
     except ValueError:
         return None
-    return rows if rows.shape[0] == count else None
+    return rows if rows.shape[0] == len(lines) else None
 
 
-def _face_records(lines, count: int) -> np.ndarray | None:
-    rows = _ascii_records(lines, count, _ASCII_FACE_DTYPE)
+def _face_records(lines: list[str]) -> np.ndarray | None:
+    rows = _ascii_records(lines, _ASCII_FACE_DTYPE)
     return rows if rows is not None and (rows["n"] == 3).all() else None
 
 
@@ -601,47 +585,106 @@ def _first_bad_line(lines, good) -> int:
     return lo
 
 
-def _read_ply_ascii(path, body: memoryview, n_vertices, n_faces, vprops, line0):
-    """Vertex then face records from the body's line stream (``_body_lines``).
+# bytes that str.splitlines ends a line at, and np.loadtxt reads as whitespace
+_LINE_BREAKING_WHITESPACE = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
-    Only when that parse fails is the whole body split into one list of
-    lines, to raise the error of its first bad line (``_ascii_body_error``).
+
+def _no_data_is_an_error() -> tuple:
+    """Put first the filter that makes loadtxt's no-data warnings errors; return it.
+
+    loadtxt warns, and reads on past ``max_rows`` lines, when a blank line
+    falls among the records it reads; it warns again when no record follows
+    ``skiprows``. The filter matches only these two messages, raised for
+    this module's own loadtxt calls (the warnings name loadtxt's caller).
+    """
+    warnings.filterwarnings("error", r"(input line \d+|loadtxt: input) contained no data",
+                            UserWarning, re.escape(__name__) + r"\Z")
+    return warnings.filters[0]
+
+
+_NO_DATA_FILTER = _no_data_is_an_error()
+
+
+def _file_records(path, skip: int, count: int, dtype: np.dtype) -> np.ndarray:
+    """``count`` records read by loadtxt from the file after its first ``skip`` lines."""
+    if count == 0:  # max_rows=0 warns of its own
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(str(path), dtype=dtype, comments=None, skiprows=skip, max_rows=count,
+                      ndmin=1, encoding="latin-1")
+
+
+def _plain_ascii_records(path, data, opened, skip, n_vertices, n_faces, vdtype):
+    """(vertex table, faces) read by loadtxt from the file itself, or None.
+
+    It reads only a file of ASCII bytes without ``_LINE_BREAKING_WHITESPACE``,
+    where loadtxt's C reader ends lines where ``str.splitlines`` does
+    (``\\n``, ``\\r\\n`` and a lone ``\\r``), so its records are those of
+    the first body lines. None (never an error) for any other file, if a
+    record does not parse, if a blank line falls among the records
+    (``_no_data_is_an_error``), or if the path no longer names the file
+    ``opened`` describes, unchanged since it was read.
+    """
+    if not data.isascii() or any(map(data.__contains__, _LINE_BREAKING_WHITESPACE)):
+        return None
+    if warnings.filters[:1] != [_NO_DATA_FILTER]:  # a catch_warnings block swapped the list
+        _no_data_is_an_error()
+    try:
+        table = _file_records(path, skip, n_vertices, vdtype)
+        frows = _file_records(path, skip + n_vertices, n_faces, _ASCII_FACE_DTYPE)
+        now = os.stat(path)
+    except (ValueError, UserWarning, OSError):
+        return None
+    if (table.shape[0] != n_vertices or frows.shape[0] != n_faces
+            or not (frows["n"] == 3).all()
+            or any(getattr(now, k) != getattr(opened, k)
+                   for k in ("st_dev", "st_ino", "st_size", "st_mtime_ns"))):
+        return None
+    return table, frows["i"]
+
+
+def _read_ply_ascii(path, data: bytes, opened, body: memoryview, n_vertices, n_faces, vprops,
+                    line0):
+    """Vertex then face records of an ASCII body whose first line is ``line0``.
+
+    ``_plain_ascii_records`` reads them from the file when it can; otherwise
+    ``_ascii_body_records`` parses ``data``.
     """
     vdtype = _vertex_dtype(vprops, binary=False)
-    lines = _body_lines(body)
-    table = _ascii_records(lines, n_vertices, vdtype)
-    frows = None if table is None else _face_records(lines, n_faces)
-    if frows is None:
-        raise _ascii_body_error(path, body, n_vertices, n_faces, vdtype, line0)
-    return (*_vertex_arrays(table, vprops), frows["i"])
+    table, faces = (
+        _plain_ascii_records(path, data, opened, line0 - 1, n_vertices, n_faces, vdtype)
+        or _ascii_body_records(path, body, n_vertices, n_faces, vdtype, line0))
+    return (*_vertex_arrays(table, vprops), faces)
 
 
-def _ascii_body_error(path, body, n_vertices, n_faces, vdtype, line0) -> ParseError:
-    """The ParseError of the first bad line of a body whose records do not parse."""
+def _ascii_body_records(path, body, n_vertices, n_faces, vdtype, line0):
+    """(vertex table, faces) from the lines of the whole body, or the
+    ParseError of its first bad line."""
     lines = str(body, "ascii", "replace").splitlines()
     if len(lines) < n_vertices + n_faces:
-        return ParseError(
+        raise ParseError(
             f"expected {n_vertices + n_faces} body lines, found {len(lines)}", path=path
         )
 
     vlines = lines[:n_vertices]
-    if _ascii_records(vlines, n_vertices, vdtype) is None:
-        i = _first_bad_line(
-            vlines, lambda block: _ascii_records(block, len(block), vdtype) is not None
-        )
+    table = _ascii_records(vlines, vdtype)
+    if table is None:
+        i = _first_bad_line(vlines, lambda block: _ascii_records(block, vdtype) is not None)
         nfields = len(vlines[i].split())
         if nfields != len(vdtype):
-            return ParseError(f"vertex record has {nfields} fields, expected {len(vdtype)}",
-                              path=path, line=line0 + i)
-        return ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
+            raise ParseError(f"vertex record has {nfields} fields, expected {len(vdtype)}",
+                             path=path, line=line0 + i)
+        raise ParseError("bad numeric field in vertex record", path=path, line=line0 + i)
 
     flines = lines[n_vertices:n_vertices + n_faces]
-    i = _first_bad_line(flines, lambda block: _face_records(block, len(block)) is not None)
-    tok = flines[i].split()
-    message = "bad face index"
-    if not tok or tok[0] != "3" or len(tok) != 4:
-        message = "face record must be `3 i j k`"
-    return ParseError(message, path=path, line=line0 + n_vertices + i)
+    frows = _face_records(flines)
+    if frows is None:
+        i = _first_bad_line(flines, lambda block: _face_records(block) is not None)
+        tok = flines[i].split()
+        message = "bad face index"
+        if not tok or tok[0] != "3" or len(tok) != 4:
+            message = "face record must be `3 i j k`"
+        raise ParseError(message, path=path, line=line0 + n_vertices + i)
+    return table, frows["i"]
 
 
 def _read_ply_binary(path, body: memoryview, n_vertices, n_faces, vprops):

@@ -3,6 +3,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import struct
@@ -21,7 +22,7 @@ from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_m
 from facegcn.errors import ConfigError
 from facegcn.mesh_core import write_mesh
 from facegcn.patch_features import FeatureTensor, load_tensor, save_tensor
-from facegcn.st_graph import SpatialGraph, partition, save_graph
+from facegcn.st_graph import SpatialGraph, load_graph, partition, save_graph
 
 from test_fileio import HalfWriteFile
 from test_stgcn_net import CHECKPOINT_HEADER_TAMPERS, tamper_checkpoint
@@ -545,13 +546,37 @@ def test_eval_constant_classifier_hits_one_over_n(synth_out):
     assert 0.0 <= report["accuracy"] <= 1.0
 
 
-def test_eval_architecture_mismatch(synth_out, tmp_path_factory):
-    tmp_path, _ = synth_out
-    cfg = json.loads((tmp_path / "config.json").read_text())
+def test_eval_architecture_mismatch(synth_out, tmp_path, capsys):
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
     cfg["model"] = {"block_channels": [8, 8], "strides": [1, 1], "kernel_size": 3}
-    p2 = tmp_path / "config_arch.json"
-    p2.write_text(json.dumps(cfg))
-    assert main(["eval", "--config", str(p2), "--force"]) == 2
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"facegcn: error: checkpoint has ModelArch\(.*block_channels=\(64, 128, "
+                        r"256\).*\), but config and tensors give ModelArch\(.*block_channels="
+                        r"\(8, 8\).*\)\n", err)
+    assert not (tmp_path / "out" / "eval_report.json").exists()
+
+
+def test_eval_checkpoint_of_another_landmark_grid(synth_out, tmp_path, capsys):
+    other = tmp_path / "other"
+    other.mkdir()
+    assert main(["synth", "--config", str(small_config(other, synth={"landmark_grid": 3}))]) == 0
+    assert main(["train", "--config", str(other / "config.json")]) == 0
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    cfg = json.loads(p.read_text())
+    cfg["paths"]["checkpoint"] = str(other / "out" / "checkpoint_final.fgc")
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(p)]) == 2
+    graph_j = load_graph(synth_out[0] / "out" / "graph.fgg")[0].J
+    model_j = stgcn_net.load_checkpoint(other / "out" / "checkpoint_final.fgc")[0].J
+    assert model_j != graph_j
+    assert capsys.readouterr().err == (
+        f"facegcn: error: checkpoint J={model_j}, graph J={graph_j}\n")
 
 
 def test_eval_empty_test_side(synth_out, tmp_path_factory):

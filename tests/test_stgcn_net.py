@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -664,6 +666,38 @@ def test_training_deterministic_bit_identical():
     assert losses1 == losses2  # bit-identical floats
     for (_, a1), (_, a2) in zip(m1.parameters(), m2.parameters()):
         assert np.array_equal(a1, a2)
+
+
+# trains the shipped float32 network for one short epoch; prints a digest of its parameters
+SHORT_SHIPPED_TRAINING = """
+import hashlib
+import numpy as np
+from facegcn.st_graph import normalize_adjacency, partition
+from facegcn.stgcn_net import ModelArch, init_model, train_model
+from stgcn_testutil import random_regular_graph
+rng = np.random.default_rng(3)
+g = random_regular_graph(28, 4, rng)
+model = init_model(ModelArch(in_channels=150, num_classes=10),
+                   normalize_adjacency(g, partition(g, "distance")), seed=3)
+data = [(rng.uniform(size=(150, 28, 24)).astype(np.float32), i % 10) for i in range(4)]
+train_model(model, data, epochs=1, batch_size=2, seed=3, weight_decay=1e-4)
+print(hashlib.sha256(b"".join(arr.tobytes() for _, arr in model.parameters())).hexdigest())
+"""
+
+
+def test_float32_training_bytes_do_not_depend_on_the_blas_thread_count():
+    # the golden checkpoint digest and the bench's pinned BLAS rest on this;
+    # float64 GEMMs at these shapes do differ between one and two OpenBLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stgcn_net.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    digests = []
+    for threads in ("1", "2"):
+        r = subprocess.run([sys.executable, "-c", SHORT_SHIPPED_TRAINING], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path,
+                                           "OPENBLAS_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_training_handles_variable_sequence_lengths():
