@@ -44,9 +44,10 @@ def _run_lock(*targets: tuple[Path, int]):
     reads, which is skipped when it does not exist. A directory named twice
     (matched with ``samefile``) is locked once, as first named, so the write
     locks come first. The kernel drops every lock when its holder exits or is
-    killed, so a killed command leaves nothing behind that blocks a later
-    one. Each directory made here, parents too, is removed again if the body
-    fails and leaves it empty.
+    killed (a dataset worker forked inside it, at its next read or write),
+    so a killed command leaves nothing behind that blocks a later one. Each
+    directory made here, parents too, is removed again if the body fails
+    and leaves it empty.
     """
     made: list[Path] = []
     held: list[Path] = []
@@ -78,6 +79,9 @@ def _dir_lock(path: Path, operation: int):
             raise ConfigError(f"{path} is locked: another command is using this directory")
         yield
     finally:
+        # a process forked inside the lock (a build_dataset worker) shares
+        # the lock through its copy of fd, so closing ours would not end it
+        fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
 
 

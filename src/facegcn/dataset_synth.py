@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, EmptySide, MissingIdentity
 from .landmark_engine import LandmarkSet, _anchored, augment_sequence
 from .mesh_core import TexturedMesh
@@ -233,6 +234,14 @@ class DatasetBuildResult:
 def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBuildResult:
     """One SequenceSample per (identity, emotion) with augmented landmarks.
 
+    Each sequence is generated, augmented and patched by ``_sequence_sample``
+    on min(usable CPUs, sequences) processes: the caller and worker
+    processes it forks on its first such call and keeps for later calls
+    (see ``parallel.map_in_order``). A worker runs the code as it stood at
+    its fork. Samples, landmarks, the separability numbers and the first
+    error raised follow sequence order, so they are byte-identical for any
+    CPU count; to build on fewer CPUs, narrow the affinity (``taskset``).
+
     Runs the separability oracle: the mean inter-identity neutral-frame
     vertex distance must exceed the mean intra-identity cross-emotion
     distance at peak deformation, otherwise the task is ill-posed and a
@@ -242,55 +251,16 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
         raise ConfigError("need at least 2 identities")
     if not cfg.emotions:
         raise ConfigError("need at least 1 emotion")
-    expressions = {e: cfg.expression_params(e) for e in cfg.emotions}
-    augment_pairs = default_augment_pairs(cfg.lm_grid)
+    for e in cfg.emotions:
+        cfg.expression_params(e)  # every emotion is checked before any sequence is built
+    items = [(cfg, i, e, scale_normalize) for i in range(cfg.n_identities) for e in cfg.emotions]
+    built = parallel.map_in_order(_sequence_sample, items)
 
-    samples: list[SequenceSample] = []
-    first_landmarks: LandmarkSet | None = None
     neutral_frames: dict[int, np.ndarray] = {}
     peak_frames: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(cfg.n_identities):
-        ident = cfg.identity_params(i)
-        for e in cfg.emotions:
-            anchors, meshes = _sequence(ident, expressions[e], cfg.T, cfg.lm_grid)
-            # copies: a frame's vertices are a view of the whole sequence's block
-            neutral_frames.setdefault(i, meshes[0].vertices.copy())
-            peak_frames[(i, e)] = meshes[len(meshes) // 2].vertices.copy()
-            # The frames of one sequence share faces, colors, uv and landmark
-            # anchors, so the vertex bytes fix everything landmarks,
-            # augmentation and patches read: each distinct frame is processed
-            # once (the sin^2 envelope makes frame t equal frame T-1-t after
-            # quantization) and its column is gathered back into frame order.
-            first_of: dict[bytes, int] = {}  # vertex bytes -> column in distinct
-            distinct, column = [], []
-            for mesh in meshes:
-                key = mesh.vertices.tobytes()
-                if key not in first_of:
-                    first_of[key] = len(distinct)
-                    distinct.append((mesh, _anchored(anchors, mesh)))
-                column.append(first_of[key])
-            del first_of
-            results = augment_sequence(distinct, augment_pairs)
-            augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)]
-            unique = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
-            tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k,
-                                   unique.landmark_hash)
-            if first_landmarks is None:
-                first_landmarks = augmented[0][1]
-            samples.append(
-                SequenceSample(
-                    tensor=tensor,
-                    identity=i,
-                    emotion=e,
-                    provenance={
-                        "identity_seed": ident.seed,
-                        "k": cfg.k,
-                        "J": tensor.J,
-                        "T": cfg.T,
-                    },
-                )
-            )
-
+    for (_, i, e, _), (_, _, neutral, peak) in zip(items, built):
+        neutral_frames.setdefault(i, neutral)
+        peak_frames[(i, e)] = peak
     inter, intra = _separability(neutral_frames, peak_frames, cfg)
     if intra > 0 and inter <= intra:
         raise ConfigError(
@@ -298,11 +268,45 @@ def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBui
             "raise identity_amplitude or lower expression_amplitude"
         )
     return DatasetBuildResult(
-        samples=samples,
-        landmarks=first_landmarks,
+        samples=[sample for sample, *_ in built],
+        landmarks=built[0][1],
         inter_identity_distance=inter,
         intra_identity_distance=intra,
     )
+
+
+def _sequence_sample(cfg: SynthConfig, i: int, e: int, scale_normalize: bool):
+    """Sequence (i, e) of ``build_dataset``: (sample, first frame's augmented
+    landmarks, neutral frame vertices, peak frame vertices)."""
+    ident = cfg.identity_params(i)
+    anchors, meshes = _sequence(ident, cfg.expression_params(e), cfg.T, cfg.lm_grid)
+    # The frames of one sequence share faces, colors, uv and landmark
+    # anchors, so the vertex bytes fix everything landmarks, augmentation
+    # and patches read: each distinct frame is processed once (the sin^2
+    # envelope makes frame t equal frame T-1-t after quantization) and its
+    # column is gathered back into frame order.
+    first_of: dict[bytes, int] = {}  # vertex bytes -> column in distinct
+    distinct, column = [], []
+    for mesh in meshes:
+        key = mesh.vertices.tobytes()
+        if key not in first_of:
+            first_of[key] = len(distinct)
+            distinct.append((mesh, _anchored(anchors, mesh)))
+        column.append(first_of[key])
+    del first_of
+    results = augment_sequence(distinct, default_augment_pairs(cfg.lm_grid))
+    augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)]
+    unique = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
+    tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k, unique.landmark_hash)
+    sample = SequenceSample(
+        tensor=tensor,
+        identity=i,
+        emotion=e,
+        provenance={"identity_seed": ident.seed, "k": cfg.k, "J": tensor.J, "T": cfg.T},
+    )
+    # copies: a frame's vertices are a view of the whole sequence's block
+    return (sample, augmented[0][1], meshes[0].vertices.copy(),
+            meshes[len(meshes) // 2].vertices.copy())
 
 
 def _separability(neutral, peak, cfg: SynthConfig) -> tuple[float, float]:

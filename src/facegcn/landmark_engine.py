@@ -65,6 +65,9 @@ class LandmarkSet:
     def __getitem__(self, j: int) -> LandmarkView:
         return LandmarkView(int(self.anchors[j]), self.positions[j])
 
+    def __reduce__(self):
+        return _read_only_set, (self.anchors, self.positions, self.n_base, self.sources)
+
     def ordering_hash(self) -> int:
         """64-bit hash of the logical landmark ordering.
 
@@ -80,6 +83,11 @@ class LandmarkSet:
         h = hashlib.blake2b(digest_size=8)
         h.update(b"FGLM" + len(self).to_bytes(4, "little") + records.tobytes())
         return int.from_bytes(h.digest(), "little")
+
+
+def _read_only_set(anchors, positions, n_base: int, sources) -> LandmarkSet:
+    """The set of these arrays, made read-only: how a pickled set is rebuilt."""
+    return LandmarkSet(_read_only(anchors), _read_only(positions), n_base, _read_only(sources))
 
 
 def _anchored(anchors, mesh, sources: np.ndarray = _NO_SOURCES) -> LandmarkSet:

@@ -14,7 +14,6 @@ replays it exactly.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -24,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     LabelOutOfRange,
     NumericalError,
@@ -620,13 +620,6 @@ def evaluate(model: Model, samples) -> tuple[int, int, list[int]]:
     return correct, len(preds), preds
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sample_step(model: Model, loss_scale: float, epoch: int, tape: GradientTape, sample):
     """(loss, hit, grads) of one (features, label) pair; grads are scaled by loss_scale.
 
@@ -779,7 +772,7 @@ def train_model(
     history: list[EpochStats] = []
     n = len(train_samples)
     acc = {name: np.empty_like(arr) for name, arr in model.parameters()}
-    with _InOrder(acc, min(batch_size, _usable_cpus())) as batches:
+    with _InOrder(acc, min(batch_size, parallel.usable_cpus())) as batches:
         for epoch in range(epochs):
             t0 = time.perf_counter()
             lr = lr_schedule(epoch, base_lr, decay_epochs, gamma)

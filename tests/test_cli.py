@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import facegcn
-from facegcn import fileio, mesh_core, stgcn_net
+from facegcn import fileio, mesh_core, parallel, stgcn_net
 from facegcn.cli import _dir_lock, main
 from facegcn.config import RunConfig, config_from_dict, load_config, serialize_config
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
@@ -924,6 +924,21 @@ def test_synth_exits_2_while_its_manifest_directory_is_read(tmp_path, capsys):
     finally:
         os.close(holder)
     assert files() == before
+
+
+def test_synth_on_two_cpus_unlocks_its_directory_on_return(tmp_path, monkeypatch):
+    # the dataset worker is forked inside synth's lock and shares its descriptor
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    p = small_config(tmp_path, synth={"n_identities": 2})
+    parallel._stop_workers()
+    assert main(["synth", "--config", str(p)]) == 0
+    assert len(parallel._workers) == 1
+    take_lock = "import fcntl, os, sys; fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), " \
+                "fcntl.LOCK_EX | fcntl.LOCK_NB)"
+    r = subprocess.run([sys.executable, "-c", take_lock, str(tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert main(["train", "--config", str(p)]) == 0
 
 
 @pytest.mark.parametrize("inner", ["synth", "train"])

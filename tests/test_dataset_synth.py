@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from facegcn import dataset_synth, landmark_engine
+from facegcn import dataset_synth, landmark_engine, parallel
 from facegcn.dataset_synth import (
     DatasetBuildResult,
     ExpressionParams,
@@ -17,9 +22,10 @@ from facegcn.dataset_synth import (
     landmark_grid_indices,
     make_frame_mesh,
 )
-from facegcn.errors import ConfigError, EmptySide, MissingIdentity
+from facegcn.errors import ConfigError, EmptySide, InvariantError, MissingIdentity
 from facegcn.mesh_core import validate_mesh
 from facegcn.patch_features import build_sequence_tensor, save_tensor
+from test_cli import child_env
 
 FAST = SynthConfig(n_identities=3, emotions=(0, 1), T=3, k=4, grid=8, lm_grid=2, seed=11)
 
@@ -165,6 +171,7 @@ def _per_frame_tensors(cfg: SynthConfig):
 
 @pytest.mark.parametrize("case, distinct", [("shipped", 12), ("still", 1), ("ramp", 24)])
 def test_build_dataset_processes_each_distinct_frame_once(monkeypatch, case, distinct):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # workers would miss the patches
     cfg = SynthConfig(n_identities=2, emotions=(0,))
     if case == "still":  # every frame equals the neutral one
         cfg = dataclasses.replace(cfg, expression_amplitude=0.0)
@@ -227,6 +234,144 @@ def test_build_dataset_validates_config():
         build_dataset(SynthConfig(emotions=()))
     with pytest.raises(ConfigError):
         build_dataset(SynthConfig(emotions=(0, 7)))
+
+
+def dataset_bytes(result: DatasetBuildResult):
+    samples = [(s.tensor.values.tobytes(), s.tensor.values.shape, s.tensor.k,
+                s.tensor.landmark_hash, s.identity, s.emotion, s.provenance)
+               for s in result.samples]
+    lms = result.landmarks
+    landmarks = (lms.anchors.tobytes(), lms.positions.tobytes(), lms.n_base, lms.sources.tobytes())
+    return (samples, landmarks, result.inter_identity_distance.hex(),
+            result.intra_identity_distance.hex())
+
+
+def build_with_cpus(monkeypatch, cpus, cfg=FAST):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    try:
+        return build_dataset(cfg)
+    except Exception as exc:
+        return exc
+
+
+@pytest.fixture
+def fresh_workers():
+    """Workers forked inside the test, so that they run its patches; ended after it."""
+    parallel._stop_workers()
+    yield
+    parallel._stop_workers()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])  # 3 may be more CPUs than there are
+def test_build_dataset_bytes_do_not_depend_on_cpu_count(monkeypatch, cpus):
+    one = build_with_cpus(monkeypatch, 1)
+    many = build_with_cpus(monkeypatch, cpus)
+    assert dataset_bytes(many) == dataset_bytes(one)
+    assert not any(a.flags.writeable for a in (many.landmarks.anchors, many.landmarks.positions,
+                                               many.landmarks.sources))
+    workers = parallel._workers[: cpus - 1]
+    assert len(workers) == cpus - 1
+    assert all(os.waitpid(w.pid, os.WNOHANG) == (0, 0) for w in workers)  # kept for later calls
+    assert dataset_bytes(build_with_cpus(monkeypatch, cpus)) == dataset_bytes(one)
+
+
+_sequence_sample = dataset_synth._sequence_sample
+
+
+def failing_sequence_sample(cfg, i, e, scale_normalize):
+    """_sequence_sample, except at seeds 101 and 102: there sequence 2 fails
+    at once and, at 101, sequence 1 fails later (FAST has two emotions)."""
+    if (i, e) == (1, 0) and cfg.seed in (101, 102):
+        raise InvariantError("sequence 2")
+    if (i, e) == (0, 1) and cfg.seed == 101:
+        time.sleep(0.2)  # so that sequence 2 has failed on another process
+        raise ConfigError("sequence 1")
+    return _sequence_sample(cfg, i, e, scale_normalize)
+
+
+@pytest.mark.parametrize("first_fails", [False, True], ids=["later-fails", "both-fail"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_build_dataset_raises_the_first_error_in_sequence_order(monkeypatch, fresh_workers,
+                                                                cpus, first_fails):
+    cfg = dataclasses.replace(FAST, seed=101 if first_fails else 102)
+    good = build_with_cpus(monkeypatch, 1)
+    monkeypatch.setattr(dataset_synth, "_sequence_sample", failing_sequence_sample)
+    err_1 = build_with_cpus(monkeypatch, 1, cfg)
+    err_n = build_with_cpus(monkeypatch, cpus, cfg)
+    assert type(err_n) is type(err_1) is (ConfigError if first_fails else InvariantError)
+    assert str(err_n) == str(err_1) == ("sequence 1" if first_fails else "sequence 2")
+    assert len(parallel._workers) == cpus - 1
+    # the workers are still in step: a good build after the error is the same
+    assert dataset_bytes(build_with_cpus(monkeypatch, cpus)) == dataset_bytes(good)
+
+
+def test_a_lost_worker_fails_one_build_and_the_next_forks_anew(monkeypatch):
+    one = build_with_cpus(monkeypatch, 1)
+    build_with_cpus(monkeypatch, 2)
+    pid = parallel._workers[0].pid
+    os.kill(pid, signal.SIGKILL)
+    assert isinstance(build_with_cpus(monkeypatch, 2), (BrokenPipeError, ChildProcessError))
+    assert parallel._workers == [] and gone(pid)  # every worker ended and reaped
+    assert dataset_bytes(build_with_cpus(monkeypatch, 2)) == dataset_bytes(one)
+
+
+def test_landmark_set_stays_read_only_through_pickle(fast_dataset):
+    import pickle
+
+    lms = fast_dataset.landmarks
+    back = pickle.loads(pickle.dumps(lms))
+    for name in ("anchors", "positions", "sources"):
+        assert not getattr(back, name).flags.writeable
+        assert getattr(back, name).tobytes() == getattr(lms, name).tobytes()
+    assert back.n_base == lms.n_base and back.ordering_hash() == lms.ordering_hash()
+
+
+# builds a small dataset on two processes, prints the worker's pid, then
+# waits for a line on stdin before it exits
+TWO_CPU_BUILD = """
+import sys
+from facegcn import dataset_synth, parallel
+
+parallel.usable_cpus = lambda: 2
+dataset_synth.build_dataset(dataset_synth.SynthConfig(n_identities=2, emotions=(0,), T=3, k=4,
+                                                      grid=8, lm_grid=2))
+print(*[w.pid for w in parallel._workers], flush=True)
+sys.stdin.readline()
+"""
+
+
+def gone(pid: int) -> bool:
+    """No process has this pid, or it has exited and waits to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc")
+@pytest.mark.parametrize("end", ["exit", "sigkill"])
+def test_workers_end_with_the_caller(end):
+    caller = subprocess.Popen([sys.executable, "-c", TWO_CPU_BUILD], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True, env=child_env())
+    try:
+        pids = [int(p) for p in caller.stdout.readline().split()]
+        assert len(pids) == 1 and not gone(pids[0])
+        if end == "exit":
+            caller.communicate("\n", timeout=30)
+            assert caller.returncode == 0
+            assert gone(pids[0])  # reaped before the interpreter exited
+        else:
+            caller.kill()
+            caller.communicate(timeout=30)
+            deadline = time.monotonic() + 5
+            while not gone(pids[0]) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert gone(pids[0])
+    finally:
+        if caller.poll() is None:
+            caller.kill()
+            caller.wait()
 
 
 def test_expression_params_range():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facegcn import stgcn_net
+from facegcn import parallel, stgcn_net
 from facegcn.errors import (
     LabelOutOfRange,
     NumericalError,
@@ -720,7 +720,7 @@ def train_with_cpus(monkeypatch, cpus, data, batch_size, epochs=3, on_epoch=None
     ``threads``, a set, collects the threads that ran a forward pass.
     """
     arch, norm, _ = tiny_training_setup()
-    monkeypatch.setattr(stgcn_net, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     if threads is not None:
         def recording_forward(*args, _forward=stgcn_net.forward, **kwargs):
             threads.add(threading.get_ident())
