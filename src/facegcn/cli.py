@@ -44,8 +44,8 @@ def _run_lock(*targets: tuple[Path, int]):
     reads, which is skipped when it does not exist. A directory named twice
     (matched with ``samefile``) is locked once, as first named, so the write
     locks come first. The kernel drops every lock when its holder exits or is
-    killed (a dataset worker forked inside it, at its next read or write),
-    so a killed command leaves nothing behind that blocks a later one. Each
+    killed (a worker forked inside it closes its copy of each descriptor at
+    once), so a killed command leaves nothing behind that blocks a later one. Each
     directory made here, parents too, is removed again if the body fails
     and leaves it empty.
     """
@@ -79,8 +79,8 @@ def _dir_lock(path: Path, operation: int):
             raise ConfigError(f"{path} is locked: another command is using this directory")
         yield
     finally:
-        # a process forked inside the lock (a build_dataset worker) shares
-        # the lock through its copy of fd, so closing ours would not end it
+        # a process forked inside the lock that keeps its copy of fd shares
+        # the lock, so closing ours alone would not end it
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import InvariantError, ParseError
 from .fileio import read_text, write_atomic
 
@@ -313,6 +314,10 @@ def load_mesh(path) -> TexturedMesh:
 
     The returned mesh satisfies every TexturedMesh invariant (otherwise
     InvariantError); malformed records raise ParseError with a line number.
+    A plain ASCII PLY file's vertex and face blocks are read on two
+    processes when there are two usable CPUs, the caller and a worker of
+    ``parallel.map_in_order``; meshes and errors do not depend on the CPU
+    count, and ``taskset -c 0`` gives the one-process read.
     """
     path = Path(path)
     fmt = path.suffix.lower().lstrip(".")
@@ -613,6 +618,26 @@ def _file_records(path, skip: int, count: int, dtype: np.dtype) -> np.ndarray:
                       ndmin=1, encoding="latin-1")
 
 
+def _block_records(path, skip: int, count: int, dtype: np.dtype):
+    """``_file_records``, or None if they do not parse or are short.
+
+    For the face dtype, the (count, 3) int64 indices, or None unless every
+    record lists 3. It may run on a forked worker, whose warning filters
+    are those of its fork, so it puts ``_NO_DATA_FILTER`` first itself.
+    """
+    if warnings.filters[:1] != [_NO_DATA_FILTER]:  # a catch_warnings block swapped the list
+        _no_data_is_an_error()
+    try:
+        rows = _file_records(path, skip, count, dtype)
+    except (ValueError, UserWarning, OSError):
+        return None
+    if rows.shape[0] != count:
+        return None
+    if dtype == _ASCII_FACE_DTYPE:
+        return np.ascontiguousarray(rows["i"]) if (rows["n"] == 3).all() else None
+    return rows
+
+
 def _plain_ascii_records(path, data, opened, skip, n_vertices, n_faces, vdtype):
     """(vertex table, faces) read by loadtxt from the file itself, or None.
 
@@ -622,24 +647,26 @@ def _plain_ascii_records(path, data, opened, skip, n_vertices, n_faces, vdtype):
     the first body lines. None (never an error) for any other file, if a
     record does not parse, if a blank line falls among the records
     (``_no_data_is_an_error``), or if the path no longer names the file
-    ``opened`` describes, unchanged since it was read.
+    ``opened`` describes, unchanged since it was read. The vertex block is
+    read here and the face block on a worker (``parallel.map_in_order``),
+    side by side when there are two usable CPUs; the path is made absolute
+    first, because a worker keeps the working directory of its fork.
     """
     if not data.isascii() or any(map(data.__contains__, _LINE_BREAKING_WHITESPACE)):
         return None
-    if warnings.filters[:1] != [_NO_DATA_FILTER]:  # a catch_warnings block swapped the list
-        _no_data_is_an_error()
+    path = os.path.abspath(path)
     try:
-        table = _file_records(path, skip, n_vertices, vdtype)
-        frows = _file_records(path, skip + n_vertices, n_faces, _ASCII_FACE_DTYPE)
+        table, faces = parallel.map_in_order(_block_records, [
+            (path, skip, n_vertices, vdtype),
+            (path, skip + n_vertices, n_faces, _ASCII_FACE_DTYPE)])
         now = os.stat(path)
-    except (ValueError, UserWarning, OSError):
+    except OSError:  # the stat, or a worker that could not be forked or was lost
         return None
-    if (table.shape[0] != n_vertices or frows.shape[0] != n_faces
-            or not (frows["n"] == 3).all()
+    if (table is None or faces is None
             or any(getattr(now, k) != getattr(opened, k)
                    for k in ("st_dev", "st_ino", "st_size", "st_mtime_ns"))):
         return None
-    return table, frows["i"]
+    return table, faces
 
 
 def _read_ply_ascii(path, data: bytes, opened, body: memoryview, n_vertices, n_faces, vprops,

@@ -2,12 +2,18 @@
 
 ``map_in_order(fn, items)`` gives ``[fn(*item) for item in items]`` on
 min(usable CPUs, len(items)) processes: the caller plus worker processes.
-The workers are forked on the first call that needs them and kept for later
-calls, so each starts with everything the caller had imported, and runs
-``fn`` as it stood at that fork: a later patch of the caller's modules does
-not reach them. A worker ignores SIGINT and exits at the end of file on its
-task pipe, which comes when the caller closes it at exit or when the kernel
-closes it because the caller was killed.
+Two callers use it: ``dataset_synth.build_dataset`` (one item per sequence)
+and ``mesh_core.load_mesh`` (a plain ASCII PLY file's vertex and face
+blocks). The workers are forked on the first call that needs them and kept
+for later calls, so each starts with everything the caller had imported, and
+runs ``fn`` as it stood at that fork: a later patch of the caller's modules
+does not reach them. For the length of a call the caller is pinned to the
+CPU it is on, and each worker to the caller's other usable CPUs: unpinned,
+a woken worker often shared the caller's CPU while another CPU sat idle. A
+worker keeps no descriptor of the caller but its standard streams, ignores
+SIGINT and exits at the end of file on its task pipe, which comes when the
+caller closes it at exit or when the kernel closes it because the caller
+was killed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import signal
 import struct
 import threading
 import warnings
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from typing import NamedTuple
 
 _HEADER = struct.Struct("<Q")  # the byte length of the pickle that follows
@@ -59,6 +65,13 @@ def map_in_order(fn, items: list) -> list:
     a module-level function, and items, results and errors must pickle.
     With one usable CPU or one item, without ``os.fork``, or while another
     thread's call has the workers, the caller runs the loop alone.
+
+    A call made by ``fn`` runs alone in its own process too, forking
+    nothing, whether ``fn`` runs on the caller or on a worker. On the caller
+    the outer call holds ``_in_use``. A worker holds it for its whole life,
+    because it is forked while the call that forks it holds it, and it
+    never releases it; only this keeps a worker from forking workers of its
+    own (a test pins it).
     """
     n = min(usable_cpus(), len(items))
     if n < 2 or not hasattr(os, "fork") or not _in_use.acquire(blocking=False):
@@ -74,26 +87,57 @@ def _map(fn, items: list, n: int) -> list:
     errors: dict[int, BaseException] = {}
     awaited: dict[int, list[int]] = {}  # results fd -> its items still to come, last first
     try:
-        for p, worker in enumerate(_started(n - 1), 1):
-            share = range(p, len(items), n)
-            _send(worker.tasks, (fn, [items[i] for i in share]))
-            awaited[worker.results] = list(reversed(share))
-        for i in range(0, len(items), n):
-            if errors and i > min(errors):
-                break
-            try:
-                out[i] = fn(*items[i])
-            except Exception as exc:
-                errors[i] = exc
-            _collect(awaited, out, errors, timeout=0)
-        while awaited:
-            _collect(awaited, out, errors, timeout=None)
+        workers = _started(n - 1)
+        with _on_this_cpu() as cpu:
+            for p, worker in enumerate(workers, 1):
+                share = range(p, len(items), n)
+                _send(worker.tasks, (cpu, fn, [items[i] for i in share]))
+                awaited[worker.results] = list(reversed(share))
+            for i in range(0, len(items), n):
+                if errors and i > min(errors):
+                    break
+                try:
+                    out[i] = fn(*items[i])
+                except Exception as exc:
+                    errors[i] = exc
+                _collect(awaited, out, errors, timeout=0)
+            while awaited:
+                _collect(awaited, out, errors, timeout=None)
     except BaseException:  # an interrupt, or a worker gone: no worker is left mid-share
         _stop_workers(kill=True)
         raise
     if errors:
         raise errors[min(errors)]
     return out
+
+
+@contextmanager
+def _on_this_cpu():
+    """Pin the calling thread to the CPU it runs on for the body; yield that CPU.
+
+    The workers of the call keep off that CPU (``_serve``). The caller's
+    affinity is restored after the body. Yields None, and pins nothing,
+    where the CPU is not known.
+    """
+    cpu = _current_cpu() if hasattr(os, "sched_setaffinity") else None
+    if cpu is None:
+        yield None
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        yield cpu
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, from Linux's /proc; None elsewhere."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _collect(awaited: dict[int, list[int]], out: list, errors: dict, timeout) -> None:
@@ -156,10 +200,16 @@ def _fork() -> _Worker:
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides on an interrupt
-        # the caller's ends, and earlier workers' pipes: held here, they would
-        # keep a worker from seeing the caller exit
-        for fd in (tasks_w, results_r, *(fd for w in _workers for fd in w[1:])):
-            os.close(fd)
+        # every inherited descriptor but the standard streams and this
+        # worker's two pipe ends: the caller's ends and earlier workers' pipes
+        # would keep a worker from seeing the caller exit, and an open file
+        # or a locked directory would stay open for the worker's life
+        lo = 3
+        for fd in sorted({tasks_r, results_w}):
+            if lo < fd:  # closerange(lo, 0) would close every descriptor from lo on
+                os.closerange(lo, fd)
+            lo = max(lo, fd + 1)
+        os.closerange(lo, os.sysconf("SC_OPEN_MAX"))
         _workers.clear()
         _serve(tasks_r, results_w)
         code = 0
@@ -168,12 +218,18 @@ def _fork() -> _Worker:
 
 
 def _serve(tasks: int, results: int) -> None:
-    """A worker's loop: run each share it is sent, one result per item, until end of file."""
+    """A worker's loop: run each share it is sent, one result per item, until end of file.
+
+    Each share runs off the CPU the caller is pinned to, when there is another.
+    """
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     while True:
         try:
-            fn, share = _recv(tasks)
+            caller_cpu, fn, share = _recv(tasks)
         except EOFError:
             return
+        if caller_cpu is not None and usable - {caller_cpu}:
+            os.sched_setaffinity(0, usable - {caller_cpu})
         for item in share:
             try:
                 out = True, fn(*item)

@@ -851,13 +851,14 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(p)]) == 2
 
 
-def test_numerical_error_exit_code_3(synth_out):
-    tmp_path, p = synth_out
-    out = tmp_path / "out"
-    model, meta = stgcn_net.load_checkpoint(out / "checkpoint_final.fgc")
+def test_numerical_error_exit_code_3(synth_out, tmp_path):
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    assert main(["train", "--config", str(p)]) == 0
+    checkpoint = tmp_path / "out" / "checkpoint_final.fgc"
+    model, meta = stgcn_net.load_checkpoint(checkpoint)
     model.classifier_b[...] = np.inf  # non-finite logits at eval time
-    stgcn_net.save_checkpoint(out / "checkpoint_final.fgc", model, meta)
-    assert main(["eval", "--config", str(p), "--force"]) == 3
+    stgcn_net.save_checkpoint(checkpoint, model, meta)
+    assert main(["eval", "--config", str(p)]) == 3
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -939,6 +940,23 @@ def test_synth_on_two_cpus_unlocks_its_directory_on_return(tmp_path, monkeypatch
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert main(["train", "--config", str(p)]) == 0
+
+
+def test_preprocess_on_two_cpus_unlocks_its_directory_on_return(tmp_path, monkeypatch,
+                                                               fresh_workers):
+    # the mesh worker is forked inside preprocess's lock, at the first frame
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    raw = tmp_path / "raw"
+    write_sequence_dir(raw, n_frames=2)
+    p = preprocess_config(tmp_path, raw, k=9)
+    assert main(["preprocess", "--config", str(p)]) == 0
+    assert len(parallel._workers) == 1
+    take_lock = "import fcntl, os, sys; fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), " \
+                "fcntl.LOCK_EX | fcntl.LOCK_NB)"
+    r = subprocess.run([sys.executable, "-c", take_lock, str(tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert main(["preprocess", "--config", str(p), "--force"]) == 0
 
 
 @pytest.mark.parametrize("inner", ["synth", "train"])

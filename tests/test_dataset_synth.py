@@ -254,14 +254,6 @@ def build_with_cpus(monkeypatch, cpus, cfg=FAST):
         return exc
 
 
-@pytest.fixture
-def fresh_workers():
-    """Workers forked inside the test, so that they run its patches; ended after it."""
-    parallel._stop_workers()
-    yield
-    parallel._stop_workers()
-
-
 @pytest.mark.parametrize("cpus", [2, 3])  # 3 may be more CPUs than there are
 def test_build_dataset_bytes_do_not_depend_on_cpu_count(monkeypatch, cpus):
     one = build_with_cpus(monkeypatch, 1)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from facegcn import mesh_core
+from facegcn import mesh_core, parallel
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, _grid_faces, make_frame_mesh
 from facegcn.errors import InvariantError, ParseError
 from facegcn.mesh_core import (
@@ -1077,12 +1077,57 @@ def test_ply_ascii_file_changed_after_the_read_loads_the_bytes_read(tmp_path, mo
     assert calls == [p]
 
 
+def load_outcome(p):
+    """The bytes of the mesh loaded from ``p``, or the text and line of its ParseError."""
+    try:
+        mesh = load_mesh(p)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return tuple(a.tobytes() for a in (mesh.vertices, mesh.faces, mesh.colors))
+
+
+PLAIN_PATH_CASES = {  # case -> file lines
+    "good": PINNED_PLY,
+    "bad vertex record": PINNED_PLY[:14] + ["0 1 0 128 1.5 128"] + PINNED_PLY[15:],
+    "bad face record": PINNED_PLY[:17] + ["3 1 3 two"],
+    "blank line among the records": PINNED_PLY[:15] + [""] + PINNED_PLY[15:],
+    "changed after the read": PINNED_PLY,
+}
+
+
+@pytest.mark.parametrize("case", list(PLAIN_PATH_CASES))
+def test_ply_ascii_plain_path_does_not_depend_on_cpu_count(tmp_path, monkeypatch, case):
+    data = ("\n".join(PLAIN_PATH_CASES[case]) + "\n").encode("ascii")
+    calls = spy_body_records(monkeypatch)
+    read_records = mesh_core._plain_ascii_records
+
+    def change_then_read(path, *args):
+        os.replace(path.with_name("other.ply"), path)
+        return read_records(path, *args)
+
+    if case == "changed after the read":
+        monkeypatch.setattr(mesh_core, "_plain_ascii_records", change_then_read)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        p = tmp_path / "m.ply"
+        p.write_bytes(data)
+        p.with_name("other.ply").write_bytes(data.replace(b"\n0 0 0 10", b"\n0 0 0.5 10"))
+        outcomes.append(load_outcome(p))
+        assert parallel._workers or cpus == 1
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert isinstance(outcomes[0][0], bytes) == (case in ("good", "changed after the read"))
+    assert len(calls) == (0 if case == "good" else 3)
+
+
 @pytest.mark.parametrize("action", [None, "ignore", "always", "error"])
-def test_ply_ascii_blank_face_line_before_an_extra_line_is_a_parse_error(tmp_path, action):
+def test_ply_ascii_blank_face_line_before_an_extra_line_is_a_parse_error(tmp_path, monkeypatch,
+                                                                         fresh_workers, action):
     # loadtxt does not count a blank line towards max_rows and reads the
     # extra line instead; it warns when it does, and the loader takes that
-    # warning as a failed read, whatever filter the caller sets. Should a
-    # numpy release stop warning, this file loads and the test fails.
+    # warning as a failed read, whatever filter the caller sets, also on a
+    # worker forked under that filter. Should a numpy release stop warning,
+    # this file loads and the test fails.
     lines = PINNED_PLY[:17] + [""] + PINNED_PLY[17:] + ["3 0 1 3"]
     data = ("\n".join(lines) + "\n").encode("ascii")
     p = tmp_path / "m.ply"
@@ -1090,14 +1135,17 @@ def test_ply_ascii_blank_face_line_before_an_extra_line_is_a_parse_error(tmp_pat
     props = ["x", "y", "z", "red", "green", "blue"]
     with pytest.raises(ParseError) as want:
         reference_mesh(read_ply_ascii, data, props, 4, 2, 13)
-    with warnings.catch_warnings(record=True) as seen:
-        if action is not None:
-            warnings.simplefilter(action)
-        with pytest.raises(ParseError) as got:
-            load_mesh(p)
-    assert str(got.value) == str(want.value).replace("m.ply", str(p))
-    assert got.value.line == want.value.line == 18
-    assert not seen
+    for cpus in (1, 2):  # at 2 the face block is read by a worker forked below
+        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        with warnings.catch_warnings(record=True) as seen:
+            if action is not None:
+                warnings.simplefilter(action)
+            with pytest.raises(ParseError) as got:
+                load_mesh(p)
+        assert str(got.value) == str(want.value).replace("m.ply", str(p))
+        assert got.value.line == want.value.line == 18
+        assert not seen
+    assert len(parallel._workers) == 1
 
 
 @pytest.mark.parametrize("body", [b"", b"\n\n", b"0 0 0 10 20 30\n"])
