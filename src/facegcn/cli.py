@@ -90,21 +90,6 @@ def _refuse_existing(path: Path, force: bool) -> None:
         raise ConfigError(f"{path} exists; rerun with --force to overwrite")
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
-
-
-def _build_spatial(cfg: RunConfig, landmarks):
-    graph = st_graph.build_spatial_edges(
-        landmarks,
-        strategy=cfg.graph.strategy,
-        knn_m=cfg.graph.knn_m,
-        template_pairs=cfg.graph.template_pairs,
-    )
-    labels = st_graph.partition(graph, cfg.graph.partition)
-    return graph, labels
-
-
 def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
     """Write each sample's tensor, then graph.fgg, then the manifest.
 
@@ -115,7 +100,10 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
     which need not be the output directory.
     """
     out = cfg.output_dir
-    graph, labels = _build_spatial(cfg, landmarks)
+    graph = st_graph.build_spatial_edges(landmarks, strategy=cfg.graph.strategy,
+                                         knn_m=cfg.graph.knn_m,
+                                         template_pairs=cfg.graph.template_pairs)
+    labels = st_graph.partition(graph, cfg.graph.partition)
     root = cfg.manifest_path.parent
     cfg.manifest_path.unlink(missing_ok=True)
     written: list[Path] = []
@@ -133,14 +121,16 @@ def _write_dataset(cfg: RunConfig, named_samples, landmarks, **extra) -> None:
             })
         written.append(out / "graph.fgg")
         st_graph.save_graph(graph, labels, written[-1])
-        _write_manifest(cfg.manifest_path, {
+        manifest = {
             "kind": "facegcn-manifest",
             "k": cfg.features.k,
             "J": len(landmarks),
             "graph": os.path.relpath(written[-1], root),
             "samples": entries,
             **extra,
-        })
+        }
+        write_atomic(cfg.manifest_path,
+                     (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -188,39 +178,41 @@ def cmd_synth(cfg: RunConfig, force: bool) -> int:
 
 
 def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
-    """Feature tensor of one sequence directory and its first frame's landmarks."""
-    mesh_files = sorted(
-        p for p in seq_dir.iterdir() if p.suffix in (".ply", ".obj") and p.stem.startswith("frame_")
-    )
+    """Feature tensor of one sequence directory and its first frame's landmarks,
+    by ``dataset_synth.sequence_tensor``: a frame is a ``frame_*`` file with a
+    ``.ply`` or ``.obj`` suffix in any case, one per stem, in name order."""
+    mesh_files: dict[str, Path] = {}
+    for path in sorted(seq_dir.iterdir()):
+        if path.suffix.lower() in (".ply", ".obj") and path.stem.startswith("frame_"):
+            if path.stem in mesh_files:
+                raise ConfigError(f"{seq_dir}: frame {path.stem} has two mesh files, "
+                                  f"{mesh_files[path.stem].name} and {path.name}")
+            mesh_files[path.stem] = path
     if not mesh_files:
         raise ConfigError(f"{seq_dir}: no frame_*.ply or frame_*.obj files")
     ext = "." + cfg.features.landmark_source
     frames = []
-    for mesh_path in mesh_files:
+    for mesh_path in mesh_files.values():
         lm_path = mesh_path.with_suffix(ext)
         if not lm_path.exists():
             raise ConfigError(f"missing landmark file for frame {mesh_path.name}: {lm_path}")
         mesh = mesh_core.load_mesh(mesh_path)
         if cfg.features.landmark_source == "lm2":
-            points = landmark_engine.load_landmarks_2d(lm_path)
-            base = landmark_engine.lift_landmarks(mesh, points)
+            base = landmark_engine.lift_landmarks(mesh, landmark_engine.load_landmarks_2d(lm_path))
         else:
-            points = landmark_engine.load_landmarks_3d(lm_path)
-            base = landmark_engine.snap_to_mesh(mesh, points)
+            base = landmark_engine.snap_to_mesh(mesh, landmark_engine.load_landmarks_3d(lm_path))
         for a, b in cfg.features.augmentation_pairs:
             if not (0 <= a < len(base) and 0 <= b < len(base)):
                 raise InvalidPair(f"sequence {seq_dir}, frame {mesh_path.name}: {lm_path} has "
                                   f"{len(base)} landmarks, too few for pair ({a}, {b})")
         frames.append((mesh, base))
-    results = landmark_engine.augment_sequence(frames, cfg.features.augmentation_pairs)
-    for mesh_path, result in zip(mesh_files, results):
+    tensor, results = dataset_synth.sequence_tensor(
+        frames, cfg.features.augmentation_pairs, cfg.features.k, cfg.features.scale_normalize
+    )
+    for mesh_path, result in zip(mesh_files.values(), results):
         if result.skipped:
             log.warning("%s: skipped unreachable pairs %s", mesh_path.name, result.skipped)
-    frames = [(mesh, result.landmarks) for (mesh, _), result in zip(frames, results)]
-    tensor = patch_features.build_sequence_tensor(
-        frames, cfg.features.k, scale_normalize=cfg.features.scale_normalize
-    )
-    return tensor, frames[0][1]
+    return tensor, results[0].landmarks
 
 
 def _sequence_targets(cfg: RunConfig) -> list[tuple[Path, int, int]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ConfigError, EmptySide, MissingIdentity
-from .landmark_engine import LandmarkSet, _anchored, augment_sequence
+from .landmark_engine import AugmentationResult, LandmarkSet, _anchored, augment_sequence
 from .mesh_core import TexturedMesh
 from .patch_features import FeatureTensor, build_sequence_tensor
 
@@ -189,18 +189,44 @@ def generate_sequence(
     lm_grid: int = 4,
 ) -> list[tuple[TexturedMesh, LandmarkSet]]:
     """T frames of (mesh, base landmark set); deterministic given the seeds."""
-    anchors, meshes = _sequence(identity, expr, T, lm_grid)
-    return [(mesh, _anchored(anchors, mesh)) for mesh in meshes]
-
-
-def _sequence(
-    identity: IdentityParams, expr: ExpressionParams, T: int, lm_grid: int
-) -> tuple[np.ndarray, list[TexturedMesh]]:
-    """The base landmark anchors and the T meshes of ``generate_sequence``."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     anchors = landmark_grid_indices(identity.grid, lm_grid)
-    return anchors, _sequence_meshes(identity, expr, range(T), T)
+    return [(mesh, _anchored(anchors, mesh)) for mesh in _sequence_meshes(identity, expr, range(T), T)]
+
+
+def sequence_tensor(frames: Sequence[tuple[TexturedMesh, LandmarkSet]], pairs, k: int,
+                    scale_normalize: bool) -> tuple[FeatureTensor, list[AugmentationResult]]:
+    """The (6k, J, T) tensor of (mesh, base landmarks) frames and each frame's
+    ``augment_sequence`` result: the path of ``build_dataset`` and ``preprocess``.
+
+    Each distinct frame (by its bytes of all that augmentation and patches
+    read: vertices, faces, colors, base anchors and sources) is processed
+    once and its column gathered back into frame order. Frame t of a
+    synthetic sequence equals frame T-1-t; scan frames all differ.
+    """
+    # by a hash of the vertex bytes, so that a scan keeps no copy of its frames
+    first_of: dict[int, list[int]] = {}  # that hash -> the distinct frames with it
+    distinct, column = [], []
+    for frame in frames:
+        same = first_of.setdefault(hash(frame[0].vertices.tobytes()), [])
+        d = next((d for d in same if _same_frame(distinct[d], frame)), len(distinct))
+        if d == len(distinct):
+            same.append(d)
+            distinct.append(frame)
+        column.append(d)
+    results = augment_sequence(distinct, pairs)
+    unique = build_sequence_tensor(
+        [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)], k, scale_normalize
+    )
+    tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k, unique.landmark_hash)
+    return tensor, [results[d] for d in column]
+
+
+def _same_frame(a: tuple[TexturedMesh, LandmarkSet], b: tuple[TexturedMesh, LandmarkSet]) -> bool:
+    """Whether two frames have the same bytes of all that ``sequence_tensor`` reads."""
+    arrays = [(mesh.vertices, mesh.faces, mesh.colors, lms.anchors, lms.sources) for mesh, lms in (a, b)]
+    return all(x is y or x.tobytes() == y.tobytes() for x, y in zip(*arrays))
 
 
 @dataclass(frozen=True)
@@ -234,10 +260,10 @@ class DatasetBuildResult:
 def build_dataset(cfg: SynthConfig, scale_normalize: bool = False) -> DatasetBuildResult:
     """One SequenceSample per (identity, emotion) with augmented landmarks.
 
-    Each sequence is generated, augmented and patched by ``_sequence_sample``
-    on min(usable CPUs, sequences) processes: the caller and worker
-    processes it forks on its first such call and keeps for later calls
-    (see ``parallel.map_in_order``). A worker runs the code as it stood at
+    Each sequence is ``generate_sequence`` then ``sequence_tensor``, as in
+    ``facegcn preprocess``, on min(usable CPUs, sequences) processes: the
+    caller and workers forked on the first such call and kept for later
+    ones (``parallel.map_in_order``), each running the code as it stood at
     its fork. Samples, landmarks, the separability numbers and the first
     error raised follow sequence order, so they are byte-identical for any
     CPU count; to build on fewer CPUs, narrow the affinity (``taskset``).
@@ -279,34 +305,14 @@ def _sequence_sample(cfg: SynthConfig, i: int, e: int, scale_normalize: bool):
     """Sequence (i, e) of ``build_dataset``: (sample, first frame's augmented
     landmarks, neutral frame vertices, peak frame vertices)."""
     ident = cfg.identity_params(i)
-    anchors, meshes = _sequence(ident, cfg.expression_params(e), cfg.T, cfg.lm_grid)
-    # The frames of one sequence share faces, colors, uv and landmark
-    # anchors, so the vertex bytes fix everything landmarks, augmentation
-    # and patches read: each distinct frame is processed once (the sin^2
-    # envelope makes frame t equal frame T-1-t after quantization) and its
-    # column is gathered back into frame order.
-    first_of: dict[bytes, int] = {}  # vertex bytes -> column in distinct
-    distinct, column = [], []
-    for mesh in meshes:
-        key = mesh.vertices.tobytes()
-        if key not in first_of:
-            first_of[key] = len(distinct)
-            distinct.append((mesh, _anchored(anchors, mesh)))
-        column.append(first_of[key])
-    del first_of
-    results = augment_sequence(distinct, default_augment_pairs(cfg.lm_grid))
-    augmented = [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)]
-    unique = build_sequence_tensor(augmented, cfg.k, scale_normalize=scale_normalize)
-    tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k, unique.landmark_hash)
-    sample = SequenceSample(
-        tensor=tensor,
-        identity=i,
-        emotion=e,
-        provenance={"identity_seed": ident.seed, "k": cfg.k, "J": tensor.J, "T": cfg.T},
-    )
+    frames = generate_sequence(ident, cfg.expression_params(e), cfg.T, cfg.lm_grid)
+    tensor, results = sequence_tensor(frames, default_augment_pairs(cfg.lm_grid), cfg.k,
+                                      scale_normalize)
+    sample = SequenceSample(tensor, i, e, {"identity_seed": ident.seed, "k": cfg.k, "J": tensor.J,
+                                           "T": cfg.T})
     # copies: a frame's vertices are a view of the whole sequence's block
-    return (sample, augmented[0][1], meshes[0].vertices.copy(),
-            meshes[len(meshes) // 2].vertices.copy())
+    return (sample, results[0].landmarks, frames[0][0].vertices.copy(),
+            frames[len(frames) // 2][0].vertices.copy())
 
 
 def _separability(neutral, peak, cfg: SynthConfig) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from facegcn.st_graph import SpatialGraph, load_graph, partition, save_graph
 
 from test_fileio import HalfWriteFile
 from test_stgcn_net import CHECKPOINT_HEADER_TAMPERS, tamper_checkpoint
+from twin_testutil import write_raw_twin
 
 
 def small_config(tmp_path, **over):
@@ -487,6 +488,55 @@ def test_preprocess_inconsistent_landmarks_exit_code_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fmt, source", [("ply", "lm2"), ("obj", "lm3"), ("ply-binary", "lm3")])
+def test_preprocess_of_the_raw_twin_writes_the_synth_bytes(tmp_path, fmt, source):
+    # synth and preprocess share one path from frames to tensors: the raw-file
+    # twin pins load_mesh, lift/snap and the file formats to synth's bytes.
+    # Three frames, as two are equal after quantization (sin^2(pi) ~ 1e-32):
+    # frames 0 and 2 are equal, frame 1 is the peak
+    p = small_config(tmp_path, synth={"frames": 3})
+    assert main(["synth", "--config", str(p)]) == 0
+    twin = write_raw_twin(p, tmp_path / "twin", fmt, source)
+    assert main(["preprocess", "--config", str(twin)]) == 0
+    synth_dir, twin_dir = tmp_path / "out", tmp_path / "twin" / "out"
+    names = sorted(q.name for q in synth_dir.glob("*.fgt"))
+    assert len(names) == 60
+    assert sorted(q.name for q in twin_dir.glob("*.fgt")) == names
+    for name in names + ["graph.fgg"]:
+        assert (twin_dir / name).read_bytes() == (synth_dir / name).read_bytes(), name
+    assert all(load_tensor(twin_dir / name).T == 3 for name in names)  # a column per frame
+
+
+@pytest.mark.parametrize("other", [".obj", ".PLY"])
+def test_preprocess_refuses_two_mesh_files_of_one_frame(tmp_path, capsys, other):
+    raw = tmp_path / "raw"
+    seq = write_sequence_dir(raw, n_frames=3)
+    frame = seq / "frame_0001.ply"
+    second_file = frame.with_name("frame_0001" + other)
+    write_mesh(mesh_core.load_mesh(frame), second_file, fmt="obj" if other == ".obj" else "ply")
+    assert main(["preprocess", "--config", str(preprocess_config(tmp_path, raw))]) == 2
+    first, second = sorted([frame.name, second_file.name])
+    assert capsys.readouterr().err == (
+        f"facegcn: error: {seq}: frame frame_0001 has two mesh files, {first} and {second}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suffix", [".PLY", ".Obj"])
+def test_preprocess_reads_frame_suffixes_in_any_case(tmp_path, suffix):
+    raw = tmp_path / "raw"
+    seq = write_sequence_dir(raw, n_frames=3)
+    p = preprocess_config(tmp_path, raw, k=5)
+    assert main(["preprocess", "--config", str(p)]) == 0
+    want = (tmp_path / "out" / "seq_a.fgt").read_bytes()
+    frame = seq / "frame_0001.ply"
+    write_mesh(mesh_core.load_mesh(frame), frame.with_name("frame_0001" + suffix),
+               fmt="obj" if suffix.lower() == ".obj" else "ply")
+    frame.unlink()
+    assert main(["preprocess", "--config", str(p), "--force"]) == 0
+    assert load_tensor(tmp_path / "out" / "seq_a.fgt").T == 3
+    assert (tmp_path / "out" / "seq_a.fgt").read_bytes() == want
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -530,14 +580,15 @@ def test_train_deterministic_rerun(synth_out, tmp_path_factory):
     assert strip(log) == strip(first_log)
 
 
-def test_eval_constant_classifier_hits_one_over_n(synth_out):
-    tmp_path, p = synth_out
+def test_eval_constant_classifier_hits_one_over_n(synth_out, tmp_path):
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    assert main(["train", "--config", str(p)]) == 0
     out = tmp_path / "out"
     model, meta = stgcn_net.load_checkpoint(out / "checkpoint_final.fgc")
     for _, arr in model.parameters():
         arr[...] = 0.0
     stgcn_net.save_checkpoint(out / "checkpoint_final.fgc", model, meta)
-    assert main(["eval", "--config", str(p), "--force"]) == 0
+    assert main(["eval", "--config", str(p)]) == 0
     report = json.loads((out / "eval_report.json").read_text())
     assert report["total"] == 30  # 10 identities x 3 held-out emotions
     assert report["accuracy"] == pytest.approx(1 / 10)
@@ -579,13 +630,15 @@ def test_eval_checkpoint_of_another_landmark_grid(synth_out, tmp_path, capsys):
         f"facegcn: error: checkpoint J={model_j}, graph J={graph_j}\n")
 
 
-def test_eval_empty_test_side(synth_out, tmp_path_factory):
-    tmp_path, _ = synth_out
-    cfg = json.loads((tmp_path / "config.json").read_text())
+def test_eval_empty_test_side(synth_out, tmp_path, capsys):
+    p = config_on_synth(synth_out, tmp_path, epochs=0)
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
     cfg["train"]["train_emotions"] = [0, 1, 2, 3, 4, 5]
-    p2 = tmp_path / "config_all.json"
-    p2.write_text(json.dumps(cfg))
-    assert main(["eval", "--config", str(p2), "--force"]) == 2
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == "facegcn: error: split leaves one side empty\n"
 
 
 def config_on_synth(synth_out, tmp_path, epochs):

@@ -21,10 +21,13 @@ from facegcn.dataset_synth import (
     generate_sequence,
     landmark_grid_indices,
     make_frame_mesh,
+    sequence_tensor,
 )
 from facegcn.errors import ConfigError, EmptySide, InvariantError, MissingIdentity
-from facegcn.mesh_core import validate_mesh
+from facegcn.landmark_engine import _anchored
+from facegcn.mesh_core import TexturedMesh, validate_mesh
 from facegcn.patch_features import build_sequence_tensor, save_tensor
+from landmark_testutil import assert_same_landmarks
 from test_cli import child_env
 
 FAST = SynthConfig(n_identities=3, emotions=(0, 1), T=3, k=4, grid=8, lm_grid=2, seed=11)
@@ -184,22 +187,50 @@ def test_build_dataset_processes_each_distinct_frame_once(monkeypatch, case, dis
         augmented.append(len(frames))
         return real_augment(frames, pairs)
 
-    real_anchored, anchored = dataset_synth._anchored, []
-
-    def counting_anchored(anchors, mesh):
-        anchored.append(mesh)
-        return real_anchored(anchors, mesh)
-
     monkeypatch.setattr(dataset_synth, "augment_sequence", counting_augment)
-    monkeypatch.setattr(dataset_synth, "_anchored", counting_anchored)
     samples = build_dataset(cfg).samples
     assert augmented == [distinct] * len(reference) == [distinct] * len(samples)
-    assert len(anchored) == distinct * len(samples)  # base sets of distinct frames only
     for sample, ref in zip(samples, reference):
         got = sample.tensor
         assert (got.values.shape, got.values.dtype, got.k, got.landmark_hash) == (
             ref.values.shape, ref.values.dtype, ref.k, ref.landmark_hash)
         assert got.values.tobytes() == ref.values.tobytes()
+
+
+def _other_diagonal(mesh: TexturedMesh) -> TexturedMesh:
+    """The mesh with each grid quad split along its other diagonal."""
+    n = int(round(mesh.n_vertices ** 0.5))
+    idx = np.arange(n * n).reshape(n, n)
+    a, b, c, d = (q.ravel() for q in (idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]))
+    faces = np.concatenate([np.stack([a, b, d], axis=1), np.stack([a, d, c], axis=1)])
+    return TexturedMesh.from_arrays(mesh.vertices, faces, mesh.colors, mesh.uv)
+
+
+# what differs between two frames of equal vertex bytes -> the second frame
+OTHER_FRAME = {
+    "anchors": lambda mesh, base: (mesh, _anchored(base.anchors + 1, mesh)),
+    "faces": lambda mesh, base: (_other_diagonal(mesh), base),
+    "colors": lambda mesh, base: (
+        TexturedMesh.from_arrays(mesh.vertices, mesh.faces, 1.0 - mesh.colors, mesh.uv), base),
+}
+
+
+@pytest.mark.parametrize("differ", list(OTHER_FRAME))
+def test_sequence_tensor_tells_frames_apart_by_all_they_read(differ):
+    [(mesh, base)] = generate_sequence(IdentityParams(seed=3, grid=8), ExpressionParams(emotion=2),
+                                       1, lm_grid=3)
+    other = OTHER_FRAME[differ](mesh, base)
+    assert other[0].vertices.tobytes() == mesh.vertices.tobytes()
+    pairs = [(0, 4), (2, 6), (0, 1)]  # the diagonal pairs cross the grid quads
+    alone = [sequence_tensor([frame], pairs, 4, False) for frame in ((mesh, base), other)]
+    assert alone[0][0].values.tobytes() != alone[1][0].values.tobytes()
+    frames = [(mesh, base), other, other, (mesh, base)]
+    tensor, results = sequence_tensor(frames, pairs, 4, False)
+    for t, which in enumerate([0, 1, 1, 0]):
+        want, [result] = alone[which]
+        assert tensor.values[:, :, t].tobytes() == want.values[:, :, 0].tobytes()
+        assert_same_landmarks(results[t].landmarks, result.landmarks)
+        assert results[t].skipped == result.skipped
 
 
 def test_shipped_sequences_mirror_in_time():
