@@ -206,10 +206,16 @@ def _ingest_sequence(seq_dir: Path, cfg: RunConfig):
                 raise InvalidPair(f"sequence {seq_dir}, frame {mesh_path.name}: {lm_path} has "
                                   f"{len(base)} landmarks, too few for pair ({a}, {b})")
         frames.append((mesh, base))
-    tensor, results = dataset_synth.sequence_tensor(
-        frames, cfg.features.augmentation_pairs, cfg.features.k, cfg.features.scale_normalize
-    )
-    for mesh_path, result in zip(mesh_files.values(), results):
+    paths = list(mesh_files.values())
+    try:
+        tensor, results = dataset_synth.sequence_tensor(
+            frames, cfg.features.augmentation_pairs, cfg.features.k, cfg.features.scale_normalize
+        )
+    except InconsistentLandmarks as exc:
+        raise InconsistentLandmarks(
+            f"sequence {seq_dir}, frame {paths[exc.frame].name}: landmark ordering differs from "
+            f"{paths[0].name}'s (base landmark count or skipped augmentation pairs)") from None
+    for mesh_path, result in zip(paths, results):
         if result.skipped:
             log.warning("%s: skipped unreachable pairs %s", mesh_path.name, result.skipped)
     return tensor, results[0].landmarks

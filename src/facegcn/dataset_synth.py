@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .errors import ConfigError, EmptySide, MissingIdentity
+from .errors import ConfigError, EmptySide, InconsistentLandmarks, MissingIdentity
 from .landmark_engine import AugmentationResult, LandmarkSet, _anchored, augment_sequence
 from .mesh_core import TexturedMesh
 from .patch_features import FeatureTensor, build_sequence_tensor
@@ -203,7 +203,9 @@ def sequence_tensor(frames: Sequence[tuple[TexturedMesh, LandmarkSet]], pairs, k
     Each distinct frame (by its bytes of all that augmentation and patches
     read: vertices, faces, colors, base anchors and sources) is processed
     once and its column gathered back into frame order. Frame t of a
-    synthetic sequence equals frame T-1-t; scan frames all differ.
+    synthetic sequence equals frame T-1-t; scan frames all differ. Frames
+    that disagree on landmark ordering raise InconsistentLandmarks naming
+    the first such frame by its index in ``frames``.
     """
     # by a hash of the vertex bytes, so that a scan keeps no copy of its frames
     first_of: dict[int, list[int]] = {}  # that hash -> the distinct frames with it
@@ -216,9 +218,15 @@ def sequence_tensor(frames: Sequence[tuple[TexturedMesh, LandmarkSet]], pairs, k
             distinct.append(frame)
         column.append(d)
     results = augment_sequence(distinct, pairs)
-    unique = build_sequence_tensor(
-        [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)], k, scale_normalize
-    )
+    try:
+        unique = build_sequence_tensor(
+            [(mesh, r.landmarks) for (mesh, _), r in zip(distinct, results)], k, scale_normalize
+        )
+    except InconsistentLandmarks as exc:
+        if exc.frame is None:
+            raise
+        t = column.index(exc.frame)  # the first frame of the sequence that disagrees
+        raise InconsistentLandmarks(f"frame {t} disagrees on landmark ordering", frame=t) from None
     tensor = FeatureTensor(np.take(unique.values, column, axis=2), unique.k, unique.landmark_hash)
     return tensor, [results[d] for d in column]
 

@@ -48,7 +48,14 @@ class InvalidPair(FaceGcnError):
 
 
 class InconsistentLandmarks(FaceGcnError):
-    """Frames of one sequence disagree on landmark count or ordering."""
+    """Frames of one sequence disagree on landmark count or ordering.
+
+    ``frame`` is the index of the first frame that disagrees, where one does.
+    """
+
+    def __init__(self, message, frame=None):
+        super().__init__(message)
+        self.frame = frame
 
 
 class UnknownId(FaceGcnError):

@@ -27,7 +27,7 @@ from .errors import (
     Unreachable,
 )
 from .fileio import read_text
-from .mesh_core import EdgeGraph, TexturedMesh, edge_topology
+from .mesh_core import EdgeGraph, TexturedMesh, build_edge_graph
 from .patch_features import KdIndex, build_kd_index
 
 
@@ -515,16 +515,18 @@ def augment_sequence(
 ) -> list[AugmentationResult]:
     """augment_landmarks for every (mesh, base landmarks) frame, batched over frames.
 
-    Each frame gets its own edge weights; consecutive frames with one vertex
-    count and equal faces share one ``mesh_core.EdgeTopology``, so their
-    graphs share read-only ``indptr`` and ``targets`` arrays, and frames with
-    equal base landmarks share one check of the pairs. Runs of consecutive
-    frames are searched together, as many as keep (searches in the run) x
-    (largest N in the run) within ``mesh_core.BATCH_ENTRIES``, and always at
-    least one frame, so desk-scale sequences share each array pass within
-    that fixed memory budget while 40k-vertex scans search one frame at a
-    time. Frames may differ in vertex count and faces. The results are those
-    of augment_landmarks on each frame alone, whatever the batches.
+    Each frame gets its own edge graph by ``build_edge_graph``, whose
+    ``mesh_core.edge_topology`` keeps the last topology built: consecutive
+    frames with one vertex count and equal faces compute only their edge
+    lengths, and their graphs share read-only ``indptr`` and ``targets``
+    arrays. Frames with equal base landmarks share one check of the pairs.
+    Runs of consecutive frames are searched together, as many as keep
+    (searches in the run) x (largest N in the run) within
+    ``mesh_core.BATCH_ENTRIES``, and always at least one frame, so
+    desk-scale sequences share each array pass within that fixed memory
+    budget while 40k-vertex scans search one frame at a time. Frames may
+    differ in vertex count and faces. The results are those of
+    augment_landmarks on each frame alone, whatever the batches.
     """
     plan_of: dict[tuple, _Plan] = {}
     plans = []
@@ -534,7 +536,6 @@ def augment_sequence(
             plan_of[key] = _plan(base, pairs)
         plans.append(plan_of[key])
     results: list[AugmentationResult] = []
-    topology = None
     lo = 0
     while lo < len(frames):
         hi, rows, stride = lo + 1, len(plans[lo].targets), frames[lo][0].n_vertices
@@ -543,11 +544,7 @@ def augment_sequence(
             if more * wider > mesh_core.BATCH_ENTRIES:
                 break
             hi, rows, stride = hi + 1, more, wider
-        batch = []
-        for (mesh, base), plan in zip(frames[lo:hi], plans[lo:hi]):
-            if topology is None or not topology.fits(mesh):
-                topology = edge_topology(mesh.n_vertices, mesh.faces)
-            batch.append((mesh, topology.graph(mesh.vertices), base, plan))
-        results += _augment_batch(batch)
+        results += _augment_batch([(mesh, build_edge_graph(mesh), base, plan)
+                                   for (mesh, base), plan in zip(frames[lo:hi], plans[lo:hi])])
         lo = hi
     return results

@@ -120,11 +120,12 @@ class EdgeTopology(NamedTuple):
 
     The unique face edges are the pairs ``(lo[e], hi[e])`` in lexicographic
     order; CSR entry i carries the length of pair ``pair_of[i]``. Every frame
-    with this vertex count and these faces shares it (see ``fits``), so all
-    its arrays are read-only.
+    with this vertex count and equal faces shares it (``edge_topology``
+    returns the last one built), so all its arrays, ``faces`` included, are
+    read-only and belong to it alone.
     """
 
-    faces: np.ndarray  # (F, 3) the faces it was built from
+    faces: np.ndarray  # (F, 3) a private copy of the faces it was built from
     lo: np.ndarray  # (E,) int64
     hi: np.ndarray  # (E,) int64, lo < hi
     pair_of: np.ndarray  # (2E,) int64
@@ -134,11 +135,6 @@ class EdgeTopology(NamedTuple):
     @property
     def n_nodes(self) -> int:
         return self.indptr.size - 1
-
-    def fits(self, mesh: "TexturedMesh") -> bool:
-        """Whether ``mesh`` has this vertex count and equal faces."""
-        return mesh.n_vertices == self.n_nodes and (
-            mesh.faces is self.faces or np.array_equal(mesh.faces, self.faces))
 
     def graph(self, vertices: np.ndarray) -> EdgeGraph:
         """The edge graph of this topology at ``vertices``, (n_nodes, 3) float64.
@@ -268,10 +264,29 @@ def validate_mesh(mesh: TexturedMesh) -> ValidationReport:
     return report
 
 
+# The last EdgeTopology built in this process (see edge_topology).
+_last_topology: EdgeTopology | None = None
+
+
 def edge_topology(n: int, faces: np.ndarray) -> EdgeTopology:
-    """The EdgeTopology of ``n`` vertices and ``faces``; InvariantError if an index is out of range."""
+    """The EdgeTopology of ``n`` vertices and ``faces``; InvariantError if an index is out of range.
+
+    The last topology built is kept, one per process, and returned again for
+    the same ``n`` and equal faces, so the frames of a registered sequence
+    (one mesh topology for all frames) build it once, and a frame with its
+    own faces pays one face comparison and one face copy more. It holds its
+    own read-only copy of the faces, so a caller that writes into its faces
+    array afterwards gets a new topology, not the old one. A failed call
+    leaves the kept one as it was; two threads may at worst build the same
+    topology twice.
+    """
+    global _last_topology
+    last = _last_topology
+    if last is not None and last.n_nodes == n and np.array_equal(faces, last.faces):
+        return last
     if faces.size and (faces.min() < 0 or faces.max() >= n):
         raise InvariantError(f"face index out of range for {n} vertices")
+    faces = np.array(faces)
     lo, hi = _unique_pairs(*_face_edges(faces), n)
     # each pair listed from both ends, rows in vertex order, stable within a row
     src = np.concatenate([lo, hi])
@@ -280,10 +295,12 @@ def edge_topology(n: int, faces: np.ndarray) -> EdgeTopology:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     pair_of = np.where(order < lo.size, order, order - lo.size)
-    for arr in (lo, hi, pair_of, indptr, targets):
+    for arr in (faces, lo, hi, pair_of, indptr, targets):
         arr.flags.writeable = False
-    return EdgeTopology(faces=faces, lo=lo, hi=hi, pair_of=pair_of, indptr=indptr,
-                        targets=targets)
+    topology = EdgeTopology(faces=faces, lo=lo, hi=hi, pair_of=pair_of, indptr=indptr,
+                            targets=targets)
+    _last_topology = topology
+    return topology
 
 
 def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
@@ -295,7 +312,9 @@ def build_edge_graph(mesh: TexturedMesh) -> EdgeGraph:
     InvariantError: face indices in range, finite vertices, and positive
     edge lengths (zero-length edges, from coincident positions or repeated
     face vertices, would stop geodesic arc lengths from strictly increasing).
-    This is ``edge_topology(...).graph(...)`` for one frame.
+    This is ``edge_topology(...).graph(...)``: a frame with the vertex count
+    and faces of the last topology built computes only its edge lengths, and
+    its graph shares that topology's ``indptr`` and ``targets``.
     """
     return edge_topology(mesh.n_vertices, mesh.faces).graph(mesh.vertices)
 

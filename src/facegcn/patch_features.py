@@ -252,7 +252,7 @@ def build_sequence_tensor(
     j_count = len(lm0)
     for t, (_, lms) in enumerate(frames):
         if lms.n_base != lm0.n_base or not np.array_equal(lms.sources, lm0.sources):
-            raise InconsistentLandmarks(f"frame {t} disagrees on landmark ordering")
+            raise InconsistentLandmarks(f"frame {t} disagrees on landmark ordering", frame=t)
 
     values = np.empty((6 * k, j_count, len(frames)), dtype=np.float32)
     for t, (mesh, lms) in enumerate(frames):

@@ -20,7 +20,7 @@ from facegcn.cli import _dir_lock, main
 from facegcn.config import RunConfig, config_from_dict, load_config, serialize_config
 from facegcn.dataset_synth import ExpressionParams, IdentityParams, make_frame_mesh
 from facegcn.errors import ConfigError
-from facegcn.mesh_core import write_mesh
+from facegcn.mesh_core import TexturedMesh, write_mesh
 from facegcn.patch_features import FeatureTensor, load_tensor, save_tensor
 from facegcn.st_graph import SpatialGraph, load_graph, partition, save_graph
 
@@ -485,6 +485,29 @@ def test_preprocess_inconsistent_landmarks_exit_code_2(tmp_path, capsys):
     assert main(["preprocess", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "seq_b" in err and "landmark count or ordering" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def cut_at_half_u(mesh):
+    """The mesh without its faces that cross u = 0.5: no path joins its two halves."""
+    left = mesh.uv[:, 0] < 0.5
+    keep = left[mesh.faces].all(axis=1) | ~left[mesh.faces].any(axis=1)
+    return TexturedMesh.from_arrays(mesh.vertices, mesh.faces[keep], mesh.colors, mesh.uv)
+
+
+def test_preprocess_names_the_frame_that_disagrees_on_landmark_ordering(tmp_path, capsys):
+    # frames A, A, B: pair (0, 1) crosses u = 0.5, which B's faces do not, so
+    # B alone skips it; B is the sequence's frame 2 but its distinct frame 1
+    raw = tmp_path / "raw"
+    seq = write_sequence_dir(raw, n_frames=3)
+    shutil.copy(seq / "frame_0000.ply", seq / "frame_0001.ply")
+    write_mesh(cut_at_half_u(mesh_core.load_mesh(seq / "frame_0000.ply")), seq / "frame_0002.ply")
+    for t in range(3):
+        (seq / f"frame_{t:04d}.lm2").write_text("0.2 0.5\n0.8 0.5\n0.3 0.3\n0.35 0.6\n")
+    p = preprocess_config(tmp_path, raw, k=5, augmentation_pairs=[[0, 1], [2, 3]])
+    assert assert_one_error_line(["preprocess", "--config", str(p)], capsys) == (
+        f"facegcn: error: sequence {seq}, frame frame_0002.ply: landmark ordering differs from "
+        "frame_0000.ply's (base landmark count or skipped augmentation pairs)")
     assert not (tmp_path / "out").exists()
 
 

@@ -23,12 +23,12 @@ from facegcn.dataset_synth import (
     make_frame_mesh,
     sequence_tensor,
 )
-from facegcn.errors import ConfigError, EmptySide, InvariantError, MissingIdentity
+from facegcn.errors import ConfigError, EmptySide, InconsistentLandmarks, InvariantError, MissingIdentity
 from facegcn.landmark_engine import _anchored
 from facegcn.mesh_core import TexturedMesh, validate_mesh
 from facegcn.patch_features import build_sequence_tensor, save_tensor
 from landmark_testutil import assert_same_landmarks
-from test_cli import child_env
+from test_cli import child_env, cut_at_half_u
 
 FAST = SynthConfig(n_identities=3, emotions=(0, 1), T=3, k=4, grid=8, lm_grid=2, seed=11)
 
@@ -231,6 +231,17 @@ def test_sequence_tensor_tells_frames_apart_by_all_they_read(differ):
         assert tensor.values[:, :, t].tobytes() == want.values[:, :, 0].tobytes()
         assert_same_landmarks(results[t].landmarks, result.landmarks)
         assert results[t].skipped == result.skipped
+
+
+def test_sequence_tensor_names_the_frame_that_disagrees_by_its_index_in_the_sequence():
+    [(mesh, base)] = generate_sequence(IdentityParams(seed=3, grid=8), ExpressionParams(emotion=2),
+                                       1, lm_grid=3)
+    pairs = [(0, 6), (4, 7)]  # landmarks 0 and 6 lie on either side of u = 0.5
+    cut = cut_at_half_u(mesh)
+    assert sequence_tensor([(cut, base)], pairs, 4, False)[1][0].skipped == [(0, 6)]
+    with pytest.raises(InconsistentLandmarks, match="^frame 2 disagrees on landmark ordering$") as err:
+        sequence_tensor([(mesh, base), (mesh, base), (cut, base)], pairs, 4, False)
+    assert err.value.frame == 2
 
 
 def test_shipped_sequences_mirror_in_time():

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -525,15 +527,114 @@ def edge_case_mesh(case):
     return TexturedMesh.from_arrays(*random_grid(101, rng))  # 10 201 vertices
 
 
-@pytest.mark.parametrize("case", ["repeated-faces", "unreferenced", "two-components", "grid-10k"])
-def test_build_edge_graph_matches_reference(case):
-    mesh = edge_case_mesh(case)
-    got, want = build_edge_graph(mesh), reference_edge_graph(mesh)
+def assert_reference_bytes(got, mesh):
+    """``got`` is ``mesh``'s edge graph, byte for byte, with read-only arrays."""
+    want = reference_edge_graph(mesh)
     assert got.n_nodes == want.n_nodes
     for name in ("indptr", "targets", "weights_csr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["repeated-faces", "unreferenced", "two-components", "grid-10k"])
+def test_build_edge_graph_matches_reference(case):
+    mesh = edge_case_mesh(case)
+    assert_reference_bytes(build_edge_graph(mesh), mesh)
+
+
+def flip_diagonal(faces, cell):
+    """``random_grid`` faces with ``cell`` cut along its other diagonal: the
+    same vertex and face counts, one edge different."""
+    cells = len(faces) // 2
+    p, r, q, s = sorted(set(faces[cell].tolist()) | set(faces[cell + cells].tolist()))
+    out = faces.copy()
+    out[[cell, cell + cells]] = [[p, q, r], [q, s, r]] if s in faces[cell] else [[p, q, s], [p, s, r]]
+    return out
+
+
+def test_frames_with_equal_faces_share_one_topology():
+    rng = np.random.default_rng(52)
+    verts, faces = random_grid(12, rng)
+    first = TexturedMesh.from_arrays(verts, faces)
+    second = TexturedMesh.from_arrays(verts + rng.uniform(-0.1, 0.1, verts.shape), faces.copy())
+    assert second.faces is not first.faces
+    a, b = build_edge_graph(first), build_edge_graph(second)
+    assert b.indptr is a.indptr and b.targets is a.targets
+    assert b.weights_csr.tobytes() != a.weights_csr.tobytes()
+    assert_reference_bytes(a, first)
+    assert_reference_bytes(b, second)
+
+
+def test_frame_with_one_diagonal_flipped_gets_its_own_topology():
+    rng = np.random.default_rng(53)
+    verts, faces = random_grid(12, rng)
+    first = TexturedMesh.from_arrays(verts, faces)
+    flipped = TexturedMesh.from_arrays(verts, flip_diagonal(faces, 40))
+    assert (flipped.n_vertices, flipped.n_faces) == (first.n_vertices, first.n_faces)
+    a, b = build_edge_graph(first), build_edge_graph(flipped)
+    assert b.indptr is not a.indptr and b.targets is not a.targets
+    assert b.targets.tobytes() != a.targets.tobytes()
+    assert_reference_bytes(a, first)
+    assert_reference_bytes(b, flipped)
+
+
+def test_faces_written_in_place_between_calls_get_a_new_topology():
+    rng = np.random.default_rng(54)
+    verts, faces = random_grid(12, rng)
+    assert faces.flags.writeable
+    before = faces.copy()
+    topology = mesh_core.edge_topology(len(verts), faces)
+    assert not topology.faces.flags.writeable
+    faces[:] = flip_diagonal(faces, 40)
+    assert_reference_bytes(topology.graph(verts), TexturedMesh.from_arrays(verts, before))
+    assert_reference_bytes(mesh_core.edge_topology(len(verts), faces).graph(verts),
+                           TexturedMesh.from_arrays(verts, faces.copy()))
+
+
+def test_failed_call_keeps_the_last_topology():
+    rng = np.random.default_rng(55)
+    verts, faces = random_grid(12, rng)
+    first = TexturedMesh.from_arrays(verts, faces)
+    a = build_edge_graph(first)
+    bad = faces.copy()
+    bad[7, 1] = len(verts)
+    with pytest.raises(InvariantError, match="face index out of range"):
+        build_edge_graph(TexturedMesh.from_arrays(verts, bad))
+    again = TexturedMesh.from_arrays(verts, faces.copy())
+    b = build_edge_graph(again)
+    assert b.indptr is a.indptr and b.targets is a.targets
+    assert_reference_bytes(b, again)
+
+
+def test_threads_alternating_two_face_sets_each_get_their_own_topology():
+    # eight threads switching often: a call must never return the topology
+    # another thread kept for the other face set
+    rng = np.random.default_rng(56)
+    verts, faces = random_grid(12, rng)
+    meshes = [TexturedMesh.from_arrays(verts, f) for f in (faces, flip_diagonal(faces, 40))]
+    want = [reference_edge_graph(m) for m in meshes]
+    wrong = []
+
+    def run(start):
+        for i in range(start, start + 60):
+            got = build_edge_graph(meshes[i % 2])
+            if (got.indptr.tobytes(), got.targets.tobytes()) != (
+                    want[i % 2].indptr.tobytes(), want[i % 2].targets.tobytes()):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("vertex", [[0, 1, 0], [0, np.inf, 0]], ids=["zero-length", "non-finite"])
